@@ -16,21 +16,22 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .compress import (CompressionPass, DistillRef, Prune24, PruneHeads,
-                       Quantize, compose, head_concentration, prune_heads,
-                       prune_model_2_4, quantize_model)
+from .compress import (MIN_CALIBRATION_LEN, CompressionPass, DistillRef, Prune24,
+                       PruneHeads, Quantize, compose, head_concentration,
+                       prune_heads, prune_model_2_4, quantize_model)
 from .distill import DistillConfig, seqkd_corpus, train_student
 from .errors import DomainError, FormatError, ParseError, SourceError, StateError
 from .meter import (DEFAULT_CARBON_INTENSITY, DEFAULT_REPETITIONS, CounterFile,
                     PowerModel, SyntheticClock, measure)
-from .model import (ModelConfig, TinyLM, dense_weight, init_model, load_model,
-                    param_tensors, perplexity, save_model, tokenize)
+from .model import (LINEAR_NAMES, ModelConfig, TinyLM, dense_weight, init_model,
+                    load_model, param_tensors, perplexity, save_model, tokenize)
 from .scoring import (BUILTIN_PROFILES, QUALITY_EXPONENT, Direction,
                       MetricRecord, OptResult, ResourceRatios, WeightProfile,
                       opt_score, profile_by_name, rank_methods)
@@ -53,6 +54,16 @@ class MethodMeasurements:
     label: str
     records: list[MetricRecord]
     ratios: ResourceRatios
+
+
+def _csv_number(text: str, what: str, line: int) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ParseError(f"{what} must be a finite number, got {text!r}", line=line)
+    return value
 
 
 def ingest_metrics(path) -> list[MethodMeasurements]:
@@ -93,11 +104,8 @@ def ingest_metrics(path) -> list[MethodMeasurements]:
             if (group, metric) in seen:
                 raise ParseError(f"duplicate metric {metric!r} in group {group!r}", line=line)
             seen.add((group, metric))
-            try:
-                base_v = float(base_s)
-                model_v = float(model_s)
-            except ValueError:
-                raise ParseError("base_value and model_value must be numbers", line=line) from None
+            base_v = _csv_number(base_s, "base_value", line)
+            model_v = _csv_number(model_s, "model_value", line)
             if direction_s == "lower":
                 if floor_s:
                     raise ParseError(
@@ -105,12 +113,7 @@ def ingest_metrics(path) -> list[MethodMeasurements]:
                     )
                 floor = None
             else:
-                try:
-                    floor = float(floor_s)
-                except ValueError:
-                    raise ParseError(
-                        "higher-is-better rows need a numeric random_floor", line=line
-                    ) from None
+                floor = _csv_number(floor_s, "random_floor of a higher-is-better row", line)
             raw.setdefault(group, []).append((metric, direction_s, floor, base_v, model_v))
 
     if not raw:
@@ -120,30 +123,22 @@ def ingest_metrics(path) -> list[MethodMeasurements]:
     for group, rows in raw.items():
         resources: dict[str, tuple[float, float]] = {}
         records: list[MetricRecord] = []
-        for metric, direction_s, floor, base_v, model_v in rows:
-            if metric in RESERVED_METRICS:
-                if direction_s != "lower":
-                    raise DomainError(f"group {group!r}: {metric} must be lower-is-better")
-                resources[metric] = (base_v, model_v)
-                continue
-            direction = Direction.LOWER_BETTER if direction_s == "lower" else Direction.HIGHER_BETTER
-            try:
-                records.append(MetricRecord(
-                    name=metric, direction=direction,
-                    base_value=base_v, model_value=model_v, random_floor=floor,
-                ))
-            except DomainError as exc:
-                raise type(exc)(f"group {group!r}: {exc}") from exc
-        for needed in RESERVED_METRICS:
-            if needed not in resources:
-                raise DomainError(f"group {group!r} is missing a {needed} row")
-        if not records:
-            raise DomainError(f"group {group!r} has no quality metric rows")
         try:
-            ratios = ResourceRatios.from_measurements(
-                resources[TIME_METRIC][0], resources[TIME_METRIC][1],
-                resources[ENERGY_METRIC][0], resources[ENERGY_METRIC][1],
-            )
+            for metric, direction_s, floor, base_v, model_v in rows:
+                if metric not in RESERVED_METRICS:
+                    records.append(MetricRecord(metric, Direction(direction_s),
+                                                base_v, model_v, floor))
+                elif direction_s != "lower":
+                    raise DomainError(f"{metric} must be lower-is-better")
+                else:
+                    resources[metric] = (base_v, model_v)
+            for needed in RESERVED_METRICS:
+                if needed not in resources:
+                    raise DomainError(f"missing a {needed} row")
+            if not records:
+                raise DomainError("no quality metric rows")
+            ratios = ResourceRatios.from_measurements(*resources[TIME_METRIC],
+                                                      *resources[ENERGY_METRIC])
         except DomainError as exc:
             raise type(exc)(f"group {group!r}: {exc}") from exc
         out.append(MethodMeasurements(label=group, records=records, ratios=ratios))
@@ -152,6 +147,10 @@ def ingest_metrics(path) -> list[MethodMeasurements]:
 
 # ---------------------------------------------------------------------------
 # scoring tables
+
+def _result_fields(r: OptResult) -> dict:
+    return {"quality_factor": r.quality_factor, "cost_factor": r.cost_factor, "opt": r.opt}
+
 
 @dataclass
 class ScoreTable:
@@ -169,14 +168,7 @@ class ScoreTable:
             ],
             "methods": list(self.methods),
             "scores": {
-                label: {
-                    pname: {
-                        "quality_factor": r.quality_factor,
-                        "cost_factor": r.cost_factor,
-                        "opt": r.opt,
-                    }
-                    for pname, r in per_prof.items()
-                }
+                label: {pname: _result_fields(r) for pname, r in per_prof.items()}
                 for label, per_prof in self.scores.items()
             },
             "rankings": {pname: list(order) for pname, order in self.rankings.items()},
@@ -232,6 +224,18 @@ def emit_plot_data(table: ScoreTable, path) -> None:
 # ---------------------------------------------------------------------------
 # suite configuration
 
+def _load_json(path) -> dict:
+    """A JSON config document; syntax errors become ParseError with the line."""
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"config is not valid JSON: {exc.msg}", line=exc.lineno) from exc
+    if not isinstance(doc, dict):
+        raise DomainError("config must be a JSON object")
+    return doc
+
+
 def _require_keys(obj, what: str, required: set[str], optional: set[str] = frozenset()):
     if not isinstance(obj, dict):
         raise DomainError(f"{what} must be a JSON object")
@@ -243,13 +247,64 @@ def _require_keys(obj, what: str, required: set[str], optional: set[str] = froze
         raise DomainError(f"{what}: missing keys {sorted(missing)}")
 
 
+def _integer(value, what: str, minimum: int = 1) -> int:
+    """A config integer of at least minimum; a boolean is not one."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise DomainError(f"{what} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
+def _number(value, what: str) -> float:
+    """A finite config number; a boolean is not one."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise DomainError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _parse_model_config(obj, what: str) -> ModelConfig:
     _require_keys(obj, what, {"n_layers", "n_heads", "d_model", "d_ff"},
                   {"vocab_size", "context_len"})
-    try:
-        return ModelConfig(**obj)
-    except TypeError as exc:
-        raise DomainError(f"{what}: {exc}") from exc
+    return ModelConfig(**obj)
+
+
+def _check_model_spec(spec, what: str) -> dict:
+    """A model spec carries 'path' to a saved model, or 'config' and an optional 'seed'."""
+    if not isinstance(spec, dict) or ("path" in spec) == ("config" in spec):
+        raise DomainError(f"{what} must carry either 'path' or 'config' (with optional 'seed')")
+    if "path" in spec:
+        _require_keys(spec, what, {"path"})
+    else:
+        _require_keys(spec, what, {"config"}, {"seed"})
+        _parse_model_config(spec["config"], f"{what}.config")
+        _integer(spec.get("seed", 0), f"{what}.seed", minimum=0)
+    return spec
+
+
+def _parse_distill(obj, what: str) -> DistillConfig:
+    _require_keys(obj, what, {"method"},
+                  {"temperature", "ce_mix_lambda", "steps", "learning_rate", "seed"})
+    fields = dict(obj)
+    for key in ("temperature", "ce_mix_lambda", "learning_rate"):
+        if key in fields:
+            fields[key] = _number(fields[key], f"{what}.{key}")
+    for key in ("steps", "seed"):
+        if key in fields:
+            fields[key] = _integer(fields[key], f"{what}.{key}", minimum=0)
+    return DistillConfig(**fields)
+
+
+def _check_student_spec(spec, what: str) -> None:
+    """A trained student carries 'config' and 'distill', optionally 'window' and 'seqkd'."""
+    _require_keys(spec, what, {"config", "distill"}, {"window", "seqkd"})
+    _parse_model_config(spec["config"], f"{what}.config")
+    _parse_distill(spec["distill"], f"{what}.distill")
+    if "window" in spec:
+        _integer(spec["window"], f"{what}.window")
+    seqkd = spec.get("seqkd", {})
+    _require_keys(seqkd, f"{what}.seqkd", set(), {"prompts", "prompt_len", "length"})
+    for key, value in seqkd.items():
+        _integer(value, f"{what}.seqkd.{key}")
 
 
 def _parse_pass(obj, what: str) -> CompressionPass:
@@ -258,10 +313,10 @@ def _parse_pass(obj, what: str) -> CompressionPass:
     op = obj["op"]
     if op == "quantize":
         _require_keys(obj, what, {"op", "bits"})
-        return Quantize(bits=obj["bits"])
+        return Quantize(bits=_integer(obj["bits"], f"{what}.bits"))
     if op == "prune_heads":
         _require_keys(obj, what, {"op", "threshold"})
-        return PruneHeads(threshold=obj["threshold"])
+        return PruneHeads(threshold=_number(obj["threshold"], f"{what}.threshold"))
     if op == "prune_2_4":
         _require_keys(obj, what, {"op"})
         return Prune24()
@@ -297,11 +352,19 @@ class SuiteConfig:
     quality_exponent: float
 
 
-def _parse_profile_obj(obj) -> WeightProfile:
-    if isinstance(obj, str):
-        return profile_by_name(obj)
-    _require_keys(obj, "profile", {"name", "alpha", "beta"})
-    return WeightProfile(obj["name"], float(obj["alpha"]), float(obj["beta"]))
+def _parse_profiles(entries) -> tuple[WeightProfile, ...]:
+    """Profile entries, each a built-in name or {name, alpha, beta}; none means all built-ins."""
+    if not isinstance(entries, list):
+        raise DomainError("profiles must be a list")
+    profiles = []
+    for obj in entries:
+        if isinstance(obj, str):
+            profiles.append(profile_by_name(obj))
+            continue
+        _require_keys(obj, "profile", {"name", "alpha", "beta"})
+        profiles.append(WeightProfile(obj["name"], _number(obj["alpha"], "profile alpha"),
+                                      _number(obj["beta"], "profile beta")))
+    return tuple(profiles) or BUILTIN_PROFILES
 
 
 def parse_suite_config(doc: dict) -> SuiteConfig:
@@ -311,14 +374,7 @@ def parse_suite_config(doc: dict) -> SuiteConfig:
                    "perplexity", "calibration", "carbon_intensity_g_per_kwh",
                    "quality_exponent"})
 
-    model_spec = doc["model"]
-    if not isinstance(model_spec, dict) or ("path" in model_spec) == ("config" in model_spec):
-        raise DomainError("model must carry either 'path' or 'config' (with optional 'seed')")
-    if "path" in model_spec:
-        _require_keys(model_spec, "model", {"path"})
-    else:
-        _require_keys(model_spec, "model", {"config"}, {"seed"})
-        _parse_model_config(model_spec["config"], "model.config")
+    model_spec = _check_model_spec(doc["model"], "model")
 
     if not isinstance(doc["pipelines"], list) or not doc["pipelines"]:
         raise DomainError("pipelines must be a non-empty list")
@@ -341,27 +397,17 @@ def parse_suite_config(doc: dict) -> SuiteConfig:
     if base_like[0].passes:
         raise DomainError(f"the {BASE_PIPELINE!r} pipeline must have no passes")
 
-    students = {}
-    for sid, spec in (doc.get("students") or {}).items():
+    students = doc.get("students", {})
+    if not isinstance(students, dict):
+        raise DomainError("students must be a JSON object")
+    for sid, spec in students.items():
         what = f"students[{sid!r}]"
-        if not isinstance(spec, dict) or ("path" in spec) == ("config" in spec):
-            raise DomainError(f"{what} must carry either 'path' or 'config' plus 'distill'")
-        if "path" in spec:
+        if isinstance(spec, dict) and "path" in spec:
             _require_keys(spec, what, {"path"})
         else:
-            _require_keys(spec, what, {"config", "distill"}, {"window", "seqkd"})
-            _parse_model_config(spec["config"], f"{what}.config")
-            _require_keys(spec["distill"], f"{what}.distill", {"method"},
-                          {"temperature", "ce_mix_lambda", "steps", "learning_rate", "seed"})
-            DistillConfig(**spec["distill"])
-            if "seqkd" in spec:
-                _require_keys(spec["seqkd"], f"{what}.seqkd", set(),
-                              {"prompts", "prompt_len", "length"})
-        students[sid] = spec
+            _check_student_spec(spec, what)
 
-    reps = doc.get("repetitions", DEFAULT_REPETITIONS)
-    if not isinstance(reps, int) or reps < 1:
-        raise DomainError(f"repetitions must be a positive integer, got {reps!r}")
+    reps = _integer(doc.get("repetitions", DEFAULT_REPETITIONS), "repetitions")
 
     source_spec = doc.get("energy_source", {"kind": "synthetic"})
     if not isinstance(source_spec, dict) or "kind" not in source_spec:
@@ -370,44 +416,45 @@ def parse_suite_config(doc: dict) -> SuiteConfig:
     if kind == "synthetic":
         _require_keys(source_spec, "energy_source", {"kind"},
                       {"energy_deltas_j", "time_deltas_s"})
+        for key in ("energy_deltas_j", "time_deltas_s"):
+            deltas = source_spec.get(key, [])
+            if not isinstance(deltas, list):
+                raise DomainError(f"energy_source.{key} must be a list of numbers")
+            for d in deltas:
+                _number(d, f"energy_source.{key}")
     elif kind == "power":
         _require_keys(source_spec, "energy_source", {"kind", "watts"})
+        _number(source_spec["watts"], "energy_source.watts")
     elif kind == "counter":
         _require_keys(source_spec, "energy_source", {"kind", "path", "wrap_max_microjoules"})
+        _integer(source_spec["wrap_max_microjoules"], "energy_source.wrap_max_microjoules")
     else:
         raise DomainError(f"unknown energy source kind {kind!r}")
 
-    profiles = tuple(_parse_profile_obj(p) for p in doc.get("profiles", [])) or BUILTIN_PROFILES
-
     ppl = doc.get("perplexity", {})
     _require_keys(ppl, "perplexity", set(), {"window", "stride"})
+    for key, value in ppl.items():
+        _integer(value, f"perplexity.{key}")
     calib = doc.get("calibration", {})
     _require_keys(calib, "calibration", set(), {"sequences", "length"})
-    calib_seqs = calib.get("sequences", 8)
-    calib_len = calib.get("length", 32)
-    if calib_seqs < 1 or calib_len < 5:
-        raise DomainError("calibration needs sequences >= 1 and length >= 5")
-
-    carbon = float(doc.get("carbon_intensity_g_per_kwh", DEFAULT_CARBON_INTENSITY))
-    exponent = float(doc.get("quality_exponent", QUALITY_EXPONENT))
 
     return SuiteConfig(
         raw=doc, model_spec=model_spec, corpus_path=doc["corpus"],
         pipelines=pipelines, students=students, repetitions=reps,
-        energy_source_spec=source_spec, profiles=profiles,
+        energy_source_spec=source_spec, profiles=_parse_profiles(doc.get("profiles", [])),
         ppl_window=ppl.get("window"), ppl_stride=ppl.get("stride"),
-        calibration_sequences=calib_seqs, calibration_length=calib_len,
-        carbon_intensity=carbon, quality_exponent=exponent,
+        calibration_sequences=_integer(calib.get("sequences", 8), "calibration.sequences"),
+        calibration_length=_integer(calib.get("length", 32), "calibration.length",
+                                    minimum=MIN_CALIBRATION_LEN),
+        carbon_intensity=_number(doc.get("carbon_intensity_g_per_kwh", DEFAULT_CARBON_INTENSITY),
+                                 "carbon_intensity_g_per_kwh"),
+        quality_exponent=_number(doc.get("quality_exponent", QUALITY_EXPONENT),
+                                 "quality_exponent"),
     )
 
 
 def load_suite_config(path) -> SuiteConfig:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"config is not valid JSON: {exc.msg}", line=exc.lineno) from exc
-    return parse_suite_config(doc)
+    return parse_suite_config(_load_json(path))
 
 
 def _build_source(spec: dict):
@@ -416,8 +463,8 @@ def _build_source(spec: dict):
         return SyntheticClock(spec.get("energy_deltas_j", [1.0]),
                               spec.get("time_deltas_s", [1.0]))
     if kind == "power":
-        return PowerModel(float(spec["watts"]))
-    return CounterFile(spec["path"], int(spec["wrap_max_microjoules"]))
+        return PowerModel(spec["watts"])
+    return CounterFile(spec["path"], spec["wrap_max_microjoules"])
 
 
 def _load_corpus(path) -> np.ndarray:
@@ -427,20 +474,28 @@ def _load_corpus(path) -> np.ndarray:
     return toks
 
 
-def _resolve_base_model(spec: dict) -> TinyLM:
+def _calibration(corpus: np.ndarray, sequences: int, length: int) -> list[np.ndarray]:
+    """The corpus's first sequences x length tokens, cut into calibration sequences."""
+    need = sequences * length
+    if corpus.size < need:
+        raise DomainError(
+            f"corpus of {corpus.size} tokens cannot supply {need} calibration tokens"
+        )
+    return [corpus[i * length:(i + 1) * length] for i in range(sequences)]
+
+
+def _resolve_model(spec: dict) -> TinyLM:
+    """Load or init the model a checked model spec describes."""
     if "path" in spec:
         return load_model(spec["path"])
-    cfg = _parse_model_config(spec["config"], "model.config")
-    return init_model(cfg, seed=spec.get("seed", 0))
+    return init_model(ModelConfig(**spec["config"]), seed=spec.get("seed", 0))
 
 
 def build_student(teacher: TinyLM, spec: dict, corpus: np.ndarray) -> TinyLM:
     """Resolve one student spec: load from disk, or train against the teacher."""
     if "path" in spec:
         return load_model(spec["path"])
-    cfg = _parse_model_config(spec["config"], "student.config")
-    dconf = DistillConfig(**spec["distill"])
-    window = spec.get("window")
+    dconf = _parse_distill(spec["distill"], "student.distill")
     if dconf.method == "seqkd":
         sk = spec.get("seqkd", {})
         n_prompts = sk.get("prompts", 12)
@@ -455,7 +510,8 @@ def build_student(teacher: TinyLM, spec: dict, corpus: np.ndarray) -> TinyLM:
                                     seed=dconf.seed)
     else:
         train_corpus = corpus
-    return train_student(teacher, cfg, train_corpus, dconf, window=window).student
+    return train_student(teacher, ModelConfig(**spec["config"]), train_corpus, dconf,
+                         window=spec.get("window")).student
 
 
 # ---------------------------------------------------------------------------
@@ -496,21 +552,14 @@ def run_suite(config: SuiteConfig) -> Report:
     model, repeat runs produce byte-identical reports.
     """
     corpus = _load_corpus(config.corpus_path)
-    base = _resolve_base_model(config.model_spec)
+    base = _resolve_model(config.model_spec)
 
     students = {}
     for sid in sorted(config.students):
         students[sid] = build_student(base, config.students[sid], corpus)
 
-    need = config.calibration_sequences * config.calibration_length
-    if corpus.size < need:
-        raise DomainError(
-            f"corpus of {corpus.size} tokens cannot supply {need} calibration tokens"
-        )
-    calibration = [
-        corpus[i * config.calibration_length:(i + 1) * config.calibration_length]
-        for i in range(config.calibration_sequences)
-    ]
+    calibration = _calibration(corpus, config.calibration_sequences,
+                               config.calibration_length)
 
     source = _build_source(config.energy_source_spec)
     measured: list[dict] = []
@@ -546,15 +595,11 @@ def run_suite(config: SuiteConfig) -> Report:
             base_row["time_s"], row["time_s"],
             base_row["energy_kwh"], row["energy_kwh"],
         )
+        quality = [MetricRecord("perplexity", Direction.LOWER_BETTER,
+                                base_row["perplexity"], row["perplexity"])]
         row["opt"] = {
-            prof.name: {
-                "quality_factor": r.quality_factor,
-                "cost_factor": r.cost_factor,
-                "opt": r.opt,
-            }
+            prof.name: _result_fields(opt_score(quality, ratios, prof, config.quality_exponent))
             for prof in config.profiles
-            for r in [opt_score((base_row["perplexity"], row["perplexity"]),
-                                ratios, prof, config.quality_exponent)]
         }
     return Report(config_digest=config_digest(config.raw), rows=measured)
 
@@ -572,13 +617,10 @@ def report_metric_rows(report: Report) -> list[list[str]]:
     for row in report.rows:
         if row["pipeline"] == BASE_PIPELINE or "error" in row:
             continue
-        g = row["pipeline"]
-        out.append([g, "perplexity", "lower", "",
-                    repr(base_row["perplexity"]), repr(row["perplexity"])])
-        out.append([g, TIME_METRIC, "lower", "",
-                    repr(base_row["time_s"]), repr(row["time_s"])])
-        out.append([g, ENERGY_METRIC, "lower", "",
-                    repr(base_row["energy_kwh"]), repr(row["energy_kwh"])])
+        # report rows carry the metrics under their CSV names
+        for metric in ("perplexity", TIME_METRIC, ENERGY_METRIC):
+            out.append([row["pipeline"], metric, "lower", "",
+                        repr(base_row[metric]), repr(row[metric])])
     return out
 
 
@@ -608,10 +650,7 @@ def _parse_arch(text: str) -> ModelConfig:
         nums = [int(p) for p in parts]
     except ValueError:
         raise DomainError("--arch fields must be integers") from None
-    if len(nums) == 4:
-        return ModelConfig(*nums)
-    return ModelConfig(nums[0], nums[1], nums[2], nums[3],
-                       vocab_size=nums[4], context_len=nums[5])
+    return ModelConfig(*nums)
 
 
 def _model_from_args(args) -> TinyLM:
@@ -624,8 +663,13 @@ def _model_from_args(args) -> TinyLM:
     raise DomainError("need --model FILE or --seed N")
 
 
-def _parse_profile_flag(text: str) -> WeightProfile:
-    if "," in text:
+def _profile_entries(args) -> list:
+    """The --profile flags as the profile entries a config file would hold."""
+    entries = []
+    for text in args.profile or ():
+        if "," not in text:
+            entries.append(text)
+            continue
         parts = text.split(",")
         if len(parts) != 2:
             raise DomainError("custom profile must be alpha,beta")
@@ -633,14 +677,8 @@ def _parse_profile_flag(text: str) -> WeightProfile:
             alpha, beta = float(parts[0]), float(parts[1])
         except ValueError:
             raise DomainError("custom profile weights must be numbers") from None
-        return WeightProfile(text, alpha, beta)
-    return profile_by_name(text)
-
-
-def _profiles_from_args(args) -> tuple[WeightProfile, ...]:
-    if not args.profile:
-        return BUILTIN_PROFILES
-    return tuple(_parse_profile_flag(p) for p in args.profile)
+        entries.append({"name": text, "alpha": alpha, "beta": beta})
+    return entries
 
 
 def _parse_energy_source_flag(text: str):
@@ -665,35 +703,31 @@ def _parse_energy_source_flag(text: str):
     raise DomainError(f"unknown energy source {text!r}")
 
 
-def _score_settings(args) -> float:
-    """Exponent override from an optional score config JSON."""
+def _score_table(args) -> ScoreTable:
+    """The --metrics table scored under the --profile flags and the --config exponent."""
+    measurements = ingest_metrics(args.metrics)
+    profiles = _parse_profiles(_profile_entries(args))
     exponent = QUALITY_EXPONENT
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"config is not valid JSON: {exc.msg}",
-                                 line=exc.lineno) from exc
+    if args.config:
+        doc = _load_json(args.config)
         _require_keys(doc, "score config", set(), {"quality_exponent"})
-        exponent = float(doc["quality_exponent"]) if "quality_exponent" in doc else exponent
-    return exponent
+        exponent = _number(doc.get("quality_exponent", exponent), "quality_exponent")
+    return score_report(measurements, profiles=profiles, exponent=exponent)
 
 
 def _cmd_run(args) -> int:
-    config = load_suite_config(args.config)
+    # flags are written into the document, so they are validated and digested
+    # exactly as the same values in the config file would be
+    doc = _load_json(args.config)
     if args.reps is not None:
-        if args.reps < 1:
-            raise DomainError("--reps must be at least 1")
-        config.repetitions = args.reps
+        doc["repetitions"] = args.reps
     if args.profile:
-        config.profiles = _profiles_from_args(args)
+        doc["profiles"] = _profile_entries(args)
     if args.energy_source:
-        config.energy_source_spec = _parse_energy_source_flag(args.energy_source)
-    if args.seed is not None:
-        if "config" not in config.model_spec:
-            raise DomainError("--seed only applies when the config inits a fresh model")
-        config.model_spec = dict(config.model_spec, seed=args.seed)
+        doc["energy_source"] = _parse_energy_source_flag(args.energy_source)
+    if args.seed is not None and isinstance(doc.get("model"), dict):
+        doc["model"] = dict(doc["model"], seed=args.seed)
+    config = parse_suite_config(doc)
 
     report = run_suite(config)
     out_dir = Path(args.out)
@@ -717,7 +751,6 @@ def _cmd_run(args) -> int:
         print("no scoreable pipelines beyond base; skipped metrics and plot output")
 
     print(f"config digest {report.config_digest}")
-    failures = [r["pipeline"] for r in report.rows if "error" in r]
     for r in report.rows:
         if "error" in r:
             print(f"  {r['pipeline']}: FAILED ({r['error']})")
@@ -726,13 +759,11 @@ def _cmd_run(args) -> int:
                 f"{name}={vals['opt']:.4f}" for name, vals in sorted(r["opt"].items())
             )
             print(f"  {r['pipeline']}: ppl={r['perplexity']:.4f} {opts}")
-    return 1 if failures else 0
+    return 1 if any("error" in r for r in report.rows) else 0
 
 
 def _cmd_score(args) -> int:
-    table = score_report(ingest_metrics(args.metrics),
-                         profiles=_profiles_from_args(args),
-                         exponent=_score_settings(args))
+    table = _score_table(args)
     text = json.dumps(table.as_dict(), indent=2, sort_keys=True)
     if args.out:
         Path(args.out).write_text(text + "\n")
@@ -743,9 +774,7 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_rank(args) -> int:
-    table = score_report(ingest_metrics(args.metrics),
-                         profiles=_profiles_from_args(args),
-                         exponent=_score_settings(args))
+    table = _score_table(args)
     for p in table.profiles:
         print(f"[{p.name}]")
         for i, label in enumerate(table.rankings[p.name], start=1):
@@ -781,7 +810,7 @@ def _cmd_prune24(args) -> int:
     pruned = prune_model_2_4(model)
     zeros = total = 0
     for name, t in param_tensors(pruned):
-        if name.split(".")[-1] in ("wq", "wk", "wv", "wo", "w_in", "w_out"):
+        if name.split(".")[-1] in LINEAR_NAMES:
             arr = dense_weight(t)
             zeros += int((arr == 0).sum())
             total += arr.size
@@ -793,13 +822,8 @@ def _cmd_prune24(args) -> int:
 def _cmd_prune_heads(args) -> int:
     model = _model_from_args(args)
     corpus = _load_corpus(args.corpus)
-    need = args.calib_sequences * args.calib_length
-    if corpus.size < need:
-        raise DomainError(f"corpus of {corpus.size} tokens cannot supply "
-                          f"{need} calibration tokens")
-    calibration = [corpus[i * args.calib_length:(i + 1) * args.calib_length]
-                   for i in range(args.calib_sequences)]
-    report = head_concentration(model, calibration)
+    report = head_concentration(
+        model, _calibration(corpus, args.calib_sequences, args.calib_length))
     if args.report:
         Path(args.report).write_text(json.dumps(report.as_dict(), indent=2,
                                                 sort_keys=True) + "\n")
@@ -815,40 +839,25 @@ def _cmd_prune_heads(args) -> int:
 
 
 def _cmd_distill(args) -> int:
-    with open(args.config) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"config is not valid JSON: {exc.msg}", line=exc.lineno) from exc
+    doc = _load_json(args.config)
     _require_keys(doc, "distill config", {"teacher", "corpus", "student"},
                   {"window", "seqkd"})
-    teacher_spec = doc["teacher"]
-    if not isinstance(teacher_spec, dict) or ("path" in teacher_spec) == ("config" in teacher_spec):
-        raise DomainError("teacher must carry either 'path' or 'config'")
-    teacher = _resolve_base_model(teacher_spec)
-    corpus = _load_corpus(doc["corpus"])
-    student_spec = doc["student"]
-    _require_keys(student_spec, "student", {"config", "distill"})
-    spec = {
-        "config": student_spec["config"], "distill": dict(student_spec["distill"]),
-    }
-    if "window" in doc:
-        spec["window"] = doc["window"]
-    if "seqkd" in doc:
-        spec["seqkd"] = doc["seqkd"]
+    # the top-level window and seqkd belong to the student spec
+    spec = doc["student"]
+    if isinstance(spec, dict):
+        spec = dict(spec, **{k: doc[k] for k in ("window", "seqkd") if k in doc})
+    _check_student_spec(spec, "student")
     if args.seed is not None:
-        spec["distill"]["seed"] = args.seed
-    student = build_student(teacher, spec, corpus)
+        spec["distill"] = dict(spec["distill"], seed=args.seed)
+    teacher = _resolve_model(_check_model_spec(doc["teacher"], "teacher"))
+    student = build_student(teacher, spec, _load_corpus(doc["corpus"]))
     save_model(student, args.out)
     print(f"wrote {args.out}")
     return 0
 
 
 def _cmd_plot_data(args) -> int:
-    table = score_report(ingest_metrics(args.metrics),
-                         profiles=_profiles_from_args(args),
-                         exponent=_score_settings(args))
-    emit_plot_data(table, args.out)
+    emit_plot_data(_score_table(args), args.out)
     print(f"wrote {args.out}")
     return 0
 
@@ -875,6 +884,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, func, help_text in (
         ("score", _cmd_score, "score a metrics CSV and print the table"),
         ("rank", _cmd_rank, "score a metrics CSV and print rankings"),
+        ("plot-data", _cmd_plot_data, "emit flat per-profile opt rows for plotting"),
     ):
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--metrics", required=True, help="metrics CSV path")
@@ -884,6 +894,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="optional JSON with quality_exponent override")
         if name == "score":
             sp.add_argument("--out", default=None, help="write JSON here instead of stdout")
+        elif name == "plot-data":
+            sp.add_argument("--out", required=True, help="output CSV path")
         sp.set_defaults(func=func)
 
     sp = sub.add_parser("perplexity", help="perplexity of a model over a corpus")
@@ -920,15 +932,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=None, help="override training seed")
     sp.set_defaults(func=_cmd_distill)
 
-    sp = sub.add_parser("plot-data", help="emit flat per-profile opt rows for plotting")
-    sp.add_argument("--metrics", required=True, help="metrics CSV path")
-    sp.add_argument("--out", required=True, help="output CSV path")
-    sp.add_argument("--profile", action="append",
-                    help="weight profile name or alpha,beta; repeatable")
-    sp.add_argument("--config", default=None,
-                    help="optional JSON with quality_exponent override")
-    sp.set_defaults(func=_cmd_plot_data)
-
     return parser
 
 
@@ -936,10 +939,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, ParseError, FormatError, SourceError, StateError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except _ROW_ERRORS + (ParseError,) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,8 +12,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .model import (LINEAR_NAMES, LayerWeights, TinyLM, Weights, dense_weight,
-                    forward)
+from .model import LINEAR_NAMES, TinyLM, dense_weight, forward
 
 SUPPORTED_BITS = (4, 8)
 
@@ -22,6 +21,24 @@ MIN_CALIBRATION_LEN = 5
 # a query row enters the concentration statistic only with this many
 # strictly earlier positions to attend to
 MIN_PRIOR_KEYS = 4
+
+
+def _check_bits(bits) -> None:
+    if bits not in SUPPORTED_BITS:
+        raise DomainError(f"bits must be one of {SUPPORTED_BITS}, got {bits}")
+
+
+def _check_threshold(threshold) -> None:
+    if not 0.0 < threshold <= 1.0:
+        raise DomainError(f"threshold must lie in (0, 1], got {threshold}")
+
+
+def _map_projections(model: TinyLM, fn: Callable) -> TinyLM:
+    """Model with fn applied to the six linear projections of every block."""
+    layers = [replace(lw, **{name: fn(getattr(lw, name)) for name in LINEAR_NAMES})
+              for lw in model.weights.layers]
+    return TinyLM(model.config, replace(model.weights, layers=layers),
+                  model.head_mask.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -53,8 +70,7 @@ def quantize_tensor(matrix, bits: int) -> QuantizedTensor:
     Each row is scaled by max|row| / qmax and rounded half away from zero,
     so the largest-magnitude entry maps exactly to +-qmax.
     """
-    if bits not in SUPPORTED_BITS:
-        raise DomainError(f"bits must be one of {SUPPORTED_BITS}, got {bits}")
+    _check_bits(bits)
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2:
         raise ShapeError(f"quantize_tensor expects a 2-D matrix, got {m.ndim}-D")
@@ -84,18 +100,8 @@ def quantize_model(model: TinyLM, bits: int) -> TinyLM:
     precision.  The views are expanded to dense on use, emulating
     dequantize-on-use inference.
     """
-    if bits not in SUPPORTED_BITS:
-        raise DomainError(f"bits must be one of {SUPPORTED_BITS}, got {bits}")
-    layers = []
-    for lw in model.weights.layers:
-        quantized = {
-            name: quantize_tensor(dense_weight(getattr(lw, name), np.float64), bits)
-            for name in LINEAR_NAMES
-        }
-        layers.append(replace(lw, **quantized))
-    w = model.weights
-    new_w = Weights(w.tok_emb, w.pos_emb, layers, w.ln_f_g, w.ln_f_b)
-    return TinyLM(model.config, new_w, model.head_mask.copy())
+    return _map_projections(
+        model, lambda t: quantize_tensor(dense_weight(t, np.float64), bits))
 
 
 # ---------------------------------------------------------------------------
@@ -129,16 +135,8 @@ def prune_model_2_4(model: TinyLM) -> TinyLM:
     Weights are stored as (in, out) with x @ W, so grouping runs along the
     input (reduction) dimension: transpose, prune rows, transpose back.
     """
-    layers = []
-    for lw in model.weights.layers:
-        pruned = {}
-        for name in LINEAR_NAMES:
-            w = dense_weight(getattr(lw, name))
-            pruned[name] = np.ascontiguousarray(prune_2_4(w.T).T)
-        layers.append(replace(lw, **pruned))
-    w = model.weights
-    new_w = Weights(w.tok_emb, w.pos_emb, layers, w.ln_f_g, w.ln_f_b)
-    return TinyLM(model.config, new_w, model.head_mask.copy())
+    return _map_projections(
+        model, lambda t: np.ascontiguousarray(prune_2_4(dense_weight(t).T).T))
 
 
 # ---------------------------------------------------------------------------
@@ -176,10 +174,7 @@ def head_concentration(model: TinyLM, calibration: Sequence) -> HeadConcentratio
     Sequences shorter than MIN_CALIBRATION_LEN contribute no eligible rows
     and are skipped.
     """
-    seqs = list(calibration)
-    if not seqs:
-        raise DomainError("calibration set is empty")
-    usable = [s for s in seqs if np.asarray(s).size >= MIN_CALIBRATION_LEN]
+    usable = [s for s in calibration if np.asarray(s).size >= MIN_CALIBRATION_LEN]
     if not usable:
         raise DomainError(
             f"calibration has no sequence of length >= {MIN_CALIBRATION_LEN}"
@@ -204,8 +199,7 @@ def prune_heads(model: TinyLM, report: HeadConcentrationReport,
     cumulative and never resurrects a head.  Surviving attention rows are
     not renormalized.
     """
-    if not 0.0 < threshold <= 1.0:
-        raise DomainError(f"threshold must lie in (0, 1], got {threshold}")
+    _check_threshold(threshold)
     if report.scores.shape != model.head_mask.shape:
         raise DomainError(
             f"report covers {report.scores.shape} heads, model has "
@@ -223,8 +217,7 @@ class Quantize:
     bits: int
 
     def __post_init__(self):
-        if self.bits not in SUPPORTED_BITS:
-            raise DomainError(f"bits must be one of {SUPPORTED_BITS}, got {self.bits}")
+        _check_bits(self.bits)
 
 
 @dataclass(frozen=True)
@@ -232,8 +225,7 @@ class PruneHeads:
     threshold: float
 
     def __post_init__(self):
-        if not 0.0 < self.threshold <= 1.0:
-            raise DomainError(f"threshold must lie in (0, 1], got {self.threshold}")
+        _check_threshold(self.threshold)
 
 
 @dataclass(frozen=True)
@@ -255,9 +247,15 @@ class DistillRef:
 CompressionPass = Quantize | PruneHeads | Prune24 | DistillRef
 
 
+def _check_pass(p) -> None:
+    if not isinstance(p, CompressionPass):
+        raise DomainError(f"unknown compression pass {p!r}")
+
+
 def apply_pass(model: TinyLM, p: CompressionPass,
                calibration: Sequence | None = None,
                students: Mapping[str, TinyLM] | None = None) -> TinyLM:
+    _check_pass(p)
     if isinstance(p, Quantize):
         return quantize_model(model, p.bits)
     if isinstance(p, Prune24):
@@ -267,11 +265,9 @@ def apply_pass(model: TinyLM, p: CompressionPass,
             raise DomainError("a PruneHeads pass requires calibration sequences")
         report = head_concentration(model, calibration)
         return prune_heads(model, report, p.threshold)
-    if isinstance(p, DistillRef):
-        if not students or p.student not in students:
-            raise DomainError(f"no student model registered under {p.student!r}")
-        return students[p.student]
-    raise DomainError(f"unknown compression pass {p!r}")
+    if not students or p.student not in students:
+        raise DomainError(f"no student model registered under {p.student!r}")
+    return students[p.student]
 
 
 def compose(passes: Sequence[CompressionPass],
@@ -281,13 +277,15 @@ def compose(passes: Sequence[CompressionPass],
     """Single transform applying passes left to right.
 
     Order matters: pruning heads on a quantized model measures quantized
-    attention, and a DistillRef discards whatever came before it, so it only
-    makes sense first.
+    attention.  A DistillRef replaces the model, discarding whatever came
+    before it, so it is accepted only as the first pass.
     """
     frozen = list(passes)
-    for p in frozen:
-        if not isinstance(p, (Quantize, PruneHeads, Prune24, DistillRef)):
-            raise DomainError(f"unknown compression pass {p!r}")
+    for i, p in enumerate(frozen):
+        _check_pass(p)
+        if i and isinstance(p, DistillRef):
+            raise DomainError(f"distill pass {p.student!r} must come first: it "
+                              "replaces the model, discarding the passes before it")
 
     def transform(model: TinyLM) -> TinyLM:
         for p in frozen:

@@ -66,38 +66,6 @@ def _as_logit_rows(z, what: str) -> np.ndarray:
     return arr
 
 
-def forward_kld_loss(teacher_logits, student_logits, temperature: float = 1.0) -> float:
-    """Mean over positions of T^2 x KL(teacher || student) at temperature T.
-
-    Both logit sets are softmaxed at the same temperature; the T^2 factor
-    keeps gradient magnitudes comparable across temperatures.
-    """
-    zt = _as_logit_rows(teacher_logits, "teacher_logits")
-    zs = _as_logit_rows(student_logits, "student_logits")
-    if zt.shape != zs.shape:
-        raise DomainError(f"logit shapes differ: {zt.shape} vs {zs.shape}")
-    if temperature <= 0:
-        raise DomainError("temperature must be positive")
-    lt = log_softmax_rows(zt / temperature)
-    ls = log_softmax_rows(zs / temperature)
-    kl = (np.exp(lt) * (lt - ls)).sum(axis=1)
-    return float(temperature * temperature * kl.mean())
-
-
-def reverse_kld_loss(teacher_logits, student_logits, temperature: float = 1.0) -> float:
-    """Mean over positions of T^2 x KL(student || teacher) at temperature T."""
-    zt = _as_logit_rows(teacher_logits, "teacher_logits")
-    zs = _as_logit_rows(student_logits, "student_logits")
-    if zt.shape != zs.shape:
-        raise DomainError(f"logit shapes differ: {zt.shape} vs {zs.shape}")
-    if temperature <= 0:
-        raise DomainError("temperature must be positive")
-    lt = log_softmax_rows(zt / temperature)
-    ls = log_softmax_rows(zs / temperature)
-    kl = (np.exp(ls) * (ls - lt)).sum(axis=1)
-    return float(temperature * temperature * kl.mean())
-
-
 def _loss_and_dlogits(logits: np.ndarray, spec: LossSpec) -> tuple[float, np.ndarray]:
     """Loss value and its gradient with respect to the student logits."""
     n, vocab = logits.shape
@@ -136,6 +104,22 @@ def _loss_and_dlogits(logits: np.ndarray, spec: LossSpec) -> tuple[float, np.nda
         return loss, d
 
     raise DomainError(f"unknown loss spec {spec!r}")
+
+
+def forward_kld_loss(teacher_logits, student_logits, temperature: float = 1.0) -> float:
+    """Mean over positions of T^2 x KL(teacher || student) at temperature T.
+
+    Both logit sets are softmaxed at the same temperature; the T^2 factor
+    keeps gradient magnitudes comparable across temperatures.
+    """
+    zs = _as_logit_rows(student_logits, "student_logits")
+    return _loss_and_dlogits(zs, ForwardKLD(teacher_logits, temperature))[0]
+
+
+def reverse_kld_loss(teacher_logits, student_logits, temperature: float = 1.0) -> float:
+    """Mean over positions of T^2 x KL(student || teacher) at temperature T."""
+    zs = _as_logit_rows(student_logits, "student_logits")
+    return _loss_and_dlogits(zs, ReverseKLD(teacher_logits, temperature))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -381,12 +365,10 @@ def train_student(teacher: TinyLM, student_config: ModelConfig, corpus,
     toks = np.asarray(corpus, dtype=np.int64)
     if toks.ndim != 1:
         raise DomainError("corpus must be a 1-D token sequence")
-    max_window = min(student_config.context_len, teacher.config.context_len, 32)
-    wnd = max_window if window is None else window
-    if not 1 <= wnd <= min(student_config.context_len, teacher.config.context_len):
-        raise DomainError(
-            f"window must lie in [1, {min(student_config.context_len, teacher.config.context_len)}]"
-        )
+    limit = min(student_config.context_len, teacher.config.context_len)
+    wnd = min(limit, 32) if window is None else window
+    if not 1 <= wnd <= limit:
+        raise DomainError(f"window must lie in [1, {limit}]")
     if toks.size < wnd + 1:
         raise DomainError(f"corpus of {toks.size} tokens is shorter than one "
                           f"window of {wnd} plus a target")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence, Union
+from typing import Sequence
 
 from .errors import BelowRandomFloor, DomainError
 
@@ -74,7 +74,8 @@ class MetricRecord:
 
     Lower-is-better records (perplexity and the like) take no random floor;
     higher-is-better records (benchmark accuracies) require one.  Values are
-    validated on construction so that a ratio can always be formed.
+    validated on construction, by the ratio functions, so that a ratio can
+    always be formed.
     """
 
     name: str
@@ -86,27 +87,14 @@ class MetricRecord:
     def __post_init__(self):
         if not self.name:
             raise DomainError("metric record needs a name")
-        if self.direction is Direction.LOWER_BETTER:
-            if self.random_floor is not None:
-                raise DomainError(f"{self.name}: lower-is-better metrics take no random floor")
-            if self.base_value <= 0 or self.model_value <= 0:
-                raise DomainError(f"{self.name}: lower-is-better values must be positive")
-        else:
-            if self.random_floor is None:
-                raise DomainError(f"{self.name}: higher-is-better metrics require a random floor")
-            if self.random_floor < 0:
-                raise DomainError(f"{self.name}: random floor must be non-negative")
-            floor = FLOOR_DISCOUNT * self.random_floor
-            if self.base_value - floor <= 0:
-                raise BelowRandomFloor(
-                    f"{self.name}: base score {self.base_value} is at or below "
-                    f"{FLOOR_DISCOUNT:g} x random floor {self.random_floor}"
-                )
-            if self.model_value - floor <= 0:
-                raise BelowRandomFloor(
-                    f"{self.name}: model score {self.model_value} is at or below "
-                    f"{FLOOR_DISCOUNT:g} x random floor {self.random_floor}"
-                )
+        if self.direction is Direction.LOWER_BETTER and self.random_floor is not None:
+            raise DomainError(f"{self.name}: lower-is-better metrics take no random floor")
+        if self.direction is Direction.HIGHER_BETTER and self.random_floor is None:
+            raise DomainError(f"{self.name}: higher-is-better metrics require a random floor")
+        try:
+            metric_ratio(self)
+        except DomainError as exc:
+            raise type(exc)(f"{self.name}: {exc}") from exc
 
 
 def ratio_lower_better(base: float, model: float) -> float:
@@ -128,17 +116,11 @@ def ratio_higher_better(base: float, model: float, random_floor: float) -> float
     if random_floor < 0:
         raise DomainError(f"random floor must be non-negative, got {random_floor}")
     floor = FLOOR_DISCOUNT * random_floor
-    adj_base = base - floor
-    adj_model = model - floor
-    if adj_base <= 0:
-        raise BelowRandomFloor(
-            f"base score {base} is at or below {FLOOR_DISCOUNT:g} x random floor {random_floor}"
-        )
-    if adj_model <= 0:
-        raise BelowRandomFloor(
-            f"model score {model} is at or below {FLOOR_DISCOUNT:g} x random floor {random_floor}"
-        )
-    return adj_base / adj_model
+    for label, score in (("base", base), ("model", model)):
+        if score - floor <= 0:
+            raise BelowRandomFloor(f"{label} score {score} is at or below "
+                                   f"{FLOOR_DISCOUNT:g} x random floor {random_floor}")
+    return (base - floor) / (model - floor)
 
 
 def metric_ratio(record: MetricRecord) -> float:
@@ -193,29 +175,13 @@ class OptResult:
     opt: float
 
 
-Quality = Union[
-    "MetricRecord",
-    Sequence["MetricRecord"],
-    tuple,  # (base_value, model_value) of a lower-is-better metric
-]
-
-
-def opt_score(quality: Quality, ratios: ResourceRatios, profile: WeightProfile,
-              exponent: float = QUALITY_EXPONENT) -> OptResult:
+def opt_score(quality: Sequence[MetricRecord], ratios: ResourceRatios,
+              profile: WeightProfile, exponent: float = QUALITY_EXPONENT) -> OptResult:
     """Score one compressed model; lower is better.
 
-    ``quality`` is either a (base, model) pair of a lower-is-better metric
-    such as perplexity, a single MetricRecord, or a sequence of records that
-    are aggregated into one quality factor.
+    The quality records are aggregated into one quality factor.
     """
-    if isinstance(quality, MetricRecord):
-        q = aggregate_quality([quality], exponent)
-    elif isinstance(quality, tuple):
-        if len(quality) != 2:
-            raise DomainError("a bare quality pair must be (base_value, model_value)")
-        q = ratio_lower_better(quality[0], quality[1]) ** exponent
-    else:
-        q = aggregate_quality(list(quality), exponent)
+    q = aggregate_quality(quality, exponent)
     cost = profile.alpha * ratios.time_ratio + profile.beta * ratios.energy_ratio
     return OptResult(profile=profile, quality_factor=q, cost_factor=cost, opt=q * cost)
 

@@ -23,7 +23,7 @@ from shrinklab.cli import (
     write_metrics_csv,
 )
 from shrinklab.errors import BelowRandomFloor, DomainError, ParseError
-from shrinklab.model import load_model
+from shrinklab.model import ModelConfig, init_model, load_model, save_model
 from shrinklab.scoring import WeightProfile
 
 HEADER = ",".join(METRICS_HEADER)
@@ -529,3 +529,95 @@ def test_cli_energy_source_flag(tmp_path, capsys):
                           "--out", str(tmp_path / "out4"),
                           "--energy-source", "counter:no-wrap-given")
     assert rc == 2
+
+
+def test_cli_run_digest_covers_flags(tmp_path, capsys):
+    doc = small_suite_doc(tmp_path)
+    cfg_path = tmp_path / "suite.json"
+    cfg_path.write_text(json.dumps(doc))
+
+    def digest(*flags):
+        out_dir = tmp_path / "-".join(("out",) + flags)
+        rc, out, _ = run_main(capsys, "run", "--config", str(cfg_path),
+                              "--out", str(out_dir), *flags)
+        assert rc == 0
+        got = json.loads((out_dir / "report.json").read_text())["config_digest"]
+        assert f"config digest {got}" in out
+        return got
+
+    assert digest() == config_digest(doc)
+    seeded = {digest("--seed", "1"), digest("--seed", "2")}
+    assert len(seeded) == 2 and config_digest(doc) not in seeded
+    # the flag is digested exactly as the same value in the file would be
+    assert digest("--seed", "1") == config_digest(dict(doc, model=dict(doc["model"], seed=1)))
+
+    rc, _, err = run_main(capsys, "run", "--config", str(cfg_path),
+                          "--out", str(tmp_path / "bad"), "--reps", "0")
+    assert rc == 2 and "repetitions" in err
+    saved = tmp_path / "base.lmz"
+    save_model(init_model(ModelConfig(1, 2, 32, 128), seed=1), saved)
+    cfg_path.write_text(json.dumps(dict(doc, model={"path": str(saved)})))
+    rc, _, err = run_main(capsys, "run", "--config", str(cfg_path),
+                          "--out", str(tmp_path / "bad"), "--seed", "3")
+    assert rc == 2 and "seed" in err
+
+
+BAD_STEPS_STUDENT = {"config": {"n_layers": 1, "n_heads": 2, "d_model": 32, "d_ff": 128},
+           "distill": {"method": "forward_kld", "steps": "5"}}
+
+
+@pytest.mark.parametrize("changes", [
+    {"perplexity": {"window": "64"}},
+    {"calibration": {"sequences": "8"}},
+    {"pipelines": [{"name": "base", "passes": []},
+                   {"name": "ah", "passes": [{"op": "prune_heads", "threshold": "0.9"}]}]},
+    {"pipelines": [{"name": "base", "passes": []},
+                   {"name": "q", "passes": [{"op": "quantize", "bits": 8.0}]}]},
+    {"students": {"kd": BAD_STEPS_STUDENT}},
+    {"carbon_intensity_g_per_kwh": "abc"},
+    {"profiles": [{"name": "p", "alpha": "a", "beta": 0.5}]},
+    {"repetitions": True},
+    {"energy_source": {"kind": "synthetic", "energy_deltas_j": ["abc"]}},
+], ids=["window", "sequences", "threshold", "bits", "steps", "carbon", "alpha",
+        "bool-reps", "deltas"])
+def test_cli_run_wrong_typed_values_exit_two(tmp_path, capsys, changes):
+    cfg_path = tmp_path / "suite.json"
+    cfg_path.write_text(json.dumps(small_suite_doc(tmp_path, **changes)))
+    rc, _, err = run_main(capsys, "run", "--config", str(cfg_path),
+                          "--out", str(tmp_path / "out"))
+    assert rc == 2
+    assert err.startswith("error:")
+
+
+def test_cli_distill_wrong_typed_steps_exit_two(tmp_path, capsys):
+    corpus = tmp_path / "c.txt"
+    corpus.write_bytes(bundled.path("toy_corpus.txt").read_bytes()[:400])
+    cfg_path = tmp_path / "distill.json"
+    cfg_path.write_text(json.dumps({"teacher": {"config": BAD_STEPS_STUDENT["config"]},
+                                    "corpus": str(corpus), "student": BAD_STEPS_STUDENT}))
+    rc, _, err = run_main(capsys, "distill", "--config", str(cfg_path),
+                          "--out", str(tmp_path / "s.lmz"))
+    assert rc == 2
+    assert err.startswith("error:")
+
+
+def test_run_suite_distill_after_other_passes_is_an_error_row(tmp_path):
+    doc = small_suite_doc(tmp_path)
+    doc["pipelines"].append({"name": "late", "passes": [
+        {"op": "quantize", "bits": 8}, {"op": "distill", "student": "kd"}]})
+    rows = {r["pipeline"]: r for r in run_suite(parse_suite_config(doc)).rows}
+    assert "must come first" in rows["late"]["error"]
+    assert "opt" in rows["8bit"]
+
+
+@pytest.mark.parametrize("row, line", [
+    ("m,acc,higher,0.25,nan,0.5", 4),
+    ("m,acc,higher,0.25,0.6,inf", 4),
+    ("m,acc,higher,nan,0.6,0.5", 4),
+    ("m,perplexity,lower,,-inf,12", 4),
+])
+def test_ingest_rejects_non_finite_values(tmp_path, row, line):
+    body = "m,time_s,lower,,1,2\nm,energy_kwh,lower,,1,2\n" + row + "\n"
+    with pytest.raises(ParseError) as exc:
+        ingest_metrics(write_csv(tmp_path, body))
+    assert exc.value.line == line

@@ -344,6 +344,15 @@ def test_compose_rejects_unknown_pass(small_model):
         apply_pass(small_model, object())
 
 
+def test_compose_rejects_distill_after_other_passes(small_model):
+    """A distill pass replaces the model, so passes before it would be lost."""
+    student = init_model(SMALL, seed=99)
+    with pytest.raises(DomainError, match="first"):
+        compose([Quantize(4), DistillRef("kd")], students={"kd": student})
+    out = compose([DistillRef("kd"), Quantize(4)], students={"kd": student})(small_model)
+    assert isinstance(out.weights.layers[0].wq, QuantizedTensor)
+
+
 def test_pass_parameter_validation():
     with pytest.raises(DomainError):
         Quantize(bits=3)

@@ -25,6 +25,11 @@ from shrinklab.scoring import (
 )
 
 
+def ppl(base, model):
+    """Quality records of a single lower-is-better perplexity metric."""
+    return [MetricRecord("ppl", Direction.LOWER_BETTER, base, model)]
+
+
 def test_lower_better_ratio():
     # model/base: degradation lands above 1, improvement below
     assert ratio_lower_better(34.29, 34.40) == pytest.approx(1.0032079323417906, abs=1e-12)
@@ -108,13 +113,13 @@ def test_no_double_exponentiation():
     assert abs(got.opt - (r ** 1.5) ** 1.5) > 0.1
 
 
-def test_opt_quality_argument_forms_agree():
+def test_opt_one_record_equals_powered_ratio():
+    """A one-record quality list scores exactly ratio ** exponent, bit for bit."""
     ratios = ResourceRatios(1.25, 0.8)
-    rec = MetricRecord("ppl", Direction.LOWER_BETTER, 20.0, 25.0)
-    by_pair = opt_score((20.0, 25.0), ratios, BALANCED)
-    by_record = opt_score(rec, ratios, BALANCED)
-    by_list = opt_score([rec], ratios, BALANCED)
-    assert by_pair.opt == by_record.opt == by_list.opt
+    got = opt_score(ppl(20.0, 25.0), ratios, BALANCED)
+    q = ratio_lower_better(20.0, 25.0) ** QUALITY_EXPONENT
+    assert got.quality_factor == q
+    assert got.opt == q * (0.5 * 1.25 + 0.5 * 0.8)
 
 
 def test_weight_profile_validation():
@@ -167,10 +172,10 @@ def test_ratio_scale_invariance():
 
 def test_opt_monotone_in_each_input():
     ratios = ResourceRatios(1.2, 0.9)
-    base = opt_score((10.0, 12.0), ratios, BALANCED).opt
-    worse_quality = opt_score((10.0, 13.0), ratios, BALANCED).opt
-    worse_time = opt_score((10.0, 12.0), ResourceRatios(1.5, 0.9), BALANCED).opt
-    better_energy = opt_score((10.0, 12.0), ResourceRatios(1.2, 0.5), BALANCED).opt
+    base = opt_score(ppl(10.0, 12.0), ratios, BALANCED).opt
+    worse_quality = opt_score(ppl(10.0, 13.0), ratios, BALANCED).opt
+    worse_time = opt_score(ppl(10.0, 12.0), ResourceRatios(1.5, 0.9), BALANCED).opt
+    better_energy = opt_score(ppl(10.0, 12.0), ResourceRatios(1.2, 0.5), BALANCED).opt
     assert worse_quality > base
     assert worse_time > base
     assert better_energy < base
@@ -186,7 +191,7 @@ def test_resource_ratios_from_measurements():
 
 def test_rank_methods_orders_and_breaks_ties():
     ratios = ResourceRatios(1.0, 1.0)
-    mk = lambda m: opt_score((10.0, m), ratios, BALANCED)
+    mk = lambda m: opt_score(ppl(10.0, m), ratios, BALANCED)
     ranked = rank_methods([
         ("b", mk(12.0)),
         ("a", mk(12.0)),
@@ -200,8 +205,8 @@ def test_rank_methods_orders_and_breaks_ties():
 def test_rank_methods_rejects_mixed_profiles():
     ratios = ResourceRatios(1.0, 1.0)
     rows = [
-        ("a", opt_score((10.0, 12.0), ratios, BALANCED)),
-        ("b", opt_score((10.0, 12.0), ratios, ENERGY_FOCUS)),
+        ("a", opt_score(ppl(10.0, 12.0), ratios, BALANCED)),
+        ("b", opt_score(ppl(10.0, 12.0), ratios, ENERGY_FOCUS)),
     ]
     with pytest.raises(DomainError):
         rank_methods(rows)
