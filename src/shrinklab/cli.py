@@ -262,6 +262,13 @@ def _number(value, what: str) -> float:
     return float(value)
 
 
+def _string(value, what: str) -> str:
+    """A non-empty config string, such as a file path or a name."""
+    if not isinstance(value, str) or not value:
+        raise DomainError(f"{what} must be a non-empty string, got {value!r}")
+    return value
+
+
 def _parse_model_config(obj, what: str) -> ModelConfig:
     _require_keys(obj, what, {"n_layers", "n_heads", "d_model", "d_ff"},
                   {"vocab_size", "context_len"})
@@ -274,6 +281,7 @@ def _check_model_spec(spec, what: str) -> dict:
         raise DomainError(f"{what} must carry either 'path' or 'config' (with optional 'seed')")
     if "path" in spec:
         _require_keys(spec, what, {"path"})
+        _string(spec["path"], f"{what}.path")
     else:
         _require_keys(spec, what, {"config"}, {"seed"})
         _parse_model_config(spec["config"], f"{what}.config")
@@ -322,9 +330,7 @@ def _parse_pass(obj, what: str) -> CompressionPass:
         return Prune24()
     if op == "distill":
         _require_keys(obj, what, {"op", "student"})
-        if not isinstance(obj["student"], str):
-            raise DomainError(f"{what}: student must be a string id")
-        return DistillRef(student=obj["student"])
+        return DistillRef(student=_string(obj["student"], f"{what}.student"))
     raise DomainError(f"{what}: unknown op {op!r}")
 
 
@@ -362,7 +368,8 @@ def _parse_profiles(entries) -> tuple[WeightProfile, ...]:
             profiles.append(profile_by_name(obj))
             continue
         _require_keys(obj, "profile", {"name", "alpha", "beta"})
-        profiles.append(WeightProfile(obj["name"], _number(obj["alpha"], "profile alpha"),
+        profiles.append(WeightProfile(_string(obj["name"], "profile name"),
+                                      _number(obj["alpha"], "profile alpha"),
                                       _number(obj["beta"], "profile beta")))
     return tuple(profiles) or BUILTIN_PROFILES
 
@@ -375,6 +382,7 @@ def parse_suite_config(doc: dict) -> SuiteConfig:
                    "quality_exponent"})
 
     model_spec = _check_model_spec(doc["model"], "model")
+    corpus_path = _string(doc["corpus"], "corpus")
 
     if not isinstance(doc["pipelines"], list) or not doc["pipelines"]:
         raise DomainError("pipelines must be a non-empty list")
@@ -382,8 +390,7 @@ def parse_suite_config(doc: dict) -> SuiteConfig:
     for i, p in enumerate(doc["pipelines"]):
         what = f"pipelines[{i}]"
         _require_keys(p, what, {"name", "passes"})
-        if not isinstance(p["name"], str) or not p["name"]:
-            raise DomainError(f"{what}: name must be a non-empty string")
+        _string(p["name"], f"{what}.name")
         if not isinstance(p["passes"], list):
             raise DomainError(f"{what}: passes must be a list")
         passes = [_parse_pass(ps, f"{what}.passes[{j}]") for j, ps in enumerate(p["passes"])]
@@ -404,6 +411,7 @@ def parse_suite_config(doc: dict) -> SuiteConfig:
         what = f"students[{sid!r}]"
         if isinstance(spec, dict) and "path" in spec:
             _require_keys(spec, what, {"path"})
+            _string(spec["path"], f"{what}.path")
         else:
             _check_student_spec(spec, what)
 
@@ -427,6 +435,7 @@ def parse_suite_config(doc: dict) -> SuiteConfig:
         _number(source_spec["watts"], "energy_source.watts")
     elif kind == "counter":
         _require_keys(source_spec, "energy_source", {"kind", "path", "wrap_max_microjoules"})
+        _string(source_spec["path"], "energy_source.path")
         _integer(source_spec["wrap_max_microjoules"], "energy_source.wrap_max_microjoules")
     else:
         raise DomainError(f"unknown energy source kind {kind!r}")
@@ -439,7 +448,7 @@ def parse_suite_config(doc: dict) -> SuiteConfig:
     _require_keys(calib, "calibration", set(), {"sequences", "length"})
 
     return SuiteConfig(
-        raw=doc, model_spec=model_spec, corpus_path=doc["corpus"],
+        raw=doc, model_spec=model_spec, corpus_path=corpus_path,
         pipelines=pipelines, students=students, repetitions=reps,
         energy_source_spec=source_spec, profiles=_parse_profiles(doc.get("profiles", [])),
         ppl_window=ppl.get("window"), ppl_stride=ppl.get("stride"),
@@ -546,17 +555,25 @@ _ROW_ERRORS = (DomainError, FormatError, SourceError, StateError, OSError)
 def run_suite(config: SuiteConfig) -> Report:
     """Measure every pipeline against the base model and score the results.
 
-    A pipeline that fails to build or measure contributes an error row and
-    the suite moves on; a failing base pipeline is fatal since nothing can
-    be scored without it.  With a synthetic energy source and a seeded
-    model, repeat runs produce byte-identical reports.
+    Only students that some pipeline distills to are built.  A pipeline that
+    fails to build or measure, or whose student failed to build, contributes
+    an error row and the suite moves on; a failing base pipeline is fatal
+    since nothing can be scored without it.  With a synthetic energy source
+    and a seeded model, repeat runs produce byte-identical reports.
     """
     corpus = _load_corpus(config.corpus_path)
     base = _resolve_model(config.model_spec)
 
-    students = {}
-    for sid in sorted(config.students):
-        students[sid] = build_student(base, config.students[sid], corpus)
+    def student_ids(passes) -> set[str]:
+        return {ps.student for ps in passes if isinstance(ps, DistillRef)}
+
+    used = set().union(*(student_ids(p.passes) for p in config.pipelines))
+    students, student_errors = {}, {}
+    for sid in sorted(used & set(config.students)):
+        try:
+            students[sid] = build_student(base, config.students[sid], corpus)
+        except _ROW_ERRORS as exc:
+            student_errors[sid] = f"student {sid!r} failed to build: {exc}"
 
     calibration = _calibration(corpus, config.calibration_sequences,
                                config.calibration_length)
@@ -564,6 +581,10 @@ def run_suite(config: SuiteConfig) -> Report:
     source = _build_source(config.energy_source_spec)
     measured: list[dict] = []
     for p in config.pipelines:
+        failed = sorted(student_ids(p.passes) & set(student_errors))
+        if failed:
+            measured.append({"pipeline": p.name, "error": student_errors[failed[0]]})
+            continue
         try:
             transform = compose(p.passes, calibration=calibration, students=students)
             candidate = transform(base)
@@ -850,7 +871,7 @@ def _cmd_distill(args) -> int:
     if args.seed is not None:
         spec["distill"] = dict(spec["distill"], seed=args.seed)
     teacher = _resolve_model(_check_model_spec(doc["teacher"], "teacher"))
-    student = build_student(teacher, spec, _load_corpus(doc["corpus"]))
+    student = build_student(teacher, spec, _load_corpus(_string(doc["corpus"], "corpus")))
     save_model(student, args.out)
     print(f"wrote {args.out}")
     return 0

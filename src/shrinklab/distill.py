@@ -13,8 +13,11 @@ import numpy as np
 
 from .errors import DomainError
 from .model import (ModelConfig, TinyLM, _check_tokens, _forward_full, astype,
-                    copy_model, dense_weight, forward, gelu_grad, generate,
+                    copy_model, dense_weight, gelu_grad, generate,
                     init_model, log_softmax_rows, param_tensors)
+# train_student's teacher pass calls _forward_full to skip the attention trace;
+# forward stays importable here because perfbench's tracer patches distill.forward
+from .model import forward  # noqa: F401
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -387,7 +390,8 @@ def train_student(teacher: TinyLM, student_config: ModelConfig, corpus,
         if config.method == METHOD_SEQKD:
             spec: LossSpec = CrossEntropy(tgt)
         else:
-            t_logits, _ = forward(teacher64, inp)
+            t_logits, _, _ = _forward_full(teacher64, _check_tokens(inp, teacher64.config),
+                                           want_cache=False)
             if config.method == METHOD_FORWARD_KLD:
                 spec = ForwardKLD(t_logits, config.temperature)
             else:

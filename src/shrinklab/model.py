@@ -226,23 +226,26 @@ GELU_C = math.sqrt(2.0 / math.pi)
 GELU_K = 0.044715
 
 
+# Powers are written as products: numpy's float32 power runs a generic
+# pow per element, far slower than two multiplications.
+
 def gelu(x):
     """tanh approximation of GELU."""
-    return 0.5 * x * (1.0 + np.tanh(GELU_C * (x + GELU_K * x ** 3)))
+    return 0.5 * x * (1.0 + np.tanh(GELU_C * (x + GELU_K * (x * x * x))))
 
 
 def gelu_grad(x):
-    inner = GELU_C * (x + GELU_K * x ** 3)
-    t = np.tanh(inner)
-    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * GELU_C * (1.0 + 3.0 * GELU_K * x ** 2)
+    x2 = x * x
+    t = np.tanh(GELU_C * (x + GELU_K * (x2 * x)))
+    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * GELU_C * (1.0 + 3.0 * GELU_K * x2)
 
 
 def ln_detail(x, g, b):
     """Layer norm over the last axis; also returns the pieces backprop needs."""
-    mu = x.mean(axis=-1, keepdims=True)
-    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+    xc = x - x.mean(axis=-1, keepdims=True)
+    var = (xc * xc).mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = (x - mu) * inv_std
+    xhat = xc * inv_std
     return xhat * g + b, xhat, inv_std
 
 
@@ -252,18 +255,20 @@ def layer_norm(x, g, b):
 
 def softmax_rows(x):
     """Softmax over the last axis, accumulated in float64, cast back to x's dtype."""
-    x64 = np.asarray(x, dtype=np.float64)
-    shifted = x64 - x64.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=-1, keepdims=True)
-    return p.astype(np.asarray(x).dtype)
+    # np.array always copies, so the in-place steps never touch the caller's x
+    p = np.array(x, dtype=np.float64)
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    return p.astype(np.asarray(x).dtype, copy=False)
 
 
 def log_softmax_rows(x):
     """Log softmax over the last axis in float64."""
-    x64 = np.asarray(x, dtype=np.float64)
-    shifted = x64 - x64.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    shifted = np.array(x, dtype=np.float64)
+    shifted -= shifted.max(axis=-1, keepdims=True)
+    shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return shifted
 
 
 @dataclass
@@ -280,10 +285,13 @@ class AttentionTrace:
 # ---------------------------------------------------------------------------
 # forward pass
 
-def _forward_full(model: TinyLM, tokens: np.ndarray, want_cache: bool):
-    """Single forward implementation behind both inference and backprop.
+def _forward_full(model: TinyLM, tokens: np.ndarray, want_cache: bool,
+                  want_trace: bool = False):
+    """Single forward implementation behind inference, head scoring and backprop.
 
-    Returns (logits, trace, cache); cache is None unless requested.
+    Returns (logits, trace, cache).  The attention trace is built only with
+    want_trace (forward() asks for it), the backprop cache only with
+    want_cache; each is None otherwise.  Neither changes the logits.
     """
     cfg = model.config
     W = model.weights
@@ -293,7 +301,7 @@ def _forward_full(model: TinyLM, tokens: np.ndarray, want_cache: bool):
 
     x = W.tok_emb[tokens] + W.pos_emb[:n]
     mask_lower = np.tril(np.ones((n, n), dtype=bool))
-    trace = np.zeros((cfg.n_layers, n_heads, n, n), dtype=dtype)
+    trace = np.zeros((cfg.n_layers, n_heads, n, n), dtype=dtype) if want_trace else None
     cache: dict | None = {"x_emb": x, "layers": []} if want_cache else None
 
     for li, lw in enumerate(W.layers):
@@ -308,7 +316,8 @@ def _forward_full(model: TinyLM, tokens: np.ndarray, want_cache: bool):
         scores = qh @ kh.transpose(0, 2, 1) / math.sqrt(h_dim)
         scores = np.where(mask_lower, scores, -np.inf)
         probs = softmax_rows(scores)
-        trace[li] = probs
+        if want_trace:
+            trace[li] = probs
         head_keep = model.head_mask[li].astype(dtype)[:, None, None]
         ctx = (probs @ vh) * head_keep
         merged = ctx.transpose(1, 0, 2).reshape(n, cfg.d_model)
@@ -332,13 +341,13 @@ def _forward_full(model: TinyLM, tokens: np.ndarray, want_cache: bool):
         cache["xf"] = xf
         cache["xhatf"] = xhatf
         cache["invf"] = invf
-    return logits, AttentionTrace(trace), cache
+    return logits, AttentionTrace(trace) if want_trace else None, cache
 
 
 def forward(model: TinyLM, tokens) -> tuple[np.ndarray, AttentionTrace]:
     """Logits (seq, vocab) and attention trace for one sequence."""
     toks = _check_tokens(tokens, model.config)
-    logits, trace, _ = _forward_full(model, toks, want_cache=False)
+    logits, trace, _ = _forward_full(model, toks, want_cache=False, want_trace=True)
     return logits, trace
 
 
@@ -350,7 +359,7 @@ def mean_nll(logits, targets) -> float:
 
     Accumulates in float64 regardless of the logits dtype.
     """
-    z = np.asarray(logits, dtype=np.float64)
+    z = np.asarray(logits)  # log_softmax_rows makes the one float64 copy
     t = np.asarray(targets)
     if z.ndim != 2:
         raise DomainError("logits must be 2-D (positions, vocab)")

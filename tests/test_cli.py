@@ -621,3 +621,73 @@ def test_ingest_rejects_non_finite_values(tmp_path, row, line):
     with pytest.raises(ParseError) as exc:
         ingest_metrics(write_csv(tmp_path, body))
     assert exc.value.line == line
+
+
+@pytest.mark.parametrize("changes", [
+    {"corpus": 5},
+    {"model": {"path": 7}},
+    {"students": {"s": {"path": 3}}},
+    {"energy_source": {"kind": "counter", "path": 4, "wrap_max_microjoules": 100}},
+    {"profiles": [{"name": 1, "alpha": 0.5, "beta": 0.5}]},
+    {"pipelines": [{"name": "base", "passes": []},
+                   {"name": "kd", "passes": [{"op": "distill", "student": 2}]}]},
+], ids=["corpus", "model-path", "student-path", "counter-path", "profile-name",
+        "distill-student"])
+def test_cli_run_wrong_typed_strings_exit_two(tmp_path, capsys, changes):
+    cfg_path = tmp_path / "suite.json"
+    cfg_path.write_text(json.dumps(small_suite_doc(tmp_path, **changes)))
+    rc, _, err = run_main(capsys, "run", "--config", str(cfg_path),
+                          "--out", str(tmp_path / "out"))
+    assert rc == 2
+    assert err.startswith("error:") and "must be a non-empty string" in err
+
+
+def test_cli_distill_wrong_typed_corpus_exits_two(tmp_path, capsys):
+    cfg_path = tmp_path / "distill.json"
+    cfg_path.write_text(json.dumps({"teacher": {"config": BAD_STEPS_STUDENT["config"]},
+                                    "corpus": 5, "student": {
+                                        "config": BAD_STEPS_STUDENT["config"],
+                                        "distill": {"method": "forward_kld", "steps": 2}}}))
+    rc, _, err = run_main(capsys, "distill", "--config", str(cfg_path),
+                          "--out", str(tmp_path / "s.lmz"))
+    assert rc == 2
+    assert err.startswith("error:") and "corpus" in err
+
+
+def test_run_suite_builds_only_referenced_students(tmp_path, capsys, monkeypatch):
+    import shrinklab.cli as cli
+    built = []
+    real_build = cli.build_student
+
+    def counting_build(teacher, spec, corpus):
+        built.append(spec)
+        return real_build(teacher, spec, corpus)
+
+    monkeypatch.setattr(cli, "build_student", counting_build)
+    # a student no pipeline uses is never built, so its missing file is harmless
+    doc = small_suite_doc(tmp_path, students={"s": {"path": str(tmp_path / "missing.lmz")}})
+    report = run_suite(parse_suite_config(doc))
+    assert built == []
+    assert all("opt" in r for r in report.rows)
+    cfg_path = tmp_path / "suite.json"
+    cfg_path.write_text(json.dumps(doc))
+    rc, _, _ = run_main(capsys, "run", "--config", str(cfg_path), "--out", str(tmp_path / "out"))
+    assert rc == 0
+
+
+def test_run_suite_failed_student_fails_only_its_pipelines(tmp_path):
+    missing = tmp_path / "missing.lmz"
+    doc = small_suite_doc(tmp_path, students={"s": {"path": str(missing)}})
+    doc["pipelines"] += [
+        {"name": "s", "passes": [{"op": "distill", "student": "s"}]},
+        {"name": "s+8bit", "passes": [{"op": "distill", "student": "s"},
+                                      {"op": "quantize", "bits": 8}]},
+    ]
+    report = run_suite(parse_suite_config(doc))
+    rows = {r["pipeline"]: r for r in report.rows}
+    assert [r["pipeline"] for r in report.rows] == ["base", "8bit", "sparse", "s", "s+8bit"]
+    for name in ("s", "s+8bit"):
+        assert set(rows[name]) == {"pipeline", "error"}
+        assert "student 's'" in rows[name]["error"] and str(missing) in rows[name]["error"]
+    for name in ("base", "8bit", "sparse"):
+        assert "opt" in rows[name]

@@ -6,17 +6,25 @@ import pytest
 
 from shrinklab.errors import DomainError, FormatError
 from shrinklab.model import (
+    GELU_C,
+    GELU_K,
     LN_EPS,
     ModelConfig,
+    _forward_full,
     astype,
     detokenize,
     forward,
+    gelu,
+    gelu_grad,
     generate,
     init_model,
+    layer_norm,
     load_model,
+    log_softmax_rows,
     mean_nll,
     perplexity,
     save_model,
+    softmax_rows,
     tokenize,
     zero_model,
 )
@@ -146,6 +154,94 @@ def test_forward_prefix_consistency(small_model, corpus):
     full, _ = forward(small_model, tokens)
     prefix, _ = forward(small_model, tokens[:7])
     assert np.max(np.abs(full[:7] - prefix)) < 1e-4
+
+
+def test_forward_full_builds_trace_only_on_request(toy_model, corpus):
+    tokens = corpus[:20]
+    logits, trace = forward(toy_model, tokens)
+    bare, no_trace, no_cache = _forward_full(toy_model, tokens, want_cache=False)
+    assert no_trace is None and no_cache is None
+    assert np.array_equal(bare, logits)
+    m64 = astype(toy_model, np.float64)
+    cached, no_trace, cache = _forward_full(m64, tokens, want_cache=True)
+    assert no_trace is None and cache is not None
+    assert np.array_equal(cached, forward(m64, tokens)[0])
+    # the trace forward() returns is the probs the cache keeps for backprop
+    traced = forward(m64, tokens)[1].probs
+    for li, layer in enumerate(cache["layers"]):
+        assert np.array_equal(traced[li], layer["probs"])
+
+
+# ---------------------------------------------------------------------------
+# core math against the plain formulas
+
+def _softmax_reference(x):
+    """Out-of-place float64 softmax, the formula softmax_rows must equal."""
+    x64 = np.asarray(x, dtype=np.float64)
+    shifted = x64 - x64.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return (e / e.sum(axis=-1, keepdims=True)).astype(np.asarray(x).dtype)
+
+
+def _log_softmax_reference(x):
+    x64 = np.asarray(x, dtype=np.float64)
+    shifted = x64 - x64.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def _masked_scores(dtype):
+    """Attention-shaped scores with the causal -inf mask the forward pass applies."""
+    scores = np.random.default_rng(3).normal(0.0, 4.0, size=(3, 9, 9)).astype(dtype)
+    return np.where(np.tril(np.ones((9, 9), dtype=bool)), scores, -np.inf)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_softmax_rows_equal_out_of_place_formula(dtype):
+    for x in (_masked_scores(dtype),
+              np.random.default_rng(4).normal(0.0, 30.0, size=(5, 256)).astype(dtype)):
+        p = softmax_rows(x)
+        assert p.dtype == dtype
+        assert np.array_equal(p, _softmax_reference(x))
+        ls = log_softmax_rows(x)
+        assert ls.dtype == np.float64
+        assert np.array_equal(ls, _log_softmax_reference(x))
+
+
+def test_softmax_rows_leave_float64_input_untouched():
+    x = _masked_scores(np.float64)
+    before = x.copy()
+    softmax_rows(x)
+    log_softmax_rows(x)
+    assert np.array_equal(x, before)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_layer_norm_equals_two_pass_formula(dtype):
+    rng = np.random.default_rng(5)
+    x = rng.normal(0.3, 2.0, size=(7, 32)).astype(dtype)
+    g = rng.normal(1.0, 0.1, size=32).astype(dtype)
+    b = rng.normal(0.0, 0.1, size=32).astype(dtype)
+    mu = x.mean(axis=-1, keepdims=True)
+    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+    expect = (x - mu) * (1.0 / np.sqrt(var + LN_EPS)) * g + b
+    assert np.array_equal(layer_norm(x, g, b), expect)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_and_grad_match_float64_power_reference(dtype):
+    x = np.concatenate([np.linspace(-8.0, 8.0, 4001),
+                        np.random.default_rng(6).uniform(-8.0, 8.0, 20000)]).astype(dtype)
+    x64 = x.astype(np.float64)
+    t = np.tanh(GELU_C * (x64 + GELU_K * x64 ** 3))
+    ref = 0.5 * x64 * (1.0 + t)
+    ref_grad = 0.5 * (1.0 + t) + 0.5 * x64 * (1.0 - t ** 2) * GELU_C * (1.0 + 3.0 * GELU_K * x64 ** 2)
+    # about ten roundings of the input dtype, each at most eps/2 of an
+    # intermediate no larger than 1 + |x|; observed worst is under 2 eps (1 + |x|)
+    tol = 8.0 * np.finfo(dtype).eps * (1.0 + np.abs(x64))
+    got, got_grad = gelu(x), gelu_grad(x)
+    assert got.dtype == dtype and got_grad.dtype == dtype
+    assert np.all(np.abs(got - ref) <= tol)
+    assert np.all(np.abs(got_grad - ref_grad) <= tol)
 
 
 # ---------------------------------------------------------------------------
