@@ -18,7 +18,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -556,10 +556,10 @@ def run_suite(config: SuiteConfig) -> Report:
     """Measure every pipeline against the base model and score the results.
 
     Only students that some pipeline distills to are built.  A pipeline that
-    fails to build or measure, or whose student failed to build, contributes
-    an error row and the suite moves on; a failing base pipeline is fatal
-    since nothing can be scored without it.  With a synthetic energy source
-    and a seeded model, repeat runs produce byte-identical reports.
+    fails to build, measure or score, or whose student failed to build,
+    contributes an error row and the suite moves on; a failing base pipeline
+    is fatal since nothing can be scored without it.  With a synthetic energy
+    source and a seeded model, repeat runs produce byte-identical reports.
     """
     corpus = _load_corpus(config.corpus_path)
     base = _resolve_model(config.model_spec)
@@ -609,19 +609,25 @@ def run_suite(config: SuiteConfig) -> Report:
     if "error" in base_row:
         raise DomainError(f"base pipeline failed: {base_row['error']}")
 
-    for row in measured:
+    for i, row in enumerate(measured):
         if "error" in row:
             continue
-        ratios = ResourceRatios.from_measurements(
-            base_row["time_s"], row["time_s"],
-            base_row["energy_kwh"], row["energy_kwh"],
-        )
-        quality = [MetricRecord("perplexity", Direction.LOWER_BETTER,
-                                base_row["perplexity"], row["perplexity"])]
-        row["opt"] = {
-            prof.name: _result_fields(opt_score(quality, ratios, prof, config.quality_exponent))
-            for prof in config.profiles
-        }
+        try:
+            ratios = ResourceRatios.from_measurements(
+                base_row["time_s"], row["time_s"],
+                base_row["energy_kwh"], row["energy_kwh"],
+            )
+            quality = [MetricRecord("perplexity", Direction.LOWER_BETTER,
+                                    base_row["perplexity"], row["perplexity"])]
+            row["opt"] = {
+                prof.name: _result_fields(opt_score(quality, ratios, prof,
+                                                    config.quality_exponent))
+                for prof in config.profiles
+            }
+        except DomainError as exc:
+            if row is base_row:
+                raise DomainError(f"base pipeline cannot be scored: {exc}") from exc
+            measured[i] = {"pipeline": row["pipeline"], "error": f"cannot be scored: {exc}"}
     return Report(config_digest=config_digest(config.raw), rows=measured)
 
 
@@ -663,25 +669,23 @@ def _add_model_source_args(sp):
                     help="fresh-model shape: layers,heads,d_model,d_ff[,vocab,context]")
 
 
-def _parse_arch(text: str) -> ModelConfig:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) not in (4, 6):
-        raise DomainError("--arch needs 4 or 6 comma-separated integers")
-    try:
-        nums = [int(p) for p in parts]
-    except ValueError:
-        raise DomainError("--arch fields must be integers") from None
-    return ModelConfig(*nums)
-
-
 def _model_from_args(args) -> TinyLM:
-    if args.model and args.seed is not None:
-        raise DomainError("give either --model or --seed, not both")
-    if args.model:
-        return load_model(args.model)
-    if args.seed is not None:
-        return init_model(_parse_arch(args.arch), seed=args.seed)
-    raise DomainError("need --model FILE or --seed N")
+    """The model --model or --seed/--arch name, built from the spec a config file would hold."""
+    if (args.model is None) == (args.seed is None):
+        raise DomainError("give either --model FILE or --seed N")
+    if args.model is not None:
+        spec = {"path": args.model}
+    else:
+        parts = [p.strip() for p in args.arch.split(",")]
+        if len(parts) not in (4, 6):
+            raise DomainError("--arch needs 4 or 6 comma-separated integers")
+        try:
+            nums = [int(p) for p in parts]
+        except ValueError:
+            raise DomainError("--arch fields must be integers") from None
+        spec = {"config": dict(zip([f.name for f in fields(ModelConfig)], nums)),
+                "seed": args.seed}
+    return _resolve_model(_check_model_spec(spec, "model"))
 
 
 def _profile_entries(args) -> list:

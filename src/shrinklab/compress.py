@@ -6,13 +6,13 @@ single callable.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .model import LINEAR_NAMES, TinyLM, dense_weight, forward
+from .model import LINEAR_NAMES, TinyLM, dense_weight, forward, from_tensors, param_tensors
 
 SUPPORTED_BITS = (4, 8)
 
@@ -35,10 +35,9 @@ def _check_threshold(threshold) -> None:
 
 def _map_projections(model: TinyLM, fn: Callable) -> TinyLM:
     """Model with fn applied to the six linear projections of every block."""
-    layers = [replace(lw, **{name: fn(getattr(lw, name)) for name in LINEAR_NAMES})
-              for lw in model.weights.layers]
-    return TinyLM(model.config, replace(model.weights, layers=layers),
-                  model.head_mask.copy())
+    return from_tensors(model.config, {
+        name: fn(t) if name.rsplit(".", 1)[-1] in LINEAR_NAMES else t
+        for name, t in param_tensors(model)}, model.head_mask.copy())
 
 
 # ---------------------------------------------------------------------------

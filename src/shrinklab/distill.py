@@ -146,7 +146,7 @@ def backward(model: TinyLM, tokens, spec: LossSpec) -> tuple[float, dict[str, np
     """
     m64 = astype(model, np.float64)
     toks = _check_tokens(tokens, m64.config)
-    logits, _, cache = _forward_full(m64, toks, want_cache=True)
+    logits, cache = _forward_full(m64, toks, want_cache=True)
     loss, dlogits = _loss_and_dlogits(logits, spec)
 
     cfg = m64.config
@@ -218,7 +218,7 @@ def loss_value(model: TinyLM, tokens, spec: LossSpec) -> float:
     """Loss alone, without gradients."""
     m64 = astype(model, np.float64)
     toks = _check_tokens(tokens, m64.config)
-    logits, _, _ = _forward_full(m64, toks, want_cache=False)
+    logits, _ = _forward_full(m64, toks, want_cache=False)
     return _loss_and_dlogits(logits, spec)[0]
 
 
@@ -390,8 +390,8 @@ def train_student(teacher: TinyLM, student_config: ModelConfig, corpus,
         if config.method == METHOD_SEQKD:
             spec: LossSpec = CrossEntropy(tgt)
         else:
-            t_logits, _, _ = _forward_full(teacher64, _check_tokens(inp, teacher64.config),
-                                           want_cache=False)
+            t_logits, _ = _forward_full(teacher64, _check_tokens(inp, teacher64.config),
+                                        want_cache=False)
             if config.method == METHOD_FORWARD_KLD:
                 spec = ForwardKLD(t_logits, config.temperature)
             else:

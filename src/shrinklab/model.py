@@ -9,9 +9,10 @@ sums accumulate in float64.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -37,10 +38,10 @@ class ModelConfig:
     context_len: int = 64
 
     def __post_init__(self):
-        for field_name in ("n_layers", "n_heads", "d_model", "d_ff", "vocab_size", "context_len"):
-            v = getattr(self, field_name)
-            if not isinstance(v, int) or v < 1:
-                raise DomainError(f"{field_name} must be a positive integer, got {v!r}")
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+                raise DomainError(f"{f.name} must be a positive integer, got {v!r}")
         if self.d_model % self.n_heads != 0:
             raise DomainError(
                 f"d_model {self.d_model} must be divisible by n_heads {self.n_heads}"
@@ -101,6 +102,31 @@ def dense_weight(w, dtype=None):
     return w.dense(np.float32 if dtype is None else dtype)
 
 
+def param_layout(config: ModelConfig):
+    """(name, shape) of every trainable parameter, in param_tensors order.
+
+    A generator, so a caller can stop early without paying for every layer.
+    """
+    d, f = config.d_model, config.d_ff
+    layer = tuple(zip(_LAYER_TENSOR_NAMES, [(d, d)] * 4 + [(d, f), (f, d)] + [(d,)] * 4))
+    yield "tok_emb", (config.vocab_size, d)
+    yield "pos_emb", (config.context_len, d)
+    for i in range(config.n_layers):
+        for attr, shape in layer:
+            yield f"layers.{i}.{attr}", shape
+    yield "ln_f.g", (d,)
+    yield "ln_f.b", (d,)
+
+
+def from_tensors(config: ModelConfig, tensors, head_mask: np.ndarray) -> TinyLM:
+    """Assemble a model from tensors keyed by their param_layout names."""
+    layers = [LayerWeights(**{attr: tensors[f"layers.{i}.{attr}"] for attr in _LAYER_TENSOR_NAMES})
+              for i in range(config.n_layers)]
+    weights = Weights(tensors["tok_emb"], tensors["pos_emb"], layers,
+                      tensors["ln_f.g"], tensors["ln_f.b"])
+    return TinyLM(config, weights, head_mask)
+
+
 def param_tensors(model: TinyLM) -> list[tuple[str, object]]:
     """Canonical (name, tensor) list of trainable parameters, in storage order."""
     out: list[tuple[str, object]] = [
@@ -120,60 +146,45 @@ def _map_params(model: TinyLM, fn) -> TinyLM:
 
     Quantized views are passed through untouched; fn receives only ndarrays.
     """
-
-    def conv(w):
-        return fn(w) if isinstance(w, np.ndarray) else w
-
-    w = model.weights
-    layers = [
-        LayerWeights(**{attr: conv(getattr(lw, attr)) for attr in _LAYER_TENSOR_NAMES})
-        for lw in w.layers
-    ]
-    new_w = Weights(conv(w.tok_emb), conv(w.pos_emb), layers, conv(w.ln_f_g), conv(w.ln_f_b))
-    return TinyLM(model.config, new_w, model.head_mask.copy())
+    return from_tensors(model.config, {name: fn(t) if isinstance(t, np.ndarray) else t
+                                       for name, t in param_tensors(model)},
+                        model.head_mask.copy())
 
 
-def astype(model: TinyLM, dtype, copy: bool = False) -> TinyLM:
+def astype(model: TinyLM, dtype) -> TinyLM:
     """Model with all dense parameters cast to dtype.
 
-    With copy=False arrays already in the target dtype are shared, so the
-    result may alias the input; pass copy=True for an independent model.
+    Arrays already in the target dtype are shared, so the result may alias
+    the input; use copy_model for an independent model.
     """
-    return _map_params(model, lambda a: np.array(a, dtype=dtype, copy=True) if copy
-                       else a.astype(dtype, copy=False))
+    return _map_params(model, lambda a: a.astype(dtype, copy=False))
 
 
 def copy_model(model: TinyLM) -> TinyLM:
-    dt = model.weights.tok_emb.dtype
-    return astype(model, dt, copy=True)
+    return _map_params(model, np.copy)
+
+
+def _from_layout(config: ModelConfig, dtype, matrix) -> TinyLM:
+    """Model whose matrices come from matrix(shape), in layout order.
+
+    Norm gains (the names ending in g) start at 1, biases at 0, and every
+    head is live.
+    """
+    tensors = {name: matrix(shape) if len(shape) == 2
+               else (np.ones if name.endswith("g") else np.zeros)(shape, dtype=dtype)
+               for name, shape in param_layout(config)}
+    return from_tensors(config, tensors, np.ones((config.n_layers, config.n_heads), dtype=dtype))
 
 
 def init_model(config: ModelConfig, seed: int = 0, dtype=np.float32) -> TinyLM:
     """Fresh model with Gaussian weights (std 0.02), deterministic per seed.
 
-    All matrices and embeddings are drawn from one generator in a fixed
+    All matrices and embeddings are drawn from one generator in layout
     order; norm gains start at 1 and biases at 0.
     """
     rng = np.random.default_rng(seed)
-    d, f = config.d_model, config.d_ff
-
-    def mat(rows, cols):
-        return rng.normal(0.0, INIT_STD, size=(rows, cols)).astype(dtype)
-
-    tok_emb = mat(config.vocab_size, d)
-    pos_emb = mat(config.context_len, d)
-    layers = []
-    for _ in range(config.n_layers):
-        layers.append(LayerWeights(
-            wq=mat(d, d), wk=mat(d, d), wv=mat(d, d), wo=mat(d, d),
-            w_in=mat(d, f), w_out=mat(f, d),
-            ln1_g=np.ones(d, dtype=dtype), ln1_b=np.zeros(d, dtype=dtype),
-            ln2_g=np.ones(d, dtype=dtype), ln2_b=np.zeros(d, dtype=dtype),
-        ))
-    weights = Weights(tok_emb, pos_emb, layers,
-                      np.ones(d, dtype=dtype), np.zeros(d, dtype=dtype))
-    mask = np.ones((config.n_layers, config.n_heads), dtype=dtype)
-    return TinyLM(config, weights, mask)
+    return _from_layout(config, dtype,
+                        lambda shape: rng.normal(0.0, INIT_STD, size=shape).astype(dtype))
 
 
 def zero_model(config: ModelConfig, dtype=np.float32) -> TinyLM:
@@ -182,9 +193,7 @@ def zero_model(config: ModelConfig, dtype=np.float32) -> TinyLM:
     Its logits are constant, so next-token distributions are exactly
     uniform; handy as a reference point.
     """
-    m = init_model(config, seed=0, dtype=dtype)
-    # norm gains and biases from init are already 1 and 0; only matrices vary
-    return _map_params(m, lambda a: np.zeros_like(a) if a.ndim == 2 else a)
+    return _from_layout(config, dtype, lambda shape: np.zeros(shape, dtype=dtype))
 
 
 # ---------------------------------------------------------------------------
@@ -285,13 +294,12 @@ class AttentionTrace:
 # ---------------------------------------------------------------------------
 # forward pass
 
-def _forward_full(model: TinyLM, tokens: np.ndarray, want_cache: bool,
-                  want_trace: bool = False):
+def _forward_full(model: TinyLM, tokens: np.ndarray, want_cache: bool):
     """Single forward implementation behind inference, head scoring and backprop.
 
-    Returns (logits, trace, cache).  The attention trace is built only with
-    want_trace (forward() asks for it), the backprop cache only with
-    want_cache; each is None otherwise.  Neither changes the logits.
+    Returns (logits, cache).  The cache of per-layer intermediates, which
+    backprop and forward()'s attention trace read, is built only with
+    want_cache and is None otherwise; it never changes the logits.
     """
     cfg = model.config
     W = model.weights
@@ -301,7 +309,6 @@ def _forward_full(model: TinyLM, tokens: np.ndarray, want_cache: bool,
 
     x = W.tok_emb[tokens] + W.pos_emb[:n]
     mask_lower = np.tril(np.ones((n, n), dtype=bool))
-    trace = np.zeros((cfg.n_layers, n_heads, n, n), dtype=dtype) if want_trace else None
     cache: dict | None = {"x_emb": x, "layers": []} if want_cache else None
 
     for li, lw in enumerate(W.layers):
@@ -316,8 +323,6 @@ def _forward_full(model: TinyLM, tokens: np.ndarray, want_cache: bool,
         scores = qh @ kh.transpose(0, 2, 1) / math.sqrt(h_dim)
         scores = np.where(mask_lower, scores, -np.inf)
         probs = softmax_rows(scores)
-        if want_trace:
-            trace[li] = probs
         head_keep = model.head_mask[li].astype(dtype)[:, None, None]
         ctx = (probs @ vh) * head_keep
         merged = ctx.transpose(1, 0, 2).reshape(n, cfg.d_model)
@@ -341,14 +346,14 @@ def _forward_full(model: TinyLM, tokens: np.ndarray, want_cache: bool,
         cache["xf"] = xf
         cache["xhatf"] = xhatf
         cache["invf"] = invf
-    return logits, AttentionTrace(trace) if want_trace else None, cache
+    return logits, cache
 
 
 def forward(model: TinyLM, tokens) -> tuple[np.ndarray, AttentionTrace]:
     """Logits (seq, vocab) and attention trace for one sequence."""
     toks = _check_tokens(tokens, model.config)
-    logits, trace, _ = _forward_full(model, toks, want_cache=False, want_trace=True)
-    return logits, trace
+    logits, cache = _forward_full(model, toks, want_cache=True)
+    return logits, AttentionTrace(np.stack([c["probs"] for c in cache["layers"]]))
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +412,7 @@ def perplexity(model: TinyLM, corpus, window: int | None = None,
         first = max(scored_upto, start + 1)
         if first < end:
             chunk = _check_tokens(toks[start:end], cfg)
-            logits, _, _ = _forward_full(model, chunk, want_cache=False)
+            logits, _ = _forward_full(model, chunk, want_cache=False)
             idx = np.arange(first, end)
             rows = logits[idx - 1 - start]
             total += mean_nll(rows, chunk[idx - start]) * idx.size
@@ -444,7 +449,7 @@ def generate(model: TinyLM, prompt, steps: int, mode: str = "greedy",
     rng = np.random.default_rng(seed)
     seq = list(toks)
     for _ in range(steps):
-        logits, _, _ = _forward_full(model, np.asarray(seq, dtype=np.int64), want_cache=False)
+        logits, _ = _forward_full(model, np.asarray(seq, dtype=np.int64), want_cache=False)
         last = np.asarray(logits[-1], dtype=np.float64)
         if mode == "greedy":
             nxt = int(np.argmax(last))
@@ -461,34 +466,6 @@ def generate(model: TinyLM, prompt, steps: int, mode: str = "greedy",
 # persistence
 
 _HEAD_MASK_NAME = "head_mask"
-
-
-def _config_dict(cfg: ModelConfig) -> dict:
-    return {
-        "n_layers": cfg.n_layers, "n_heads": cfg.n_heads,
-        "d_model": cfg.d_model, "d_ff": cfg.d_ff,
-        "vocab_size": cfg.vocab_size, "context_len": cfg.context_len,
-    }
-
-
-def _expected_shapes(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
-    d, f = cfg.d_model, cfg.d_ff
-    shapes: list[tuple[str, tuple[int, ...]]] = [
-        ("tok_emb", (cfg.vocab_size, d)),
-        ("pos_emb", (cfg.context_len, d)),
-    ]
-    per_layer = {
-        "wq": (d, d), "wk": (d, d), "wv": (d, d), "wo": (d, d),
-        "w_in": (d, f), "w_out": (f, d),
-        "ln1_g": (d,), "ln1_b": (d,), "ln2_g": (d,), "ln2_b": (d,),
-    }
-    for i in range(cfg.n_layers):
-        for attr in _LAYER_TENSOR_NAMES:
-            shapes.append((f"layers.{i}.{attr}", per_layer[attr]))
-    shapes.append(("ln_f.g", (d,)))
-    shapes.append(("ln_f.b", (d,)))
-    shapes.append((_HEAD_MASK_NAME, (cfg.n_layers, cfg.n_heads)))
-    return shapes
 
 
 def save_model(model: TinyLM, path) -> None:
@@ -510,7 +487,7 @@ def save_model(model: TinyLM, path) -> None:
         table.append({"name": name, "shape": list(a.shape), "offset": offset})
         payloads.append(a.tobytes())
         offset += a.nbytes
-    header = {"config": _config_dict(model.config), "tensors": table}
+    header = {"config": asdict(model.config), "tensors": table}
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, separators=(",", ":")).encode("ascii"))
         fh.write(b"\n")
@@ -536,14 +513,18 @@ def load_model(path) -> TinyLM:
     except (TypeError, DomainError) as exc:
         raise FormatError(f"bad config: {exc}", offset=0) from exc
 
-    expected = _expected_shapes(cfg)
     tensors = header["tensors"]
-    if not isinstance(tensors, list) or len(tensors) != len(expected):
+    if not isinstance(tensors, list):
+        raise FormatError("'tensors' must be a list", offset=0)
+    # read the layout only one entry past the header's list, so a config
+    # claiming huge dimensions costs no more than the header itself
+    file_layout = itertools.chain(param_layout(cfg),
+                                  [(_HEAD_MASK_NAME, (cfg.n_layers, cfg.n_heads))])
+    expected = list(itertools.islice(file_layout, len(tensors) + 1))
+    if len(expected) != len(tensors):
+        needs = len(expected) if len(expected) < len(tensors) else f"more than {len(tensors)}"
         raise FormatError(
-            f"expected {len(expected)} tensors for this config, header lists "
-            f"{len(tensors) if isinstance(tensors, list) else 'none'}",
-            offset=0,
-        )
+            f"expected {needs} tensors for this config, header lists {len(tensors)}", offset=0)
     payload_start = newline + 1
     offset = 0
     parsed = []
@@ -555,10 +536,10 @@ def load_model(path) -> TinyLM:
                 f"tensor {entry['name']!r} where {want_name!r} was expected",
                 offset=payload_start + offset,
             )
-        if tuple(entry["shape"]) != want_shape:
+        if entry["shape"] != list(want_shape):
             raise FormatError(
-                f"{want_name}: shape {tuple(entry['shape'])} does not match "
-                f"config shape {want_shape}",
+                f"{want_name}: shape {entry['shape']!r} does not match "
+                f"config shape {list(want_shape)}",
                 offset=payload_start + offset,
             )
         if entry["offset"] != offset:
@@ -567,7 +548,7 @@ def load_model(path) -> TinyLM:
                 f"(expected {offset})",
                 offset=payload_start + offset,
             )
-        size = int(np.prod(want_shape)) * 4
+        size = math.prod(want_shape) * 4
         parsed.append((want_name, want_shape, offset, size))
         offset += size
 
@@ -577,15 +558,6 @@ def load_model(path) -> TinyLM:
     if len(payload) > offset:
         raise FormatError("trailing bytes after last tensor", offset=payload_start + offset)
 
-    arrays = {}
-    for name, shape, off, size in parsed:
-        arrays[name] = np.frombuffer(payload[off:off + size], dtype="<f4").reshape(shape).copy()
-
-    layers = []
-    for i in range(cfg.n_layers):
-        layers.append(LayerWeights(**{
-            attr: arrays[f"layers.{i}.{attr}"] for attr in _LAYER_TENSOR_NAMES
-        }))
-    weights = Weights(arrays["tok_emb"], arrays["pos_emb"], layers,
-                      arrays["ln_f.g"], arrays["ln_f.b"])
-    return TinyLM(cfg, weights, arrays[_HEAD_MASK_NAME])
+    arrays = {name: np.frombuffer(payload[off:off + size], dtype="<f4").reshape(shape).copy()
+              for name, shape, off, size in parsed}
+    return from_tensors(cfg, arrays, arrays[_HEAD_MASK_NAME])

@@ -8,6 +8,7 @@ and a model identical to its base scores exactly 1.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -102,8 +103,9 @@ def ratio_lower_better(base: float, model: float) -> float:
 
     Returns model / base: 1 means unchanged, above 1 means worse.
     """
-    if base <= 0 or model <= 0:
-        raise DomainError(f"lower-is-better ratio requires positive values, got {base} and {model}")
+    if not (0 < base < math.inf and 0 < model < math.inf and model / base < math.inf):
+        raise DomainError("lower-is-better ratio requires positive finite values and "
+                          f"a finite ratio, got {base} and {model}")
     return model / base
 
 
@@ -113,14 +115,19 @@ def ratio_higher_better(base: float, model: float, random_floor: float) -> float
     Both scores are first reduced by 4/5 of the random-guess floor, then the
     ratio base/model is returned so that degradation again lands above 1.
     """
-    if random_floor < 0:
-        raise DomainError(f"random floor must be non-negative, got {random_floor}")
+    if not 0 <= random_floor < math.inf:
+        raise DomainError(f"random floor must be non-negative and finite, got {random_floor}")
     floor = FLOOR_DISCOUNT * random_floor
     for label, score in (("base", base), ("model", model)):
+        if not math.isfinite(score):
+            raise DomainError(f"{label} score must be finite, got {score}")
         if score - floor <= 0:
             raise BelowRandomFloor(f"{label} score {score} is at or below "
                                    f"{FLOOR_DISCOUNT:g} x random floor {random_floor}")
-    return (base - floor) / (model - floor)
+    ratio = (base - floor) / (model - floor)
+    if not math.isfinite(ratio):
+        raise DomainError(f"higher-is-better ratio of {base} and {model} is not finite")
+    return ratio
 
 
 def metric_ratio(record: MetricRecord) -> float:
@@ -151,8 +158,9 @@ class ResourceRatios:
     energy_ratio: float
 
     def __post_init__(self):
-        if self.time_ratio <= 0 or self.energy_ratio <= 0:
-            raise DomainError("resource ratios must be positive")
+        if not (0 < self.time_ratio < math.inf and 0 < self.energy_ratio < math.inf):
+            raise DomainError("resource ratios must be positive and finite, got "
+                              f"{self.time_ratio} and {self.energy_ratio}")
 
     @classmethod
     def from_measurements(cls, base_time: float, model_time: float,

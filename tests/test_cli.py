@@ -578,8 +578,9 @@ BAD_STEPS_STUDENT = {"config": {"n_layers": 1, "n_heads": 2, "d_model": 32, "d_f
     {"profiles": [{"name": "p", "alpha": "a", "beta": 0.5}]},
     {"repetitions": True},
     {"energy_source": {"kind": "synthetic", "energy_deltas_j": ["abc"]}},
+    {"model": {"config": {"n_layers": True, "n_heads": 2, "d_model": 32, "d_ff": 128}}},
 ], ids=["window", "sequences", "threshold", "bits", "steps", "carbon", "alpha",
-        "bool-reps", "deltas"])
+        "bool-reps", "deltas", "bool-layers"])
 def test_cli_run_wrong_typed_values_exit_two(tmp_path, capsys, changes):
     cfg_path = tmp_path / "suite.json"
     cfg_path.write_text(json.dumps(small_suite_doc(tmp_path, **changes)))
@@ -691,3 +692,49 @@ def test_run_suite_failed_student_fails_only_its_pipelines(tmp_path):
         assert "student 's'" in rows[name]["error"] and str(missing) in rows[name]["error"]
     for name in ("base", "8bit", "sparse"):
         assert "opt" in rows[name]
+
+
+def test_cli_run_nan_student_is_an_error_row(tmp_path, capsys):
+    nan_model = init_model(ModelConfig(1, 2, 32, 128), seed=1)
+    nan_model.weights.ln_f_g[0] = np.nan
+    saved = tmp_path / "nan.lmz"
+    save_model(nan_model, saved)
+    doc = small_suite_doc(tmp_path, students={"nan": {"path": str(saved)}})
+    doc["pipelines"].append({"name": "nan", "passes": [{"op": "distill", "student": "nan"}]})
+    cfg_path = tmp_path / "suite.json"
+    cfg_path.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    rc, out, _ = run_main(capsys, "run", "--config", str(cfg_path), "--out", str(out_dir))
+    assert rc == 1
+    assert "nan: FAILED" in out
+    report = (out_dir / "report.json").read_text()
+    assert "NaN" not in report
+    rows = {r["pipeline"]: r for r in json.loads(report)["rows"]}
+    assert set(rows["nan"]) == {"pipeline", "error"}
+    assert "opt" in rows["8bit"] and "opt" in rows["sparse"]
+    # the other rows are still read back and plotted
+    plotted = {row["method"] for row in csv.DictReader(open(out_dir / "plot.csv"))}
+    assert plotted == {"8bit", "sparse"}
+
+    # a base model that cannot be scored leaves nothing to compare against
+    cfg_path.write_text(json.dumps(dict(doc, model={"path": str(saved)})))
+    rc, _, err = run_main(capsys, "run", "--config", str(cfg_path),
+                          "--out", str(tmp_path / "out2"))
+    assert rc == 2 and "base pipeline" in err
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("perplexity", ["--corpus", "c.txt"]),
+    ("quantize", ["--bits", "8", "--out", "m.lmz"]),
+    ("prune-24", ["--out", "m.lmz"]),
+    ("prune-heads", ["--corpus", "c.txt", "--threshold", "0.5", "--out", "m.lmz"]),
+])
+def test_cli_negative_seed_exits_two(tmp_path, capsys, command, extra):
+    """--seed is checked like the seed of a config file's model spec."""
+    corpus = tmp_path / "c.txt"
+    corpus.write_bytes(bundled.path("toy_corpus.txt").read_bytes()[:400])
+    args = [str(tmp_path / a) if a in ("c.txt", "m.lmz") else a for a in extra]
+    rc, _, err = run_main(capsys, command, "--seed", "-1", *args)
+    assert rc == 2
+    assert err.startswith("error:") and "seed" in err
+    assert not (tmp_path / "m.lmz").exists()

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from shrinklab.errors import DomainError, FormatError
 from shrinklab.model import (
@@ -156,20 +158,18 @@ def test_forward_prefix_consistency(small_model, corpus):
     assert np.max(np.abs(full[:7] - prefix)) < 1e-4
 
 
-def test_forward_full_builds_trace_only_on_request(toy_model, corpus):
+def test_forward_trace_is_the_stacked_cache_probs(toy_model, corpus):
     tokens = corpus[:20]
     logits, trace = forward(toy_model, tokens)
-    bare, no_trace, no_cache = _forward_full(toy_model, tokens, want_cache=False)
-    assert no_trace is None and no_cache is None
+    bare, no_cache = _forward_full(toy_model, tokens, want_cache=False)
+    assert no_cache is None
     assert np.array_equal(bare, logits)
-    m64 = astype(toy_model, np.float64)
-    cached, no_trace, cache = _forward_full(m64, tokens, want_cache=True)
-    assert no_trace is None and cache is not None
-    assert np.array_equal(cached, forward(m64, tokens)[0])
+    cached, cache = _forward_full(toy_model, tokens, want_cache=True)
+    assert np.array_equal(cached, logits)
     # the trace forward() returns is the probs the cache keeps for backprop
-    traced = forward(m64, tokens)[1].probs
-    for li, layer in enumerate(cache["layers"]):
-        assert np.array_equal(traced[li], layer["probs"])
+    stacked = np.stack([layer["probs"] for layer in cache["layers"]])
+    assert trace.probs.dtype == stacked.dtype == toy_model.weights.tok_emb.dtype
+    assert np.array_equal(trace.probs, stacked)
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +482,111 @@ def test_load_rejects_bad_config(small_model, tmp_path):
     path.write_bytes(json.dumps(header).encode() + data[newline:])
     with pytest.raises(FormatError, match="config"):
         load_model(path)
+
+
+def _with_header(path, edit):
+    """Rewrite a saved model's header through edit(header), keeping the payload."""
+    data = path.read_bytes()
+    newline = data.find(b"\n")
+    header = json.loads(data[:newline])
+    edit(header)
+    path.write_bytes(json.dumps(header).encode() + data[newline:])
+
+
+@pytest.mark.parametrize("shape", [5, None, "32"])
+def test_load_rejects_non_list_shape(small_model, tmp_path, shape):
+    path = _saved(tmp_path, small_model)
+    _with_header(path, lambda h: h["tensors"][0].update(shape=shape))
+    with pytest.raises(FormatError, match="shape"):
+        load_model(path)
+
+
+def test_load_rejects_boolean_config_field(small_model, tmp_path):
+    path = _saved(tmp_path, small_model)
+    _with_header(path, lambda h: h["config"].update(n_layers=True))
+    with pytest.raises(FormatError, match="n_layers"):
+        load_model(path)
+    with pytest.raises(DomainError):
+        ModelConfig(n_layers=1, n_heads=True, d_model=32, d_ff=128)
+
+
+def test_load_checks_tensor_count_before_building_the_layout(tmp_path):
+    """A short header claiming 100,000 layers is rejected in bounded memory."""
+    import tracemalloc
+    path = tmp_path / "huge.lmz"
+    path.write_bytes(json.dumps({
+        "config": {"n_layers": 100_000, "n_heads": 1, "d_model": 4, "d_ff": 4},
+        "tensors": []}).encode() + b"\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="tensors"):
+            load_model(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_load_rejects_shapes_whose_byte_size_overflows_int64(small_model, tmp_path):
+    """Embeddings of 2**62 rows would wrap to 0 bytes in int64 arithmetic."""
+    path = _saved(tmp_path, small_model)
+    data = path.read_bytes()
+    newline = data.find(b"\n")
+    header = json.loads(data[:newline])
+    emb_bytes = 4 * (SMALL.vocab_size + SMALL.context_len) * SMALL.d_model
+    header["config"].update(vocab_size=2 ** 62, context_len=2 ** 62)
+    for entry in header["tensors"]:
+        if entry["name"] in ("tok_emb", "pos_emb"):
+            entry["shape"][0] = 2 ** 62
+        entry["offset"] = max(0, entry["offset"] - emb_bytes)
+    path.write_bytes(json.dumps(header).encode() + data[newline:newline + 1]
+                     + data[newline + 1 + emb_bytes:])
+    with pytest.raises(FormatError):
+        load_model(path)
+
+
+TINY = ModelConfig(n_layers=1, n_heads=2, d_model=8, d_ff=8, vocab_size=4, context_len=4)
+
+
+@pytest.fixture(scope="module")
+def tiny_file_bytes(tmp_path_factory) -> bytes:
+    path = tmp_path_factory.mktemp("tiny") / "tiny.lmz"
+    save_model(init_model(TINY, seed=3), path)
+    return path.read_bytes()
+
+
+# random bytes, and JSON tokens that keep a mutated header parseable more often
+_CHUNKS = st.one_of(st.binary(min_size=1, max_size=3),
+                    st.sampled_from([b"true", b"null", b"5", b"-1", b"0", b"1e999", b"[]",
+                                     b"{}", b'""', b",", b"]", b"[", b'"x"']))
+
+
+@given(edits=st.lists(st.tuples(st.sampled_from(["replace", "insert", "delete"]),
+                                st.integers(min_value=0), _CHUNKS),
+                      min_size=1, max_size=4),
+       header_only=st.booleans())
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_load_mutated_file_loads_or_raises_format_error(tiny_file_bytes, tmp_path,
+                                                        edits, header_only):
+    data = bytearray(tiny_file_bytes)
+    # most mutations aim at the header, where the parsing happens
+    span = data.index(b"\n") + 1 if header_only else len(data)
+    for kind, pos, chunk in edits:
+        at = pos % span
+        if kind == "replace":
+            data[at:at + len(chunk)] = chunk
+        elif kind == "insert":
+            data[at:at] = chunk
+        else:
+            del data[at:at + len(chunk)]
+    path = tmp_path / "mutated.lmz"
+    path.write_bytes(bytes(data))
+    try:
+        model = load_model(path)
+    except FormatError:
+        return
+    assert isinstance(model.config, ModelConfig)
 
 
 def test_init_is_seed_deterministic():

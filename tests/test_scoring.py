@@ -45,6 +45,17 @@ def test_lower_better_rejects_nonpositive():
         ratio_lower_better(1.0, -2.0)
 
 
+@pytest.mark.parametrize("base, model", [
+    (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf),
+    (1e-300, 1e300),  # finite inputs whose ratio overflows
+])
+def test_lower_better_rejects_non_finite(base, model):
+    with pytest.raises(DomainError):
+        ratio_lower_better(base, model)
+    with pytest.raises(DomainError):
+        MetricRecord("ppl", Direction.LOWER_BETTER, base, model)
+
+
 def test_higher_better_ratio_with_floor():
     # floor-adjusted: (base - 0.8*floor) / (model - 0.8*floor)
     assert ratio_higher_better(0.3951, 0.407, 0.25) == pytest.approx(
@@ -63,6 +74,17 @@ def test_higher_better_floor_violations():
         ratio_higher_better(0.19, 0.9, 0.25)
     with pytest.raises(DomainError):
         ratio_higher_better(0.9, 0.8, -0.1)
+
+
+@pytest.mark.parametrize("base, model, floor", [
+    (math.nan, 0.5, 0.25), (0.5, math.nan, 0.25), (0.5, 0.5, math.nan),
+    (math.inf, 0.5, 0.25), (0.5, math.inf, 0.25), (0.5, 0.5, math.inf),
+    (-math.inf, 0.5, 0.25),
+    (1.0, 5e-324, 0.0),  # finite inputs whose ratio overflows
+])
+def test_higher_better_rejects_non_finite(base, model, floor):
+    with pytest.raises(DomainError):
+        ratio_higher_better(base, model, floor)
 
 
 def test_floor_discount_constant():
@@ -187,6 +209,13 @@ def test_resource_ratios_from_measurements():
     assert got.energy_ratio == pytest.approx(0.01017 / 0.02335, rel=1e-15)
     with pytest.raises(DomainError):
         ResourceRatios.from_measurements(0.0, 1.0, 1.0, 1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            ResourceRatios.from_measurements(1.0, bad, 1.0, 1.0)
+        with pytest.raises(DomainError):
+            ResourceRatios(1.0, bad)
+        with pytest.raises(DomainError):
+            ResourceRatios(bad, 1.0)
 
 
 def test_rank_methods_orders_and_breaks_ties():
