@@ -14,12 +14,16 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
+import inspect
+import io
 import json
 import math
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -27,11 +31,13 @@ from .compress import (MIN_CALIBRATION_LEN, CompressionPass, DistillRef, Prune24
                        PruneHeads, Quantize, compose, head_concentration,
                        prune_heads, prune_model_2_4, quantize_model)
 from .distill import DistillConfig, seqkd_corpus, train_student
-from .errors import DomainError, FormatError, ParseError, SourceError, StateError
+from .errors import (DomainError, FormatError, ParseError, SourceError, StateError,
+                     check_integer, check_number, check_string)
 from .meter import (DEFAULT_CARBON_INTENSITY, DEFAULT_REPETITIONS, CounterFile,
-                    PowerModel, SyntheticClock, measure)
-from .model import (LINEAR_NAMES, ModelConfig, TinyLM, dense_weight, init_model,
-                    load_model, param_tensors, perplexity, save_model, tokenize)
+                    EnergySource, PowerModel, SyntheticClock, carbon_estimate, measure)
+from .model import (LINEAR_NAMES, MIN_PPL_WINDOW, ModelConfig, TinyLM, dense_weight,
+                    init_model, load_model, param_tensors, perplexity, save_model,
+                    tokenize)
 from .scoring import (BUILTIN_PROFILES, QUALITY_EXPONENT, Direction,
                       MetricRecord, OptResult, ResourceRatios, WeightProfile,
                       opt_score, profile_by_name, rank_methods)
@@ -66,6 +72,16 @@ def _csv_number(text: str, what: str, line: int) -> float:
     return value
 
 
+def _read_text(path) -> str:
+    """A file's UTF-8 text; a byte that is not UTF-8 is a ParseError on its line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"byte {exc.start} is not UTF-8",
+                         line=data.count(b"\n", 0, exc.start) + 1) from None
+
+
 def ingest_metrics(path) -> list[MethodMeasurements]:
     """Read a metrics CSV into per-method measurements.
 
@@ -73,12 +89,11 @@ def ingest_metrics(path) -> list[MethodMeasurements]:
     but violate record invariants raise DomainError naming the record.
     Groups come back in first-appearance order.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("file is empty, expected a header row", line=1) from None
+    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise ParseError("file is empty, expected a header row", line=1)
         if [h.strip() for h in header] != METRICS_HEADER:
             raise ParseError(
                 f"header must be {','.join(METRICS_HEADER)}", line=reader.line_num
@@ -115,6 +130,8 @@ def ingest_metrics(path) -> list[MethodMeasurements]:
             else:
                 floor = _csv_number(floor_s, "random_floor of a higher-is-better row", line)
             raw.setdefault(group, []).append((metric, direction_s, floor, base_v, model_v))
+    except csv.Error as exc:
+        raise ParseError(f"malformed CSV: {exc}", line=reader.line_num) from None
 
     if not raw:
         raise ParseError("no data rows", line=2)
@@ -226,11 +243,10 @@ def emit_plot_data(table: ScoreTable, path) -> None:
 
 def _load_json(path) -> dict:
     """A JSON config document; syntax errors become ParseError with the line."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"config is not valid JSON: {exc.msg}", line=exc.lineno) from exc
+    try:
+        doc = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"config is not valid JSON: {exc.msg}", line=exc.lineno) from exc
     if not isinstance(doc, dict):
         raise DomainError("config must be a JSON object")
     return doc
@@ -247,91 +263,90 @@ def _require_keys(obj, what: str, required: set[str], optional: set[str] = froze
         raise DomainError(f"{what}: missing keys {sorted(missing)}")
 
 
-def _integer(value, what: str, minimum: int = 1) -> int:
-    """A config integer of at least minimum; a boolean is not one."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise DomainError(f"{what} must be an integer >= {minimum}, got {value!r}")
-    return value
+def _build(cls, obj, what: str):
+    """cls made by keyword from a JSON object whose keys are its parameter names.
+
+    Parameters with a default are optional keys; keyword-only ones (a meter's
+    clock) are not config.  Only the constructor's own checks see the values.
+    """
+    params = [p for p in inspect.signature(cls).parameters.values()
+              if p.kind is p.POSITIONAL_OR_KEYWORD]
+    _require_keys(obj, what, {p.name for p in params if p.default is p.empty},
+                  {p.name for p in params if p.default is not p.empty})
+    try:
+        return cls(**obj)
+    except DomainError as exc:
+        raise type(exc)(f"{what}: {exc}") from exc
 
 
-def _number(value, what: str) -> float:
-    """A finite config number; a boolean is not one."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value)):
-        raise DomainError(f"{what} must be a finite number, got {value!r}")
-    return float(value)
+def _tagged(obj, tag: str, kinds: dict, what: str):
+    """The class a JSON object names under its tag key, and the object's other keys."""
+    kind = obj.get(tag) if isinstance(obj, dict) else None
+    if not isinstance(kind, str) or kind not in kinds:
+        raise DomainError(f"{what}: {tag} must be one of {sorted(kinds)}, got {kind!r}")
+    return kinds[kind], {k: v for k, v in obj.items() if k != tag}
 
 
-def _string(value, what: str) -> str:
-    """A non-empty config string, such as a file path or a name."""
-    if not isinstance(value, str) or not value:
-        raise DomainError(f"{what} must be a non-empty string, got {value!r}")
-    return value
+_PASS_OPS = {"quantize": Quantize, "prune_heads": PruneHeads, "prune_2_4": Prune24,
+             "distill": DistillRef}
+_ENERGY_SOURCES = {cls.kind: cls for cls in (SyntheticClock, PowerModel, CounterFile)}
 
 
-def _parse_model_config(obj, what: str) -> ModelConfig:
-    _require_keys(obj, what, {"n_layers", "n_heads", "d_model", "d_ff"},
-                  {"vocab_size", "context_len"})
-    return ModelConfig(**obj)
+@dataclass(frozen=True)
+class ModelSpec:
+    """A saved model to load (path), or a fresh one to init (config and seed)."""
+
+    path: str | None = None
+    config: ModelConfig | None = None
+    seed: int | None = None
+
+    def build(self) -> TinyLM:
+        return load_model(self.path) if self.path else init_model(self.config, seed=self.seed)
 
 
-def _check_model_spec(spec, what: str) -> dict:
+def _parse_model_spec(obj, what: str) -> ModelSpec:
     """A model spec carries 'path' to a saved model, or 'config' and an optional 'seed'."""
-    if not isinstance(spec, dict) or ("path" in spec) == ("config" in spec):
+    if not isinstance(obj, dict) or ("path" in obj) == ("config" in obj):
         raise DomainError(f"{what} must carry either 'path' or 'config' (with optional 'seed')")
-    if "path" in spec:
-        _require_keys(spec, what, {"path"})
-        _string(spec["path"], f"{what}.path")
-    else:
-        _require_keys(spec, what, {"config"}, {"seed"})
-        _parse_model_config(spec["config"], f"{what}.config")
-        _integer(spec.get("seed", 0), f"{what}.seed", minimum=0)
-    return spec
+    if "path" in obj:
+        _require_keys(obj, what, {"path"})
+        return ModelSpec(path=check_string(obj["path"], f"{what}.path"))
+    _require_keys(obj, what, {"config"}, {"seed"})
+    return ModelSpec(config=_build(ModelConfig, obj["config"], f"{what}.config"),
+                     seed=check_integer(obj.get("seed", 0), f"{what}.seed", minimum=0))
 
 
-def _parse_distill(obj, what: str) -> DistillConfig:
-    _require_keys(obj, what, {"method"},
-                  {"temperature", "ce_mix_lambda", "steps", "learning_rate", "seed"})
-    fields = dict(obj)
-    for key in ("temperature", "ce_mix_lambda", "learning_rate"):
-        if key in fields:
-            fields[key] = _number(fields[key], f"{what}.{key}")
-    for key in ("steps", "seed"):
-        if key in fields:
-            fields[key] = _integer(fields[key], f"{what}.{key}", minimum=0)
-    return DistillConfig(**fields)
+@dataclass(frozen=True)
+class SeqkdPrompts:
+    """How a seqkd student's data is made: corpus prompts that the teacher continues."""
+
+    prompts: int = 12
+    prompt_len: int = 8
+    length: int = 24
+
+    def __post_init__(self):
+        for f in fields(self):
+            check_integer(getattr(self, f.name), f.name)
 
 
-def _check_student_spec(spec, what: str) -> None:
+@dataclass(frozen=True)
+class StudentSpec:
+    """A student to distill from the base model."""
+
+    config: ModelConfig
+    distill: DistillConfig
+    window: int | None
+    seqkd: SeqkdPrompts
+
+
+def _parse_student(obj, what: str) -> StudentSpec:
     """A trained student carries 'config' and 'distill', optionally 'window' and 'seqkd'."""
-    _require_keys(spec, what, {"config", "distill"}, {"window", "seqkd"})
-    _parse_model_config(spec["config"], f"{what}.config")
-    _parse_distill(spec["distill"], f"{what}.distill")
-    if "window" in spec:
-        _integer(spec["window"], f"{what}.window")
-    seqkd = spec.get("seqkd", {})
-    _require_keys(seqkd, f"{what}.seqkd", set(), {"prompts", "prompt_len", "length"})
-    for key, value in seqkd.items():
-        _integer(value, f"{what}.seqkd.{key}")
-
-
-def _parse_pass(obj, what: str) -> CompressionPass:
-    if not isinstance(obj, dict) or "op" not in obj:
-        raise DomainError(f"{what}: each pass needs an 'op' key")
-    op = obj["op"]
-    if op == "quantize":
-        _require_keys(obj, what, {"op", "bits"})
-        return Quantize(bits=_integer(obj["bits"], f"{what}.bits"))
-    if op == "prune_heads":
-        _require_keys(obj, what, {"op", "threshold"})
-        return PruneHeads(threshold=_number(obj["threshold"], f"{what}.threshold"))
-    if op == "prune_2_4":
-        _require_keys(obj, what, {"op"})
-        return Prune24()
-    if op == "distill":
-        _require_keys(obj, what, {"op", "student"})
-        return DistillRef(student=_string(obj["student"], f"{what}.student"))
-    raise DomainError(f"{what}: unknown op {op!r}")
+    _require_keys(obj, what, {"config", "distill"}, {"window", "seqkd"})
+    return StudentSpec(
+        config=_build(ModelConfig, obj["config"], f"{what}.config"),
+        distill=_build(DistillConfig, obj["distill"], f"{what}.distill"),
+        window=check_integer(obj["window"], f"{what}.window") if "window" in obj else None,
+        seqkd=_build(SeqkdPrompts, obj.get("seqkd", {}), f"{what}.seqkd"))
 
 
 @dataclass
@@ -342,13 +357,16 @@ class PipelineSpec:
 
 @dataclass
 class SuiteConfig:
+    """Everything a suite run is built from, each part already checked."""
+
     raw: dict
-    model_spec: dict
+    model: ModelSpec
     corpus_path: str
     pipelines: list[PipelineSpec]
-    students: dict[str, dict]
+    students: dict[str, ModelSpec | StudentSpec]
     repetitions: int
-    energy_source_spec: dict
+    # a fresh source for each run: a synthetic clock's script position is run state
+    energy_source: Callable[[], EnergySource]
     profiles: tuple[WeightProfile, ...]
     ppl_window: int | None
     ppl_stride: int | None
@@ -362,27 +380,19 @@ def _parse_profiles(entries) -> tuple[WeightProfile, ...]:
     """Profile entries, each a built-in name or {name, alpha, beta}; none means all built-ins."""
     if not isinstance(entries, list):
         raise DomainError("profiles must be a list")
-    profiles = []
-    for obj in entries:
-        if isinstance(obj, str):
-            profiles.append(profile_by_name(obj))
-            continue
-        _require_keys(obj, "profile", {"name", "alpha", "beta"})
-        profiles.append(WeightProfile(_string(obj["name"], "profile name"),
-                                      _number(obj["alpha"], "profile alpha"),
-                                      _number(obj["beta"], "profile beta")))
-    return tuple(profiles) or BUILTIN_PROFILES
+    return tuple(profile_by_name(e) if isinstance(e, str) else _build(WeightProfile, e, "profile")
+                 for e in entries) or BUILTIN_PROFILES
 
 
 def parse_suite_config(doc: dict) -> SuiteConfig:
-    """Validate a suite description; unknown keys anywhere are rejected."""
+    """Build and check every part of a suite, rejecting unknown keys, before any model is built."""
     _require_keys(doc, "config", {"model", "corpus", "pipelines"},
                   {"students", "repetitions", "energy_source", "profiles",
                    "perplexity", "calibration", "carbon_intensity_g_per_kwh",
                    "quality_exponent"})
 
-    model_spec = _check_model_spec(doc["model"], "model")
-    corpus_path = _string(doc["corpus"], "corpus")
+    model = _parse_model_spec(doc["model"], "model")
+    corpus_path = check_string(doc["corpus"], "corpus")
 
     if not isinstance(doc["pipelines"], list) or not doc["pipelines"]:
         raise DomainError("pipelines must be a non-empty list")
@@ -390,10 +400,11 @@ def parse_suite_config(doc: dict) -> SuiteConfig:
     for i, p in enumerate(doc["pipelines"]):
         what = f"pipelines[{i}]"
         _require_keys(p, what, {"name", "passes"})
-        _string(p["name"], f"{what}.name")
+        check_string(p["name"], f"{what}.name")
         if not isinstance(p["passes"], list):
             raise DomainError(f"{what}: passes must be a list")
-        passes = [_parse_pass(ps, f"{what}.passes[{j}]") for j, ps in enumerate(p["passes"])]
+        passes = [_build(*_tagged(ps, "op", _PASS_OPS, f"{what}.passes[{j}]"),
+                         f"{what}.passes[{j}]") for j, ps in enumerate(p["passes"])]
         pipelines.append(PipelineSpec(name=p["name"], passes=passes))
     names = [p.name for p in pipelines]
     if len(set(names)) != len(names):
@@ -407,73 +418,42 @@ def parse_suite_config(doc: dict) -> SuiteConfig:
     students = doc.get("students", {})
     if not isinstance(students, dict):
         raise DomainError("students must be a JSON object")
-    for sid, spec in students.items():
-        what = f"students[{sid!r}]"
-        if isinstance(spec, dict) and "path" in spec:
-            _require_keys(spec, what, {"path"})
-            _string(spec["path"], f"{what}.path")
-        else:
-            _check_student_spec(spec, what)
+    students = {sid: (_parse_model_spec if isinstance(spec, dict) and "path" in spec
+                      else _parse_student)(spec, f"students[{sid!r}]")
+                for sid, spec in students.items()}
 
-    reps = _integer(doc.get("repetitions", DEFAULT_REPETITIONS), "repetitions")
-
-    source_spec = doc.get("energy_source", {"kind": "synthetic"})
-    if not isinstance(source_spec, dict) or "kind" not in source_spec:
-        raise DomainError("energy_source needs a 'kind'")
-    kind = source_spec["kind"]
-    if kind == "synthetic":
-        _require_keys(source_spec, "energy_source", {"kind"},
-                      {"energy_deltas_j", "time_deltas_s"})
-        for key in ("energy_deltas_j", "time_deltas_s"):
-            deltas = source_spec.get(key, [])
-            if not isinstance(deltas, list):
-                raise DomainError(f"energy_source.{key} must be a list of numbers")
-            for d in deltas:
-                _number(d, f"energy_source.{key}")
-    elif kind == "power":
-        _require_keys(source_spec, "energy_source", {"kind", "watts"})
-        _number(source_spec["watts"], "energy_source.watts")
-    elif kind == "counter":
-        _require_keys(source_spec, "energy_source", {"kind", "path", "wrap_max_microjoules"})
-        _string(source_spec["path"], "energy_source.path")
-        _integer(source_spec["wrap_max_microjoules"], "energy_source.wrap_max_microjoules")
-    else:
-        raise DomainError(f"unknown energy source kind {kind!r}")
+    source_cls, source_args = _tagged(doc.get("energy_source", {"kind": "synthetic"}),
+                                      "kind", _ENERGY_SOURCES, "energy_source")
+    _build(source_cls, source_args, "energy_source")  # each run builds its own
 
     ppl = doc.get("perplexity", {})
     _require_keys(ppl, "perplexity", set(), {"window", "stride"})
     for key, value in ppl.items():
-        _integer(value, f"perplexity.{key}")
+        check_integer(value, f"perplexity.{key}", MIN_PPL_WINDOW if key == "window" else 1)
     calib = doc.get("calibration", {})
     _require_keys(calib, "calibration", set(), {"sequences", "length"})
+    carbon = check_number(doc.get("carbon_intensity_g_per_kwh", DEFAULT_CARBON_INTENSITY),
+                          "carbon_intensity_g_per_kwh")
+    carbon_estimate(0.0, carbon)  # rejects a negative intensity before any measurement
 
     return SuiteConfig(
-        raw=doc, model_spec=model_spec, corpus_path=corpus_path,
-        pipelines=pipelines, students=students, repetitions=reps,
-        energy_source_spec=source_spec, profiles=_parse_profiles(doc.get("profiles", [])),
+        raw=doc, model=model, corpus_path=corpus_path,
+        pipelines=pipelines, students=students,
+        repetitions=check_integer(doc.get("repetitions", DEFAULT_REPETITIONS), "repetitions"),
+        energy_source=functools.partial(source_cls, **source_args),
+        profiles=_parse_profiles(doc.get("profiles", [])),
         ppl_window=ppl.get("window"), ppl_stride=ppl.get("stride"),
-        calibration_sequences=_integer(calib.get("sequences", 8), "calibration.sequences"),
-        calibration_length=_integer(calib.get("length", 32), "calibration.length",
-                                    minimum=MIN_CALIBRATION_LEN),
-        carbon_intensity=_number(doc.get("carbon_intensity_g_per_kwh", DEFAULT_CARBON_INTENSITY),
-                                 "carbon_intensity_g_per_kwh"),
-        quality_exponent=_number(doc.get("quality_exponent", QUALITY_EXPONENT),
-                                 "quality_exponent"),
+        calibration_sequences=check_integer(calib.get("sequences", 8), "calibration.sequences"),
+        calibration_length=check_integer(calib.get("length", 32), "calibration.length",
+                                         minimum=MIN_CALIBRATION_LEN),
+        carbon_intensity=carbon,
+        quality_exponent=check_number(doc.get("quality_exponent", QUALITY_EXPONENT),
+                                      "quality_exponent"),
     )
 
 
 def load_suite_config(path) -> SuiteConfig:
     return parse_suite_config(_load_json(path))
-
-
-def _build_source(spec: dict):
-    kind = spec["kind"]
-    if kind == "synthetic":
-        return SyntheticClock(spec.get("energy_deltas_j", [1.0]),
-                              spec.get("time_deltas_s", [1.0]))
-    if kind == "power":
-        return PowerModel(spec["watts"])
-    return CounterFile(spec["path"], spec["wrap_max_microjoules"])
 
 
 def _load_corpus(path) -> np.ndarray:
@@ -493,34 +473,23 @@ def _calibration(corpus: np.ndarray, sequences: int, length: int) -> list[np.nda
     return [corpus[i * length:(i + 1) * length] for i in range(sequences)]
 
 
-def _resolve_model(spec: dict) -> TinyLM:
-    """Load or init the model a checked model spec describes."""
-    if "path" in spec:
-        return load_model(spec["path"])
-    return init_model(ModelConfig(**spec["config"]), seed=spec.get("seed", 0))
-
-
-def build_student(teacher: TinyLM, spec: dict, corpus: np.ndarray) -> TinyLM:
-    """Resolve one student spec: load from disk, or train against the teacher."""
-    if "path" in spec:
-        return load_model(spec["path"])
-    dconf = _parse_distill(spec["distill"], "student.distill")
-    if dconf.method == "seqkd":
-        sk = spec.get("seqkd", {})
-        n_prompts = sk.get("prompts", 12)
-        prompt_len = sk.get("prompt_len", 8)
-        gen_len = sk.get("length", 24)
-        if corpus.size < prompt_len:
+def build_student(teacher: TinyLM, spec: ModelSpec | StudentSpec,
+                  corpus: np.ndarray) -> TinyLM:
+    """Build one student: load a saved one, or distill it from the teacher."""
+    if isinstance(spec, ModelSpec):
+        return spec.build()
+    train_corpus = corpus
+    if spec.distill.method == "seqkd":
+        sk = spec.seqkd
+        if corpus.size < sk.prompt_len:
             raise DomainError("corpus too short to cut seqkd prompts from")
-        span = corpus.size - prompt_len
-        starts = [(i * span) // max(1, n_prompts - 1) for i in range(n_prompts)]
-        prompts = [corpus[s:s + prompt_len] for s in starts]
-        train_corpus = seqkd_corpus(teacher, prompts, gen_len, mode="greedy",
-                                    seed=dconf.seed)
-    else:
-        train_corpus = corpus
-    return train_student(teacher, ModelConfig(**spec["config"]), train_corpus, dconf,
-                         window=spec.get("window")).student
+        span = corpus.size - sk.prompt_len
+        starts = [(i * span) // max(1, sk.prompts - 1) for i in range(sk.prompts)]
+        prompts = [corpus[s:s + sk.prompt_len] for s in starts]
+        train_corpus = seqkd_corpus(teacher, prompts, sk.length, mode="greedy",
+                                    seed=spec.distill.seed)
+    return train_student(teacher, spec.config, train_corpus, spec.distill,
+                         window=spec.window).student
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +531,7 @@ def run_suite(config: SuiteConfig) -> Report:
     source and a seeded model, repeat runs produce byte-identical reports.
     """
     corpus = _load_corpus(config.corpus_path)
-    base = _resolve_model(config.model_spec)
+    base = config.model.build()
 
     def student_ids(passes) -> set[str]:
         return {ps.student for ps in passes if isinstance(ps, DistillRef)}
@@ -578,7 +547,7 @@ def run_suite(config: SuiteConfig) -> Report:
     calibration = _calibration(corpus, config.calibration_sequences,
                                config.calibration_length)
 
-    source = _build_source(config.energy_source_spec)
+    source = config.energy_source()
     measured: list[dict] = []
     for p in config.pipelines:
         failed = sorted(student_ids(p.passes) & set(student_errors))
@@ -685,7 +654,7 @@ def _model_from_args(args) -> TinyLM:
             raise DomainError("--arch fields must be integers") from None
         spec = {"config": dict(zip([f.name for f in fields(ModelConfig)], nums)),
                 "seed": args.seed}
-    return _resolve_model(_check_model_spec(spec, "model"))
+    return _parse_model_spec(spec, "model").build()
 
 
 def _profile_entries(args) -> list:
@@ -736,7 +705,7 @@ def _score_table(args) -> ScoreTable:
     if args.config:
         doc = _load_json(args.config)
         _require_keys(doc, "score config", set(), {"quality_exponent"})
-        exponent = _number(doc.get("quality_exponent", exponent), "quality_exponent")
+        exponent = check_number(doc.get("quality_exponent", exponent), "quality_exponent")
     return score_report(measurements, profiles=profiles, exponent=exponent)
 
 
@@ -867,16 +836,16 @@ def _cmd_distill(args) -> int:
     doc = _load_json(args.config)
     _require_keys(doc, "distill config", {"teacher", "corpus", "student"},
                   {"window", "seqkd"})
-    # the top-level window and seqkd belong to the student spec
+    # the top-level window and seqkd belong to the student spec, and so does --seed
     spec = doc["student"]
     if isinstance(spec, dict):
         spec = dict(spec, **{k: doc[k] for k in ("window", "seqkd") if k in doc})
-    _check_student_spec(spec, "student")
-    if args.seed is not None:
-        spec["distill"] = dict(spec["distill"], seed=args.seed)
-    teacher = _resolve_model(_check_model_spec(doc["teacher"], "teacher"))
-    student = build_student(teacher, spec, _load_corpus(_string(doc["corpus"], "corpus")))
-    save_model(student, args.out)
+        if args.seed is not None and isinstance(spec.get("distill"), dict):
+            spec["distill"] = dict(spec["distill"], seed=args.seed)
+    student = _parse_student(spec, "student")
+    teacher = _parse_model_spec(doc["teacher"], "teacher")
+    corpus = check_string(doc["corpus"], "corpus")
+    save_model(build_student(teacher.build(), student, _load_corpus(corpus)), args.out)
     print(f"wrote {args.out}")
     return 0
 

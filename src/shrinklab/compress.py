@@ -11,7 +11,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError, ShapeError, check_integer, check_number, check_string
 from .model import LINEAR_NAMES, TinyLM, dense_weight, forward, from_tensors, param_tensors
 
 SUPPORTED_BITS = (4, 8)
@@ -24,12 +24,12 @@ MIN_PRIOR_KEYS = 4
 
 
 def _check_bits(bits) -> None:
-    if bits not in SUPPORTED_BITS:
+    if check_integer(bits, "bits") not in SUPPORTED_BITS:
         raise DomainError(f"bits must be one of {SUPPORTED_BITS}, got {bits}")
 
 
 def _check_threshold(threshold) -> None:
-    if not 0.0 < threshold <= 1.0:
+    if not 0.0 < check_number(threshold, "threshold") <= 1.0:
         raise DomainError(f"threshold must lie in (0, 1], got {threshold}")
 
 
@@ -239,8 +239,7 @@ class DistillRef:
     student: str
 
     def __post_init__(self):
-        if not self.student:
-            raise DomainError("DistillRef needs a non-empty student id")
+        check_string(self.student, "student")
 
 
 CompressionPass = Quantize | PruneHeads | Prune24 | DistillRef

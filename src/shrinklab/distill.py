@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_integer, check_number
 from .model import (ModelConfig, TinyLM, _check_tokens, _forward_full, astype,
                     copy_model, dense_weight, gelu_grad, generate,
                     init_model, log_softmax_rows, param_tensors)
@@ -318,14 +318,14 @@ class DistillConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise DomainError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.temperature <= 0:
+        if check_number(self.temperature, "temperature") <= 0:
             raise DomainError("temperature must be positive")
-        if not 0.0 <= self.ce_mix_lambda <= 1.0:
+        if not 0.0 <= check_number(self.ce_mix_lambda, "ce_mix_lambda") <= 1.0:
             raise DomainError("ce_mix_lambda must lie in [0, 1]")
-        if self.steps < 0:
-            raise DomainError("steps must be non-negative")
-        if self.learning_rate <= 0:
+        if check_number(self.learning_rate, "learning_rate") <= 0:
             raise DomainError("learning_rate must be positive")
+        check_integer(self.steps, "steps", minimum=0)
+        check_integer(self.seed, "seed", minimum=0)
 
 
 @dataclass

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types, and the value checks every constructor runs on its arguments,
+so a wrong-typed value from a config file or a caller raises DomainError.
+"""
+import contextlib
+import math
+import numbers
 
 
 class DomainError(ValueError):
@@ -47,3 +52,28 @@ class StateError(RuntimeError):
 
 class SourceError(RuntimeError):
     """An energy source failed to deliver a reading."""
+
+
+def check_integer(value, what: str, minimum: int = 1) -> int:
+    """An integer of at least minimum; a boolean is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise DomainError(f"{what} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def check_number(value, what: str) -> float:
+    """A finite real number; a boolean is not one."""
+    number = math.nan
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):  # an int too large for a float
+            number = float(value)
+    if not math.isfinite(number):
+        raise DomainError(f"{what} must be a finite number, got {value!r}")
+    return number
+
+
+def check_string(value, what: str) -> str:
+    """A non-empty string, such as a file path or a name."""
+    if not isinstance(value, str) or not value:
+        raise DomainError(f"{what} must be a non-empty string, got {value!r}")
+    return value

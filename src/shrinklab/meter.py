@@ -7,12 +7,14 @@ per process at a time.
 """
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .errors import DomainError, SourceError, StateError
+from .errors import (DomainError, SourceError, StateError, check_integer, check_number,
+                     check_string)
 
 DEFAULT_REPETITIONS = 30
 DEFAULT_CARBON_INTENSITY = 475.0  # g CO2-eq per kWh, world average grid
@@ -30,28 +32,31 @@ class ResourceRecord:
     source: str
 
 
+def _script(deltas, what: str) -> list[float]:
+    """A non-empty list of non-negative scripted deltas."""
+    if isinstance(deltas, (str, bytes)) or not isinstance(deltas, Iterable):
+        raise DomainError(f"{what} must be a list of numbers, got {deltas!r}")
+    values = [check_number(d, what) for d in deltas]
+    if not values or min(values) < 0:
+        raise DomainError(f"{what} must hold at least one delta and no negative one")
+    return values
+
+
 class SyntheticClock:
     """Scripted source for deterministic tests.
 
     Each start/stop cycle yields the next (time delta, energy delta) from
     the scripts; scripts cycle when exhausted so any repetition count is
-    serviceable.  Energy deltas are joules, time deltas seconds.
+    serviceable.  Energy deltas are joules, time deltas seconds; each script
+    defaults to a single 1.0.
     """
 
     kind = "synthetic"
 
-    def __init__(self, energy_deltas_j: Sequence[float],
-                 time_deltas_s: Sequence[float] | None = None):
-        energy = [float(e) for e in energy_deltas_j]
-        if not energy:
-            raise DomainError("SyntheticClock needs at least one energy delta")
-        times = [float(t) for t in time_deltas_s] if time_deltas_s is not None else [1.0]
-        if not times:
-            raise DomainError("SyntheticClock needs at least one time delta")
-        if any(e < 0 for e in energy) or any(t < 0 for t in times):
-            raise DomainError("scripted deltas must be non-negative")
-        self._energy = energy
-        self._times = times
+    def __init__(self, energy_deltas_j: Sequence[float] = (1.0,),
+                 time_deltas_s: Sequence[float] = (1.0,)):
+        self._energy = _script(energy_deltas_j, "energy_deltas_j")
+        self._times = _script(time_deltas_s, "time_deltas_s")
         self._cycle = 0
 
     def start(self) -> None:
@@ -71,10 +76,10 @@ class PowerModel:
 
     kind = "power"
 
-    def __init__(self, watts: float, clock: Callable[[], float] = time.perf_counter):
-        if watts <= 0:
+    def __init__(self, watts: float, *, clock: Callable[[], float] = time.perf_counter):
+        self.watts = check_number(watts, "watts")
+        if self.watts <= 0:
             raise DomainError(f"watts must be positive, got {watts}")
-        self.watts = float(watts)
         self._clock = clock
         self._t0: float | None = None
 
@@ -99,12 +104,10 @@ class CounterFile:
 
     kind = "counter"
 
-    def __init__(self, path, wrap_max_microjoules: int,
+    def __init__(self, path, wrap_max_microjoules: int, *,
                  clock: Callable[[], float] = time.perf_counter):
-        if wrap_max_microjoules <= 0:
-            raise DomainError(f"wrap_max must be positive, got {wrap_max_microjoules}")
-        self.path = Path(path)
-        self.wrap_max = int(wrap_max_microjoules)
+        self.path = Path(path if isinstance(path, os.PathLike) else check_string(path, "path"))
+        self.wrap_max = check_integer(wrap_max_microjoules, "wrap_max_microjoules")
         self._clock = clock
         self._t0: float | None = None
         self._e0: int | None = None

@@ -17,11 +17,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, FormatError
+from .errors import DomainError, FormatError, check_integer
 
 LN_EPS = 1e-5
 INIT_STD = 0.02
 BYTE_VOCAB = 256
+# a perplexity window scores every token but its first
+MIN_PPL_WINDOW = 2
 
 # names of the linear projection attributes on a layer, in storage order
 LINEAR_NAMES = ("wq", "wk", "wv", "wo", "w_in", "w_out")
@@ -39,9 +41,7 @@ class ModelConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-                raise DomainError(f"{f.name} must be a positive integer, got {v!r}")
+            check_integer(getattr(self, f.name), f.name)
         if self.d_model % self.n_heads != 0:
             raise DomainError(
                 f"d_model {self.d_model} must be divisible by n_heads {self.n_heads}"
@@ -387,16 +387,16 @@ def perplexity(model: TinyLM, corpus, window: int | None = None,
     so the first token of each chunk is never scored.  A stride smaller than
     the window slides the window instead, giving each newly scored token at
     least window - stride tokens of context; every token is still scored
-    exactly once.
+    exactly once.  A window scores at least one token, so it spans at least
+    MIN_PPL_WINDOW tokens.
     """
     cfg = model.config
-    if window is None:
-        window = cfg.context_len
-    if stride is None:
-        stride = window
-    if not 1 <= window <= cfg.context_len:
-        raise DomainError(f"window must lie in [1, {cfg.context_len}]")
-    if not 1 <= stride <= window:
+    window = check_integer(cfg.context_len if window is None else window, "window",
+                           minimum=MIN_PPL_WINDOW)
+    stride = check_integer(window if stride is None else stride, "stride")
+    if window > cfg.context_len:
+        raise DomainError(f"window must lie in [{MIN_PPL_WINDOW}, {cfg.context_len}]")
+    if stride > window:
         raise DomainError("stride must lie in [1, window]")
     toks = np.asarray(corpus)
     if toks.ndim != 1 or toks.size < 2:
@@ -434,9 +434,7 @@ def generate(model: TinyLM, prompt, steps: int, mode: str = "greedy",
     are reproducible.  Greedy is the temperature -> 0 limit of sampling.
     """
     toks = _check_tokens(prompt, model.config)
-    if steps < 0:
-        raise DomainError("steps must be non-negative")
-    if toks.size + steps > model.config.context_len:
+    if toks.size + check_integer(steps, "steps", minimum=0) > model.config.context_len:
         raise DomainError(
             f"prompt of {toks.size} plus {steps} steps exceeds context length "
             f"{model.config.context_len}"

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .errors import BelowRandomFloor, DomainError
+from .errors import BelowRandomFloor, DomainError, check_number, check_string
 
 # Exponent applied to each quality ratio before averaging.  Chosen so that
 # quality loss dominates resource savings once degradation is substantial.
@@ -45,9 +45,8 @@ class WeightProfile:
     beta: float
 
     def __post_init__(self):
-        if not self.name:
-            raise DomainError("weight profile needs a name")
-        if self.alpha < 0 or self.beta < 0:
+        check_string(self.name, "weight profile name")
+        if check_number(self.alpha, "alpha") < 0 or check_number(self.beta, "beta") < 0:
             raise DomainError(f"profile {self.name!r}: weights must be non-negative")
         if abs(self.alpha + self.beta - 1.0) > 1e-12:
             raise DomainError(
@@ -147,7 +146,10 @@ def aggregate_quality(records: Sequence[MetricRecord],
     """
     if not records:
         raise DomainError("aggregate_quality needs at least one metric record")
-    return sum(metric_ratio(r) ** exponent for r in records) / len(records)
+    try:
+        return sum(metric_ratio(r) ** exponent for r in records) / len(records)
+    except OverflowError:
+        raise DomainError(f"a quality ratio raised to {exponent} overflows") from None
 
 
 @dataclass(frozen=True)
@@ -187,11 +189,15 @@ def opt_score(quality: Sequence[MetricRecord], ratios: ResourceRatios,
               profile: WeightProfile, exponent: float = QUALITY_EXPONENT) -> OptResult:
     """Score one compressed model; lower is better.
 
-    The quality records are aggregated into one quality factor.
+    The quality records are aggregated into one quality factor.  A score
+    that is not finite cannot be ranked and raises DomainError.
     """
     q = aggregate_quality(quality, exponent)
     cost = profile.alpha * ratios.time_ratio + profile.beta * ratios.energy_ratio
-    return OptResult(profile=profile, quality_factor=q, cost_factor=cost, opt=q * cost)
+    opt = q * cost
+    if not math.isfinite(opt):
+        raise DomainError(f"opt score of quality {q} and cost {cost} is not finite")
+    return OptResult(profile=profile, quality_factor=q, cost_factor=cost, opt=opt)
 
 
 def rank_methods(candidates: Sequence[tuple[str, OptResult]]) -> list[tuple[str, OptResult]]:

@@ -1,9 +1,12 @@
 """CSV ingest, scoring tables, suite configs, and the command line surface."""
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from shrinklab import data as bundled
 from shrinklab.cli import (
@@ -22,7 +25,10 @@ from shrinklab.cli import (
     score_report,
     write_metrics_csv,
 )
+from shrinklab.compress import DistillRef, Prune24, PruneHeads, Quantize
+from shrinklab.distill import DistillConfig
 from shrinklab.errors import BelowRandomFloor, DomainError, ParseError
+from shrinklab.meter import CounterFile, PowerModel, SyntheticClock
 from shrinklab.model import ModelConfig, init_model, load_model, save_model
 from shrinklab.scoring import WeightProfile
 
@@ -738,3 +744,237 @@ def test_cli_negative_seed_exits_two(tmp_path, capsys, command, extra):
     assert rc == 2
     assert err.startswith("error:") and "seed" in err
     assert not (tmp_path / "m.lmz").exists()
+
+
+# ---------------------------------------------------------------------------
+# config objects check their own fields, and parsing builds them all
+
+@pytest.mark.parametrize("build", [
+    lambda: Quantize(8.0),
+    lambda: PruneHeads("0.9"),
+    lambda: DistillRef(3),
+    lambda: DistillConfig("forward_kld", steps="5"),
+    lambda: DistillConfig("forward_kld", steps=2.5),
+    lambda: DistillConfig("forward_kld", seed=-1),
+    lambda: WeightProfile("p", "0.5", 0.5),
+    lambda: PowerModel("3"),
+    lambda: CounterFile(5, 1000),
+    lambda: CounterFile("uj", 1000.0),
+    lambda: SyntheticClock(5),
+], ids=["bits", "threshold", "student", "steps-str", "steps-float", "seed", "alpha",
+        "watts", "counter-path", "wrap", "deltas"])
+def test_constructors_reject_wrong_types(build):
+    with pytest.raises(DomainError):
+        build()
+
+
+@pytest.mark.parametrize("changes", [
+    {"energy_source": {"kind": "power", "watts": -1}},
+    {"energy_source": {"kind": "synthetic", "energy_deltas_j": []}},
+    {"energy_source": {"kind": "synthetic", "time_deltas_s": [-1]}},
+    {"energy_source": {"kind": "counter", "path": "uj", "wrap_max_microjoules": 0}},
+    {"energy_source": {"kind": "power", "watts": 3, "clock": 1}},
+    {"carbon_intensity_g_per_kwh": -1},
+    {"perplexity": {"window": 1}},
+    {"students": {"sk": {"config": {"n_layers": 1, "n_heads": 2, "d_model": 32, "d_ff": 128},
+                         "distill": {"method": "seqkd"}, "seqkd": {"prompts": 2.0}}}},
+], ids=["watts", "no-energy-deltas", "time-delta", "wrap", "clock", "carbon", "window",
+        "seqkd-prompts"])
+def test_parse_rejects_bad_values_before_any_model_is_built(tmp_path, monkeypatch, changes):
+    import shrinklab.cli as cli
+
+    def no_model(*args, **kwargs):
+        raise AssertionError("a model was built while parsing")
+
+    monkeypatch.setattr(cli, "init_model", no_model)
+    monkeypatch.setattr(cli, "load_model", no_model)
+    with pytest.raises(DomainError):
+        parse_suite_config(small_suite_doc(tmp_path, **changes))
+
+
+def test_parse_builds_the_objects_a_run_uses(tmp_path):
+    student = {"config": {"n_layers": 1, "n_heads": 2, "d_model": 32, "d_ff": 128},
+               "distill": {"method": "seqkd", "steps": 3}, "seqkd": {"length": 10}}
+    doc = small_suite_doc(tmp_path, students={"sk": student,
+                                              "saved": {"path": "s.lmz"}},
+                          profiles=["energy", {"name": "p", "alpha": 1, "beta": 0}])
+    cfg = parse_suite_config(doc)
+    assert cfg.model.config == ModelConfig(1, 2, 32, 128) and cfg.model.seed == 5
+    sk = cfg.students["sk"]
+    assert sk.distill == DistillConfig("seqkd", steps=3)
+    assert (sk.seqkd.prompts, sk.seqkd.prompt_len, sk.seqkd.length) == (12, 8, 10)
+    assert sk.window is None
+    assert cfg.students["saved"].path == "s.lmz"
+    assert [p.passes for p in cfg.pipelines] == [[], [Quantize(8)], [Prune24()]]
+    assert [p.name for p in cfg.profiles] == ["energy", "p"]
+    # every call makes a fresh source, at the start of its script
+    first, second = cfg.energy_source(), cfg.energy_source()
+    assert first is not second
+    assert first.stop() == second.stop() == (0.5, 2.0)
+
+
+def test_run_suite_twice_on_one_config_gives_identical_reports(tmp_path):
+    """The energy source is built per run: a synthetic script restarts each time."""
+    # 3 pipelines x 2 repetitions = 6 cycles, not a multiple of the scripts'
+    # length, so a source shared between runs would shift the second report
+    cfg = parse_suite_config(small_suite_doc(
+        tmp_path, energy_source={"kind": "synthetic", "energy_deltas_j": [2.0, 1.0, 4.0, 3.0],
+                                 "time_deltas_s": [0.5, 0.25, 1.0, 0.75]}))
+    assert run_suite(cfg).json() == run_suite(cfg).json()
+
+
+def test_cli_distill_seed_flag_is_checked_by_distill_config(tmp_path, capsys):
+    corpus = tmp_path / "c.txt"
+    corpus.write_bytes(bundled.path("toy_corpus.txt").read_bytes()[:400])
+    cfg_path = tmp_path / "distill.json"
+    cfg_path.write_text(json.dumps({
+        "teacher": {"config": BAD_STEPS_STUDENT["config"]}, "corpus": str(corpus),
+        "student": {"config": BAD_STEPS_STUDENT["config"],
+                    "distill": {"method": "forward_kld", "steps": 1}}}))
+    rc, _, err = run_main(capsys, "distill", "--config", str(cfg_path),
+                          "--out", str(tmp_path / "s.lmz"), "--seed", "-1")
+    assert rc == 2 and "seed" in err
+    assert not (tmp_path / "s.lmz").exists()
+
+
+# ---------------------------------------------------------------------------
+# scores that cannot be formed, and inputs that cannot be read
+
+OVERFLOW_TABLES = {
+    # the perplexity ratio is finite, its power under the quality exponent is not
+    "quality-overflow": "m,perplexity,lower,,1e-200,1e100\nm,time_s,lower,,1,2\n"
+                        "m,energy_kwh,lower,,1,2\n",
+    # quality and cost are finite, their product is not
+    "opt-overflow": "m,perplexity,lower,,1e-100,1e100\nm,time_s,lower,,1e-150,1e150\n"
+                    "m,energy_kwh,lower,,1,2\n",
+}
+
+
+@pytest.mark.parametrize("table", sorted(OVERFLOW_TABLES))
+@pytest.mark.parametrize("command", ["score", "rank", "plot-data"])
+def test_cli_unscoreable_table_exits_two(tmp_path, capsys, table, command):
+    metrics = write_csv(tmp_path, OVERFLOW_TABLES[table])
+    out = tmp_path / "plot.csv"
+    extra = ["--out", str(out)] if command == "plot-data" else []
+    rc, stdout, err = run_main(capsys, command, "--metrics", str(metrics), *extra)
+    assert rc == 2
+    assert err.startswith("error:") and "inf" not in stdout
+    assert not out.exists()
+
+
+def test_cli_perplexity_window_one_exits_two(tmp_path, capsys):
+    rc, _, err = run_main(capsys, "perplexity", "--seed", "1", "--arch", "1,2,32,128",
+                          "--corpus", str(bundled.path("toy_corpus.txt")), "--window", "1")
+    assert rc == 2 and "window" in err
+
+
+def test_non_utf8_inputs_are_parse_errors(tmp_path, capsys):
+    metrics = tmp_path / "m.csv"
+    metrics.write_bytes((HEADER + "\nm,perplexity,lower,,10,12\n").encode() + b"m,t\xffime\n")
+    with pytest.raises(ParseError) as exc:
+        ingest_metrics(metrics)
+    assert exc.value.line == 3
+    config = tmp_path / "suite.json"
+    config.write_bytes(b'{"corpus":\n "\xfe"}')
+    with pytest.raises(ParseError) as exc:
+        load_suite_config(config)
+    assert exc.value.line == 2
+    rc, _, err = run_main(capsys, "score", "--metrics", str(metrics))
+    assert rc == 2 and err.startswith("error:")
+
+
+# ---------------------------------------------------------------------------
+# property tests: parsing ends in a value or a typed error, nothing else
+
+def _value_paths(obj, path=()):
+    """Key paths to every value below the root of a JSON document, leaves and containers."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) \
+        if isinstance(obj, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _value_paths(value, path + (key,))
+
+
+def _property_doc(source):
+    student = {"config": {"n_layers": 1, "n_heads": 2, "d_model": 32, "d_ff": 128},
+               "distill": {"method": "seqkd", "temperature": 2.0, "steps": 3, "seed": 1},
+               "window": 16, "seqkd": {"prompts": 2, "prompt_len": 4, "length": 8}}
+    return {
+        "model": {"config": {"n_layers": 1, "n_heads": 2, "d_model": 32, "d_ff": 128},
+                  "seed": 5},
+        "corpus": "corpus.txt",
+        "students": {"kd": student, "saved": {"path": "kd.lmz"}},
+        "pipelines": [
+            {"name": "base", "passes": []},
+            {"name": "q", "passes": [{"op": "distill", "student": "kd"},
+                                     {"op": "quantize", "bits": 8},
+                                     {"op": "prune_heads", "threshold": 0.9},
+                                     {"op": "prune_2_4"}]},
+        ],
+        "repetitions": 2,
+        "energy_source": source,
+        "profiles": ["energy", {"name": "p", "alpha": 0.25, "beta": 0.75}],
+        "perplexity": {"window": 32, "stride": 16},
+        "calibration": {"sequences": 2, "length": 16},
+        "carbon_intensity_g_per_kwh": 300.0,
+        "quality_exponent": 1.5,
+    }
+
+
+_SOURCES = [{"kind": "synthetic", "energy_deltas_j": [2.0, 1.0], "time_deltas_s": [0.5]},
+            {"kind": "power", "watts": 3.5},
+            {"kind": "counter", "path": "uj", "wrap_max_microjoules": 1000}]
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from(["base", "kd", "quantize", "distill", "power", "counter", "energy"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=5)
+
+
+@given(source=st.sampled_from(_SOURCES), pick=st.integers(min_value=0), value=_JSON_VALUES)
+@settings(max_examples=300, deadline=None)
+def test_parse_with_one_value_replaced_returns_or_raises_typed_error(source, pick, value):
+    doc = _property_doc(dict(source))
+    paths = list(_value_paths(doc))
+    *parents, last = paths[pick % len(paths)]
+    holder = doc
+    for key in parents:
+        holder = holder[key]
+    holder[last] = value
+    try:
+        parse_suite_config(doc)
+    except (DomainError, ParseError):
+        pass
+
+
+# mostly positive numbers, pairs of them 1e300 apart, and a little junk
+_CSV_VALUES = st.sampled_from(["0.5", "1", "2", "1e-200", "1e100", "1e300", "nan", ""])
+
+
+@st.composite
+def _metrics_bytes(draw):
+    """Arbitrary bytes, or groups of rows shaped like the schema's (so that some
+    reach the scorer) with drawn values, a junk row and a stray byte."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=64))
+    rows = [HEADER]
+    for group in draw(st.lists(st.sampled_from("mn"), min_size=1, max_size=3)):
+        quality = draw(st.sampled_from(["perplexity,lower,", "acc,higher,0.25"]))
+        for metric in (quality, "time_s,lower,", "energy_kwh,lower,"):
+            rows.append(f"{group},{metric},{draw(_CSV_VALUES)},{draw(_CSV_VALUES)}")
+    rows += draw(st.lists(st.text(max_size=8) | st.sampled_from(['"', "\r", "\x00"]),
+                          max_size=1))
+    return "\n".join(rows).encode() + draw(st.sampled_from([b"", b"\n", b"\xff", b"\x00"]))
+
+
+@given(data=_metrics_bytes(), command=st.sampled_from(["score", "rank"]))
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_cli_score_on_arbitrary_bytes_exits_zero_or_two(tmp_path, capsys, data, command):
+    metrics = tmp_path / "fuzz.csv"
+    metrics.write_bytes(data)
+    rc, out, _ = run_main(capsys, command, "--metrics", str(metrics))
+    assert rc in (0, 2)
+    if rc == 0:  # and a printed score is always a finite number
+        assert not re.search(r"\b(inf|nan|Infinity|NaN)\b", out)

@@ -347,6 +347,15 @@ def test_perplexity_validation(small_model):
         perplexity(small_model, np.array([7]))
 
 
+@pytest.mark.parametrize("kwargs", [{"window": 1}, {"window": 1, "stride": 1},
+                                    {"window": 32.0}, {"window": 32, "stride": 8.5},
+                                    {"window": True}, {"window": "32"}])
+def test_perplexity_rejects_unusable_windows(small_model, kwargs):
+    """A one-token window scores nothing; a non-integer window or stride is no window."""
+    with pytest.raises(DomainError):
+        perplexity(small_model, np.arange(10), **kwargs)
+
+
 # ---------------------------------------------------------------------------
 # generation
 
@@ -381,6 +390,8 @@ def test_generate_bounds_and_modes(small_model):
         generate(small_model, prompt, steps=SMALL.context_len - 9)
     with pytest.raises(DomainError):
         generate(small_model, prompt, steps=-1)
+    with pytest.raises(DomainError):
+        generate(small_model, prompt, steps=2.5)
     with pytest.raises(DomainError):
         generate(small_model, prompt, steps=1, mode="beam")
     with pytest.raises(DomainError):

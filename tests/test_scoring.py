@@ -259,3 +259,16 @@ def test_opt_formula_hand_check():
     assert got.cost_factor == pytest.approx(c, rel=1e-14)
     assert got.opt == pytest.approx(q * c, rel=1e-14)
     assert math.isfinite(got.opt)
+
+
+def test_quality_overflow_is_a_domain_error():
+    """A finite ratio whose power overflows a float cannot be scored."""
+    with pytest.raises(DomainError, match="overflows"):
+        aggregate_quality(ppl(1e-200, 1e100))
+
+
+def test_opt_score_that_is_not_finite_is_a_domain_error():
+    """Quality and cost both finite, their product not: no score to rank."""
+    ratios = ResourceRatios.from_measurements(1e-150, 1e150, 1.0, 2.0)
+    with pytest.raises(DomainError, match="not finite"):
+        opt_score(ppl(1e-100, 1e100), ratios, BALANCED)
