@@ -48,6 +48,9 @@ ENERGY_METRIC = "energy_kwh"
 RESERVED_METRICS = (TIME_METRIC, ENERGY_METRIC)
 
 BASE_PIPELINE = "base"
+# head-concentration calibration: the corpus's first 8 sequences of 32 tokens
+CALIBRATION_SEQUENCES = 8
+CALIBRATION_LENGTH = 32
 
 
 # ---------------------------------------------------------------------------
@@ -210,9 +213,12 @@ def score_report(measurements, profiles=BUILTIN_PROFILES,
 
     scores: dict[str, dict[str, OptResult]] = {}
     for m in methods:
-        scores[m.label] = {
-            p.name: opt_score(m.records, m.ratios, p, exponent) for p in profs
-        }
+        scores[m.label] = {}
+        for p in profs:
+            try:
+                scores[m.label][p.name] = opt_score(m.records, m.ratios, p, exponent)
+            except DomainError as exc:
+                raise type(exc)(f"{m.label} under profile {p.name}: {exc}") from exc
     rankings = {
         p.name: [label for label, _ in rank_methods(
             [(m.label, scores[m.label][p.name]) for m in methods]
@@ -243,10 +249,13 @@ def emit_plot_data(table: ScoreTable, path) -> None:
 
 def _load_json(path) -> dict:
     """A JSON config document; syntax errors become ParseError with the line."""
+    text = _read_text(path)
     try:
-        doc = json.loads(_read_text(path))
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"config is not valid JSON: {exc.msg}", line=exc.lineno) from exc
+    except (ValueError, RecursionError) as exc:  # an over-long integer, too-deep nesting
+        raise ParseError(f"config JSON cannot be read: {exc}", line=1) from exc
     if not isinstance(doc, dict):
         raise DomainError("config must be a JSON object")
     return doc
@@ -443,9 +452,10 @@ def parse_suite_config(doc: dict) -> SuiteConfig:
         energy_source=functools.partial(source_cls, **source_args),
         profiles=_parse_profiles(doc.get("profiles", [])),
         ppl_window=ppl.get("window"), ppl_stride=ppl.get("stride"),
-        calibration_sequences=check_integer(calib.get("sequences", 8), "calibration.sequences"),
-        calibration_length=check_integer(calib.get("length", 32), "calibration.length",
-                                         minimum=MIN_CALIBRATION_LEN),
+        calibration_sequences=check_integer(calib.get("sequences", CALIBRATION_SEQUENCES),
+                                            "calibration.sequences"),
+        calibration_length=check_integer(calib.get("length", CALIBRATION_LENGTH),
+                                         "calibration.length", minimum=MIN_CALIBRATION_LEN),
         carbon_intensity=carbon,
         quality_exponent=check_number(doc.get("quality_exponent", QUALITY_EXPONENT),
                                       "quality_exponent"),
@@ -914,8 +924,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_source_args(sp)
     sp.add_argument("--corpus", required=True, help="calibration text")
     sp.add_argument("--threshold", type=float, required=True)
-    sp.add_argument("--calib-sequences", type=int, default=8)
-    sp.add_argument("--calib-length", type=int, default=32)
+    sp.add_argument("--calib-sequences", type=int, default=CALIBRATION_SEQUENCES)
+    sp.add_argument("--calib-length", type=int, default=CALIBRATION_LENGTH)
     sp.add_argument("--report", default=None, help="write concentration scores here")
     sp.add_argument("--out", default=None, help="write the masked model here")
     sp.set_defaults(func=_cmd_prune_heads)

@@ -251,8 +251,10 @@ def gelu_grad(x):
 
 def ln_detail(x, g, b):
     """Layer norm over the last axis; also returns the pieces backprop needs."""
-    xc = x - x.mean(axis=-1, keepdims=True)
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    # add.reduce / d rounds like .mean() but skips numpy's Python-level wrapper
+    d = x.shape[-1]
+    xc = x - np.add.reduce(x, axis=-1, keepdims=True) / d
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
     inv_std = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * inv_std
     return xhat * g + b, xhat, inv_std
@@ -294,13 +296,23 @@ class AttentionTrace:
 # ---------------------------------------------------------------------------
 # forward pass
 
-def _forward_full(model: TinyLM, tokens: np.ndarray, want_cache: bool):
+def _forward_full(model: TinyLM, tokens: np.ndarray, want_cache: bool, first_row: int = 0):
     """Single forward implementation behind inference, head scoring and backprop.
 
     Returns (logits, cache).  The cache of per-layer intermediates, which
     backprop and forward()'s attention trace read, is built only with
     want_cache and is None otherwise; it never changes the logits.
+
+    first_row > 0 returns only the logit rows first_row: (perplexity reads
+    no others).  Every block below the last still runs on all positions,
+    since later rows attend to them; the last block computes keys and values
+    for all positions and everything else only for the kept rows.  A row
+    subset of a product rounds like the full product's rows when it has at
+    least 2 rows and a C-contiguous right operand, so callers keep 2 or more
+    rows and the head multiplies by a contiguous copy of the embedding.
     """
+    if want_cache and first_row > 0:
+        raise DomainError("the cache covers every row; first_row must be 0")
     cfg = model.config
     W = model.weights
     n = tokens.size
@@ -311,22 +323,25 @@ def _forward_full(model: TinyLM, tokens: np.ndarray, want_cache: bool):
     mask_lower = np.tril(np.ones((n, n), dtype=bool))
     cache: dict | None = {"x_emb": x, "layers": []} if want_cache else None
 
+    last = len(W.layers) - 1
     for li, lw in enumerate(W.layers):
+        r = first_row if li == last else 0
+        n_q = n - r
         x_in = x
         a, xhat1, inv1 = ln_detail(x_in, lw.ln1_g, lw.ln1_b)
-        q = a @ dense_weight(lw.wq, dtype)
+        q = a[r:] @ dense_weight(lw.wq, dtype)
         k = a @ dense_weight(lw.wk, dtype)
         v = a @ dense_weight(lw.wv, dtype)
-        qh = q.reshape(n, n_heads, h_dim).transpose(1, 0, 2)
+        qh = q.reshape(n_q, n_heads, h_dim).transpose(1, 0, 2)
         kh = k.reshape(n, n_heads, h_dim).transpose(1, 0, 2)
         vh = v.reshape(n, n_heads, h_dim).transpose(1, 0, 2)
         scores = qh @ kh.transpose(0, 2, 1) / math.sqrt(h_dim)
-        scores = np.where(mask_lower, scores, -np.inf)
+        scores = np.where(mask_lower[r:], scores, -np.inf)
         probs = softmax_rows(scores)
         head_keep = model.head_mask[li].astype(dtype)[:, None, None]
         ctx = (probs @ vh) * head_keep
-        merged = ctx.transpose(1, 0, 2).reshape(n, cfg.d_model)
-        x_mid = x_in + merged @ dense_weight(lw.wo, dtype)
+        merged = ctx.transpose(1, 0, 2).reshape(n_q, cfg.d_model)
+        x_mid = x_in[r:] + merged @ dense_weight(lw.wo, dtype)
         h, xhat2, inv2 = ln_detail(x_mid, lw.ln2_g, lw.ln2_b)
         u = h @ dense_weight(lw.w_in, dtype)
         act = gelu(u)
@@ -340,7 +355,8 @@ def _forward_full(model: TinyLM, tokens: np.ndarray, want_cache: bool):
             })
 
     xf, xhatf, invf = ln_detail(x, W.ln_f_g, W.ln_f_b)
-    logits = xf @ dense_weight(W.tok_emb, dtype).T
+    head = dense_weight(W.tok_emb, dtype).T
+    logits = xf @ (np.ascontiguousarray(head) if first_row > 0 else head)
     if want_cache:
         cache["x_last"] = x
         cache["xf"] = xf
@@ -412,11 +428,12 @@ def perplexity(model: TinyLM, corpus, window: int | None = None,
         first = max(scored_upto, start + 1)
         if first < end:
             chunk = _check_tokens(toks[start:end], cfg)
-            logits, _ = _forward_full(model, chunk, want_cache=False)
-            idx = np.arange(first, end)
-            rows = logits[idx - 1 - start]
-            total += mean_nll(rows, chunk[idx - start]) * idx.size
-            count += idx.size
+            # rows first-1-start .. end-1-start: the scored ones plus the last,
+            # which keeps every product at 2 or more rows (see _forward_full)
+            logits, _ = _forward_full(model, chunk, want_cache=False,
+                                      first_row=first - 1 - start)
+            total += mean_nll(logits[:-1], chunk[first - start:]) * (end - first)
+            count += end - first
         scored_upto = end
         start += stride
     return float(np.exp(total / count))
@@ -501,7 +518,7 @@ def load_model(path) -> TinyLM:
         raise FormatError("missing header line", offset=0)
     try:
         header = json.loads(data[:newline].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or syntax, huge int, deep nesting
         pos = getattr(exc, "pos", 0)
         raise FormatError(f"header is not valid JSON: {exc}", offset=pos) from exc
     if not isinstance(header, dict) or "config" not in header or "tensors" not in header:

@@ -859,7 +859,20 @@ def test_cli_unscoreable_table_exits_two(tmp_path, capsys, table, command):
     rc, stdout, err = run_main(capsys, command, "--metrics", str(metrics), *extra)
     assert rc == 2
     assert err.startswith("error:") and "inf" not in stdout
+    assert "m under profile balanced:" in err  # the group and profile to fix
     assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [
+    '{"repetitions": ' + "9" * 5000 + "}",  # beyond Python's int-string digit limit
+    "[" * 100_000,  # deeper than the JSON decoder's recursion limit
+], ids=["huge-integer", "deep-nesting"])
+def test_cli_run_unreadable_json_exits_two(tmp_path, capsys, text):
+    config = tmp_path / "suite.json"
+    config.write_text(text)
+    rc, _, err = run_main(capsys, "run", "--config", str(config), "--out", str(tmp_path / "o"))
+    assert rc == 2 and err.startswith("error:")
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_perplexity_window_one_exits_two(tmp_path, capsys):

@@ -91,6 +91,40 @@ def test_measure_resets_flag_after_work_raises():
     measure(SyntheticClock([1.0]), lambda: None, repetitions=1)
 
 
+def _synthetic(tmp_path):
+    # the failed repetition never reached stop(), so it consumed no scripted delta
+    return SyntheticClock([2.0, 3.0], time_deltas_s=[0.5, 0.25]), lambda: None, (0.5, 2.0)
+
+
+def _power(tmp_path):
+    ticks = iter([0.0, 5.0, 8.0])  # failed start, then the second run's start and stop
+    return PowerModel(100.0, clock=lambda: next(ticks)), lambda: None, (3.0, 300.0)
+
+
+def _counter(tmp_path):
+    path = tmp_path / "energy_uj"
+    path.write_text("100")
+    ticks = iter([0.0, 10.0, 12.0])
+    src = CounterFile(path, wrap_max_microjoules=1000, clock=lambda: next(ticks))
+    path.write_text("400")  # energy spent by the failed run is not counted
+    return src, lambda: path.write_text("450"), (2.0, 50e-6)
+
+
+@pytest.mark.parametrize("make", [_synthetic, _power, _counter],
+                         ids=["synthetic", "power", "counter"])
+def test_measure_leaves_source_reusable_after_work_raises(tmp_path, make):
+    src, work, (want_s, want_j) = make(tmp_path)
+
+    def boom():
+        raise RuntimeError("work failed")
+
+    with pytest.raises(RuntimeError):
+        measure(src, boom, repetitions=1)
+    record = measure(src, work, repetitions=1)
+    assert record.wall_time_s == want_s
+    assert record.energy_kwh == pytest.approx(want_j / JOULES_PER_KWH, rel=1e-12)
+
+
 def test_measure_validation():
     with pytest.raises(DomainError):
         measure(SyntheticClock([1.0]), lambda: None, repetitions=0)

@@ -172,6 +172,27 @@ def test_forward_trace_is_the_stacked_cache_probs(toy_model, corpus):
     assert np.array_equal(trace.probs, stacked)
 
 
+@pytest.mark.parametrize("kind", ["fp32", "q4", "float64"])
+@pytest.mark.parametrize("config", [TOY, SMALL], ids=["toy", "small"])
+def test_forward_first_row_equals_the_full_forwards_rows(config, kind):
+    """The row cut perplexity uses changes no bit of the rows it keeps.
+
+    TOY is also the benchmark's teacher shape.  Windows of 4 or fewer
+    tokens are left out: there the full product takes another BLAS kernel.
+    """
+    from shrinklab.compress import quantize_model
+    base = init_model(config, seed=5)
+    m = {"fp32": base, "q4": quantize_model(base, 4), "float64": astype(base, np.float64)}[kind]
+    rng = np.random.default_rng(0)
+    for n in range(5, config.context_len + 1):
+        toks = rng.integers(0, config.vocab_size, size=n)
+        full, _ = _forward_full(m, toks, False)
+        for k in range(n - 1):
+            assert np.array_equal(_forward_full(m, toks, False, first_row=k)[0], full[k:]), (n, k)
+    with pytest.raises(DomainError):
+        _forward_full(m, toks, True, first_row=1)
+
+
 # ---------------------------------------------------------------------------
 # core math against the plain formulas
 
@@ -455,6 +476,17 @@ def test_load_rejects_non_json_header(tmp_path):
     with pytest.raises(FormatError) as exc:
         load_model(path)
     assert isinstance(exc.value.offset, int)
+
+
+@pytest.mark.parametrize("header", [
+    b'{"config": ' + b"9" * 5000 + b"}",  # beyond Python's int-string digit limit
+    b"[" * 100_000,  # deeper than the JSON decoder's recursion limit
+], ids=["huge-integer", "deep-nesting"])
+def test_load_rejects_unreadable_json_header(tmp_path, header):
+    path = tmp_path / "bad.lmz"
+    path.write_bytes(header + b"\nxxxx")
+    with pytest.raises(FormatError):
+        load_model(path)
 
 
 def test_load_rejects_truncated_payload(small_model, tmp_path):
