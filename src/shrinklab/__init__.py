@@ -12,9 +12,9 @@ from .scoring import (BALANCED, BUILTIN_PROFILES, ENERGY_FOCUS, QUALITY_EXPONENT
                       ResourceRatios, WeightProfile, aggregate_quality,
                       metric_ratio, opt_score, rank_methods,
                       ratio_higher_better, ratio_lower_better)
-from .model import (AttentionTrace, ModelConfig, TinyLM, detokenize, forward,
-                    generate, init_model, load_model, mean_nll, perplexity,
-                    save_model, tokenize, zero_model)
+from .model import (ModelConfig, TinyLM, detokenize, forward, generate,
+                    init_model, load_model, mean_nll, perplexity, save_model,
+                    tokenize, zero_model)
 from .compress import (DistillRef, HeadConcentrationReport, Prune24,
                        PruneHeads, Quantize, QuantizedTensor, compose,
                        dequantize, head_concentration, prune_2_4, prune_heads,

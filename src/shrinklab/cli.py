@@ -30,7 +30,7 @@ import numpy as np
 from .compress import (MIN_CALIBRATION_LEN, CompressionPass, DistillRef, Prune24,
                        PruneHeads, Quantize, compose, head_concentration,
                        prune_heads, prune_model_2_4, quantize_model)
-from .distill import DistillConfig, seqkd_corpus, train_student
+from .distill import METHOD_SEQKD, DistillConfig, seqkd_corpus, train_student
 from .errors import (DomainError, FormatError, ParseError, SourceError, StateError,
                      check_integer, check_number, check_string)
 from .meter import (DEFAULT_CARBON_INTENSITY, DEFAULT_REPETITIONS, CounterFile,
@@ -40,7 +40,8 @@ from .model import (LINEAR_NAMES, MIN_PPL_WINDOW, ModelConfig, TinyLM, dense_wei
                     tokenize)
 from .scoring import (BUILTIN_PROFILES, QUALITY_EXPONENT, Direction,
                       MetricRecord, OptResult, ResourceRatios, WeightProfile,
-                      opt_score, profile_by_name, rank_methods)
+                      check_quality_exponent, opt_score, profile_by_name,
+                      rank_methods)
 
 METRICS_HEADER = ["group", "metric", "direction", "random_floor", "base_value", "model_value"]
 TIME_METRIC = "time_s"
@@ -351,9 +352,11 @@ class StudentSpec:
 def _parse_student(obj, what: str) -> StudentSpec:
     """A trained student carries 'config' and 'distill', optionally 'window' and 'seqkd'."""
     _require_keys(obj, what, {"config", "distill"}, {"window", "seqkd"})
+    distill = _build(DistillConfig, obj["distill"], f"{what}.distill")
+    if "seqkd" in obj and distill.method != METHOD_SEQKD:
+        raise DomainError(f"{what}: seqkd is read only by method 'seqkd', not {distill.method!r}")
     return StudentSpec(
-        config=_build(ModelConfig, obj["config"], f"{what}.config"),
-        distill=_build(DistillConfig, obj["distill"], f"{what}.distill"),
+        config=_build(ModelConfig, obj["config"], f"{what}.config"), distill=distill,
         window=check_integer(obj["window"], f"{what}.window") if "window" in obj else None,
         seqkd=_build(SeqkdPrompts, obj.get("seqkd", {}), f"{what}.seqkd"))
 
@@ -441,6 +444,8 @@ def parse_suite_config(doc: dict) -> SuiteConfig:
         check_integer(value, f"perplexity.{key}", MIN_PPL_WINDOW if key == "window" else 1)
     calib = doc.get("calibration", {})
     _require_keys(calib, "calibration", set(), {"sequences", "length"})
+    calib_sequences, calib_length = _check_calibration(
+        calib.get("sequences", CALIBRATION_SEQUENCES), calib.get("length", CALIBRATION_LENGTH))
     carbon = check_number(doc.get("carbon_intensity_g_per_kwh", DEFAULT_CARBON_INTENSITY),
                           "carbon_intensity_g_per_kwh")
     carbon_estimate(0.0, carbon)  # rejects a negative intensity before any measurement
@@ -452,18 +457,10 @@ def parse_suite_config(doc: dict) -> SuiteConfig:
         energy_source=functools.partial(source_cls, **source_args),
         profiles=_parse_profiles(doc.get("profiles", [])),
         ppl_window=ppl.get("window"), ppl_stride=ppl.get("stride"),
-        calibration_sequences=check_integer(calib.get("sequences", CALIBRATION_SEQUENCES),
-                                            "calibration.sequences"),
-        calibration_length=check_integer(calib.get("length", CALIBRATION_LENGTH),
-                                         "calibration.length", minimum=MIN_CALIBRATION_LEN),
+        calibration_sequences=calib_sequences, calibration_length=calib_length,
         carbon_intensity=carbon,
-        quality_exponent=check_number(doc.get("quality_exponent", QUALITY_EXPONENT),
-                                      "quality_exponent"),
+        quality_exponent=check_quality_exponent(doc.get("quality_exponent", QUALITY_EXPONENT)),
     )
-
-
-def load_suite_config(path) -> SuiteConfig:
-    return parse_suite_config(_load_json(path))
 
 
 def _load_corpus(path) -> np.ndarray:
@@ -471,6 +468,12 @@ def _load_corpus(path) -> np.ndarray:
     if toks.size < 2:
         raise DomainError(f"corpus {path} holds fewer than 2 tokens")
     return toks
+
+
+def _check_calibration(sequences, length) -> tuple[int, int]:
+    """At least one calibration sequence, each long enough to hold an eligible query."""
+    return (check_integer(sequences, "calibration.sequences"),
+            check_integer(length, "calibration.length", minimum=MIN_CALIBRATION_LEN))
 
 
 def _calibration(corpus: np.ndarray, sequences: int, length: int) -> list[np.ndarray]:
@@ -715,7 +718,7 @@ def _score_table(args) -> ScoreTable:
     if args.config:
         doc = _load_json(args.config)
         _require_keys(doc, "score config", set(), {"quality_exponent"})
-        exponent = check_number(doc.get("quality_exponent", exponent), "quality_exponent")
+        exponent = check_quality_exponent(doc.get("quality_exponent", exponent))
     return score_report(measurements, profiles=profiles, exponent=exponent)
 
 
@@ -826,8 +829,8 @@ def _cmd_prune24(args) -> int:
 def _cmd_prune_heads(args) -> int:
     model = _model_from_args(args)
     corpus = _load_corpus(args.corpus)
-    report = head_concentration(
-        model, _calibration(corpus, args.calib_sequences, args.calib_length))
+    report = head_concentration(model, _calibration(
+        corpus, *_check_calibration(args.calib_sequences, args.calib_length)))
     if args.report:
         Path(args.report).write_text(json.dumps(report.as_dict(), indent=2,
                                                 sort_keys=True) + "\n")
@@ -849,6 +852,9 @@ def _cmd_distill(args) -> int:
     # the top-level window and seqkd belong to the student spec, and so does --seed
     spec = doc["student"]
     if isinstance(spec, dict):
+        twice = sorted(k for k in ("window", "seqkd") if k in doc and k in spec)
+        if twice:
+            raise DomainError(f"distill config: {twice} given both at the top level and in student")
         spec = dict(spec, **{k: doc[k] for k in ("window", "seqkd") if k in doc})
         if args.seed is not None and isinstance(spec.get("distill"), dict):
             spec["distill"] = dict(spec["distill"], seed=args.seed)

@@ -182,9 +182,8 @@ def head_concentration(model: TinyLM, calibration: Sequence) -> HeadConcentratio
     totals = np.zeros((cfg.n_layers, cfg.n_heads), dtype=np.float64)
     n_positions = 0
     for s in usable:
-        _, trace = forward(model, s)
-        probs = trace.probs.astype(np.float64)
-        eligible = probs[:, :, MIN_PRIOR_KEYS:, :]
+        _, probs = forward(model, s)
+        eligible = probs[:, :, MIN_PRIOR_KEYS:, :].astype(np.float64)
         totals += eligible.max(axis=3).sum(axis=2)
         n_positions += eligible.shape[2]
     return HeadConcentrationReport(scores=totals / n_positions, n_positions=n_positions)

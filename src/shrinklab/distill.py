@@ -13,9 +13,9 @@ import numpy as np
 
 from .errors import DomainError, check_integer, check_number
 from .model import (ModelConfig, TinyLM, _check_tokens, _forward_full, astype,
-                    copy_model, dense_weight, gelu_grad, generate,
+                    copy_model, gelu_grad, generate,
                     init_model, log_softmax_rows, param_tensors)
-# train_student's teacher pass calls _forward_full to skip the attention trace;
+# train_student's teacher pass calls _forward_full to skip the backprop cache;
 # forward stays importable here because perfbench's tracer patches distill.forward
 from .model import forward  # noqa: F401
 
@@ -142,8 +142,12 @@ def backward(model: TinyLM, tokens, spec: LossSpec) -> tuple[float, dict[str, np
 
     The model is run in float64 regardless of its stored dtype, so gradients
     are suitable for finite-difference verification.  Keys of the returned
-    dict match param_tensors names.
+    dict match param_tensors names.  Quantized weights cannot be trained and
+    raise DomainError.
     """
+    for name, t in param_tensors(model):
+        if not isinstance(t, np.ndarray):
+            raise DomainError(f"backward needs dense weights, {name} is quantized")
     m64 = astype(model, np.float64)
     toks = _check_tokens(tokens, m64.config)
     logits, cache = _forward_full(m64, toks, want_cache=True)
@@ -153,14 +157,11 @@ def backward(model: TinyLM, tokens, spec: LossSpec) -> tuple[float, dict[str, np
     W = m64.weights
     n = toks.size
     n_heads, h_dim = cfg.n_heads, cfg.d_head
-    grads: dict[str, np.ndarray] = {
-        name: np.zeros(dense_weight(t, np.float64).shape, dtype=np.float64)
-        for name, t in param_tensors(m64)
-    }
+    grads = {name: np.zeros_like(t) for name, t in param_tensors(m64)}
 
     xf = cache["xf"]
     grads["tok_emb"] += dlogits.T @ xf
-    dxf = dlogits @ dense_weight(W.tok_emb, np.float64)
+    dxf = dlogits @ W.tok_emb
     dx, dg, db = _ln_backward(dxf, cache["xhatf"], cache["invf"], W.ln_f_g)
     grads["ln_f.g"] += dg
     grads["ln_f.b"] += db
@@ -173,10 +174,10 @@ def backward(model: TinyLM, tokens, spec: LossSpec) -> tuple[float, dict[str, np
 
         # feed-forward half: x_out = x_mid + gelu(ln2(x_mid) @ w_in) @ w_out
         grads[pre + "w_out"] += c["act"].T @ dx
-        dact = dx @ dense_weight(lw.w_out, np.float64).T
+        dact = dx @ lw.w_out.T
         du = dact * gelu_grad(c["u"])
         grads[pre + "w_in"] += c["h"].T @ du
-        dh = du @ dense_weight(lw.w_in, np.float64).T
+        dh = du @ lw.w_in.T
         dmid_ln, dg2, db2 = _ln_backward(dh, c["xhat2"], c["inv2"], lw.ln2_g)
         grads[pre + "ln2_g"] += dg2
         grads[pre + "ln2_b"] += db2
@@ -184,7 +185,7 @@ def backward(model: TinyLM, tokens, spec: LossSpec) -> tuple[float, dict[str, np
 
         # attention half: x_mid = x_in + (heads(ln1(x_in)) merged) @ wo
         grads[pre + "wo"] += c["merged"].T @ dx_mid
-        dmerged = dx_mid @ dense_weight(lw.wo, np.float64).T
+        dmerged = dx_mid @ lw.wo.T
         dctx_m = dmerged.reshape(n, n_heads, h_dim).transpose(1, 0, 2)
         head_keep = m64.head_mask[li].astype(np.float64)[:, None, None]
         dctx = dctx_m * head_keep
@@ -201,9 +202,7 @@ def backward(model: TinyLM, tokens, spec: LossSpec) -> tuple[float, dict[str, np
         grads[pre + "wq"] += a.T @ dq
         grads[pre + "wk"] += a.T @ dk
         grads[pre + "wv"] += a.T @ dv
-        da = (dq @ dense_weight(lw.wq, np.float64).T
-              + dk @ dense_weight(lw.wk, np.float64).T
-              + dv @ dense_weight(lw.wv, np.float64).T)
+        da = dq @ lw.wq.T + dk @ lw.wk.T + dv @ lw.wv.T
         din_ln, dg1, db1 = _ln_backward(da, c["xhat1"], c["inv1"], lw.ln1_g)
         grads[pre + "ln1_g"] += dg1
         grads[pre + "ln1_b"] += db1
@@ -245,9 +244,6 @@ def grad_check(model: TinyLM, tokens, spec: LossSpec, epsilon: float = 1e-4,
     if sample_size < 1:
         raise DomainError("sample_size must be at least 1")
     m64 = astype(copy_model(model), np.float64)
-    for name, t in param_tensors(m64):
-        if not isinstance(t, np.ndarray):
-            raise DomainError(f"grad_check needs dense weights, {name} is quantized")
     toks = np.asarray(tokens, dtype=np.int64)
     _, grads = backward(m64, toks, spec)
 

@@ -260,10 +260,6 @@ def ln_detail(x, g, b):
     return xhat * g + b, xhat, inv_std
 
 
-def layer_norm(x, g, b):
-    return ln_detail(x, g, b)[0]
-
-
 def softmax_rows(x):
     """Softmax over the last axis, accumulated in float64, cast back to x's dtype."""
     # np.array always copies, so the in-place steps never touch the caller's x
@@ -282,31 +278,20 @@ def log_softmax_rows(x):
     return shifted
 
 
-@dataclass
-class AttentionTrace:
-    """Post-softmax attention maps, shape (n_layers, n_heads, seq, seq).
-
-    Rows are recorded before the head keep-mask is applied, so pruned heads
-    still show what they would have attended to.
-    """
-
-    probs: np.ndarray
-
-
 # ---------------------------------------------------------------------------
 # forward pass
 
 def _forward_full(model: TinyLM, tokens: np.ndarray, want_cache: bool, first_row: int = 0):
     """Single forward implementation behind inference, head scoring and backprop.
 
-    Returns (logits, cache).  The cache of per-layer intermediates, which
-    backprop and forward()'s attention trace read, is built only with
-    want_cache and is None otherwise; it never changes the logits.
+    Returns (logits, cache).  The cache holds just what backprop reads (and
+    forward() its attention maps); it is built only with want_cache and is
+    None otherwise, and it never changes the logits.
 
-    first_row > 0 returns only the logit rows first_row: (perplexity reads
-    no others).  Every block below the last still runs on all positions,
-    since later rows attend to them; the last block computes keys and values
-    for all positions and everything else only for the kept rows.  A row
+    first_row > 0 returns only the logit rows first_row: (perplexity and
+    generate read no others).  Every block below the last still runs on all
+    positions, since later rows attend to them; the last block computes keys
+    and values for all positions and everything else only for the kept rows.  A row
     subset of a product rounds like the full product's rows when it has at
     least 2 rows and a C-contiguous right operand, so callers keep 2 or more
     rows and the head multiplies by a contiguous copy of the embedding.
@@ -320,15 +305,14 @@ def _forward_full(model: TinyLM, tokens: np.ndarray, want_cache: bool, first_row
     dtype = W.tok_emb.dtype
 
     x = W.tok_emb[tokens] + W.pos_emb[:n]
-    mask_lower = np.tril(np.ones((n, n), dtype=bool))
-    cache: dict | None = {"x_emb": x, "layers": []} if want_cache else None
+    causal = np.tri(n, dtype=bool)
+    cache: dict | None = {"layers": []} if want_cache else None
 
     last = len(W.layers) - 1
     for li, lw in enumerate(W.layers):
         r = first_row if li == last else 0
         n_q = n - r
-        x_in = x
-        a, xhat1, inv1 = ln_detail(x_in, lw.ln1_g, lw.ln1_b)
+        a, xhat1, inv1 = ln_detail(x, lw.ln1_g, lw.ln1_b)
         q = a[r:] @ dense_weight(lw.wq, dtype)
         k = a @ dense_weight(lw.wk, dtype)
         v = a @ dense_weight(lw.wv, dtype)
@@ -336,40 +320,41 @@ def _forward_full(model: TinyLM, tokens: np.ndarray, want_cache: bool, first_row
         kh = k.reshape(n, n_heads, h_dim).transpose(1, 0, 2)
         vh = v.reshape(n, n_heads, h_dim).transpose(1, 0, 2)
         scores = qh @ kh.transpose(0, 2, 1) / math.sqrt(h_dim)
-        scores = np.where(mask_lower[r:], scores, -np.inf)
+        scores = np.where(causal[r:], scores, -np.inf)
         probs = softmax_rows(scores)
         head_keep = model.head_mask[li].astype(dtype)[:, None, None]
         ctx = (probs @ vh) * head_keep
         merged = ctx.transpose(1, 0, 2).reshape(n_q, cfg.d_model)
-        x_mid = x_in[r:] + merged @ dense_weight(lw.wo, dtype)
+        x_mid = x[r:] + merged @ dense_weight(lw.wo, dtype)
         h, xhat2, inv2 = ln_detail(x_mid, lw.ln2_g, lw.ln2_b)
         u = h @ dense_weight(lw.w_in, dtype)
         act = gelu(u)
         x = x_mid + act @ dense_weight(lw.w_out, dtype)
         if want_cache:
             cache["layers"].append({
-                "x_in": x_in, "a": a, "xhat1": xhat1, "inv1": inv1,
-                "qh": qh, "kh": kh, "vh": vh, "probs": probs,
-                "merged": merged, "x_mid": x_mid,
+                "a": a, "xhat1": xhat1, "inv1": inv1, "qh": qh, "kh": kh, "vh": vh,
+                "probs": probs, "merged": merged,
                 "h": h, "xhat2": xhat2, "inv2": inv2, "u": u, "act": act,
             })
 
     xf, xhatf, invf = ln_detail(x, W.ln_f_g, W.ln_f_b)
-    head = dense_weight(W.tok_emb, dtype).T
+    head = W.tok_emb.T
     logits = xf @ (np.ascontiguousarray(head) if first_row > 0 else head)
     if want_cache:
-        cache["x_last"] = x
-        cache["xf"] = xf
-        cache["xhatf"] = xhatf
-        cache["invf"] = invf
+        cache.update(xf=xf, xhatf=xhatf, invf=invf)
     return logits, cache
 
 
-def forward(model: TinyLM, tokens) -> tuple[np.ndarray, AttentionTrace]:
-    """Logits (seq, vocab) and attention trace for one sequence."""
+def forward(model: TinyLM, tokens) -> tuple[np.ndarray, np.ndarray]:
+    """Logits (seq, vocab) and post-softmax attention maps for one sequence.
+
+    The maps have shape (n_layers, n_heads, seq, seq).  They are recorded
+    before the head keep-mask is applied, so pruned heads still show what
+    they would have attended to.
+    """
     toks = _check_tokens(tokens, model.config)
     logits, cache = _forward_full(model, toks, want_cache=True)
-    return logits, AttentionTrace(np.stack([c["probs"] for c in cache["layers"]]))
+    return logits, np.stack([c["probs"] for c in cache["layers"]])
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +449,9 @@ def generate(model: TinyLM, prompt, steps: int, mode: str = "greedy",
     rng = np.random.default_rng(seed)
     seq = list(toks)
     for _ in range(steps):
-        logits, _ = _forward_full(model, np.asarray(seq, dtype=np.int64), want_cache=False)
+        # the last row is read; the one before keeps the products at 2 rows (see _forward_full)
+        logits, _ = _forward_full(model, np.asarray(seq, dtype=np.int64), want_cache=False,
+                                  first_row=max(len(seq) - 2, 0))
         last = np.asarray(logits[-1], dtype=np.float64)
         if mode == "greedy":
             nxt = int(np.argmax(last))

@@ -136,6 +136,13 @@ def metric_ratio(record: MetricRecord) -> float:
     return ratio_higher_better(record.base_value, record.model_value, record.random_floor)
 
 
+def check_quality_exponent(exponent) -> float:
+    """A positive finite exponent: zero makes every ratio 1, a negative one inverts the order."""
+    if check_number(exponent, "quality_exponent") <= 0:
+        raise DomainError(f"quality_exponent must be positive, got {exponent!r}")
+    return float(exponent)
+
+
 def aggregate_quality(records: Sequence[MetricRecord],
                       exponent: float = QUALITY_EXPONENT) -> float:
     """Quality factor over a set of metrics.
@@ -144,6 +151,7 @@ def aggregate_quality(records: Sequence[MetricRecord],
     averaged.  The mean itself is the quality factor entering the final
     score; it is not raised to the exponent a second time.
     """
+    check_quality_exponent(exponent)
     if not records:
         raise DomainError("aggregate_quality needs at least one metric record")
     try:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from shrinklab import data as bundled
 from shrinklab.cli import (
+    _load_json,
     BASE_PIPELINE,
     METRICS_HEADER,
     Report,
@@ -17,7 +18,6 @@ from shrinklab.cli import (
     config_digest,
     emit_plot_data,
     ingest_metrics,
-    load_suite_config,
     main,
     parse_suite_config,
     report_metric_rows,
@@ -297,7 +297,7 @@ def test_suite_config_from_file_bad_json(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text("{not json\n")
     with pytest.raises(ParseError):
-        load_suite_config(path)
+        parse_suite_config(_load_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +446,19 @@ def test_cli_prune_heads_writes_report(tmp_path, capsys):
     assert "pruned" in out
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--calib-length", "-1"), ("--calib-length", "0"), ("--calib-length", "4"),
+    ("--calib-sequences", "-1"), ("--calib-sequences", "0"),
+])
+def test_cli_prune_heads_checks_calibration_like_the_suite(tmp_path, capsys, flag, value):
+    out_path = tmp_path / "pruned.lmz"
+    rc, _, err = run_main(capsys, "prune-heads", "--seed", "0",
+                          "--corpus", str(bundled.path("toy_corpus.txt")),
+                          "--threshold", "0.9", flag, value, "--out", str(out_path))
+    assert rc == 2 and "calibration" in err
+    assert not out_path.exists()
+
+
 def test_cli_distill_trains_and_saves(tmp_path, capsys):
     corpus = tmp_path / "c.txt"
     corpus.write_bytes(bundled.path("toy_corpus.txt").read_bytes()[:400])
@@ -481,6 +494,16 @@ def test_cli_score_and_rank(tmp_path, capsys):
     assert rc == 0
     assert "[energy]" in out
     assert "1. 4bit" in out and "2. 8bit" in out
+
+
+@pytest.mark.parametrize("exponent", [-1.5, 0])
+def test_cli_rank_rejects_non_positive_quality_exponent(tmp_path, capsys, exponent):
+    """A negative exponent would rank distil ahead of 4bit; zero would tie every method."""
+    config = tmp_path / "exponent.json"
+    config.write_text(json.dumps({"quality_exponent": exponent}))
+    rc, out, err = run_main(capsys, "rank", "--metrics", str(bundled.path("gpt2_standalone.csv")),
+                            "--config", str(config))
+    assert rc == 2 and "quality_exponent" in err and not out
 
 
 def test_cli_plot_data_and_custom_profile(tmp_path, capsys):
@@ -778,8 +801,10 @@ def test_constructors_reject_wrong_types(build):
     {"perplexity": {"window": 1}},
     {"students": {"sk": {"config": {"n_layers": 1, "n_heads": 2, "d_model": 32, "d_ff": 128},
                          "distill": {"method": "seqkd"}, "seqkd": {"prompts": 2.0}}}},
+    {"quality_exponent": -1.5},
+    {"quality_exponent": 0},
 ], ids=["watts", "no-energy-deltas", "time-delta", "wrap", "clock", "carbon", "window",
-        "seqkd-prompts"])
+        "seqkd-prompts", "exponent-negative", "exponent-zero"])
 def test_parse_rejects_bad_values_before_any_model_is_built(tmp_path, monkeypatch, changes):
     import shrinklab.cli as cli
 
@@ -821,6 +846,29 @@ def test_run_suite_twice_on_one_config_gives_identical_reports(tmp_path):
         tmp_path, energy_source={"kind": "synthetic", "energy_deltas_j": [2.0, 1.0, 4.0, 3.0],
                                  "time_deltas_s": [0.5, 0.25, 1.0, 0.75]}))
     assert run_suite(cfg).json() == run_suite(cfg).json()
+
+
+def test_cli_distill_rejects_a_key_given_twice(tmp_path, capsys):
+    corpus = tmp_path / "c.txt"
+    corpus.write_bytes(bundled.path("toy_corpus.txt").read_bytes()[:400])
+    cfg_path = tmp_path / "distill.json"
+    cfg_path.write_text(json.dumps({
+        "teacher": {"config": BAD_STEPS_STUDENT["config"]}, "corpus": str(corpus),
+        "window": 32,
+        "student": {"config": BAD_STEPS_STUDENT["config"], "window": 16,
+                    "distill": {"method": "forward_kld", "steps": 1}}}))
+    rc, _, err = run_main(capsys, "distill", "--config", str(cfg_path),
+                          "--out", str(tmp_path / "s.lmz"))
+    assert rc == 2 and "window" in err
+    assert not (tmp_path / "s.lmz").exists()
+
+
+@pytest.mark.parametrize("method", ["forward_kld", "reverse_kld"])
+def test_parse_rejects_a_seqkd_block_no_student_reads(tmp_path, method):
+    student = {"config": {"n_layers": 1, "n_heads": 2, "d_model": 32, "d_ff": 128},
+               "distill": {"method": method}, "seqkd": {"length": 10}}
+    with pytest.raises(DomainError, match="seqkd"):
+        parse_suite_config(small_suite_doc(tmp_path, students={"kd": student}))
 
 
 def test_cli_distill_seed_flag_is_checked_by_distill_config(tmp_path, capsys):
@@ -890,7 +938,7 @@ def test_non_utf8_inputs_are_parse_errors(tmp_path, capsys):
     config = tmp_path / "suite.json"
     config.write_bytes(b'{"corpus":\n "\xfe"}')
     with pytest.raises(ParseError) as exc:
-        load_suite_config(config)
+        parse_suite_config(_load_json(config))
     assert exc.value.line == 2
     rc, _, err = run_main(capsys, "score", "--metrics", str(metrics))
     assert rc == 2 and err.startswith("error:")

@@ -184,6 +184,12 @@ def test_grad_check_validation(small_model, corpus):
         grad_check(quantize_model(small_model, 8), tokens, spec)
 
 
+def test_backward_rejects_quantized_weights(small_model, corpus):
+    spec = CrossEntropy(corpus[1:13].copy())
+    with pytest.raises(DomainError, match="quantized"):
+        backward(quantize_model(small_model, 8), corpus[:12], spec)
+
+
 def test_backward_rejects_bad_tokens(small_model):
     spec = CrossEntropy(np.array([1, 2]))
     with pytest.raises(DomainError):

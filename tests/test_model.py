@@ -20,7 +20,7 @@ from shrinklab.model import (
     gelu_grad,
     generate,
     init_model,
-    layer_norm,
+    ln_detail,
     load_model,
     log_softmax_rows,
     mean_nll,
@@ -140,8 +140,7 @@ def test_forward_matches_naive_oracle(toy_model, corpus):
 
 def test_attention_trace_shape_and_row_sums(toy_model, corpus):
     tokens = corpus[:17]
-    _, trace = forward(toy_model, tokens)
-    probs = trace.probs
+    _, probs = forward(toy_model, tokens)
     assert probs.shape == (TOY.n_layers, TOY.n_heads, 17, 17)
     sums = probs.sum(axis=-1)
     assert np.allclose(sums, 1.0, atol=1e-5)
@@ -160,16 +159,17 @@ def test_forward_prefix_consistency(small_model, corpus):
 
 def test_forward_trace_is_the_stacked_cache_probs(toy_model, corpus):
     tokens = corpus[:20]
-    logits, trace = forward(toy_model, tokens)
+    logits, probs = forward(toy_model, tokens)
     bare, no_cache = _forward_full(toy_model, tokens, want_cache=False)
     assert no_cache is None
     assert np.array_equal(bare, logits)
     cached, cache = _forward_full(toy_model, tokens, want_cache=True)
     assert np.array_equal(cached, logits)
-    # the trace forward() returns is the probs the cache keeps for backprop
+    # the maps forward() returns are the probs the cache keeps for backprop
     stacked = np.stack([layer["probs"] for layer in cache["layers"]])
-    assert trace.probs.dtype == stacked.dtype == toy_model.weights.tok_emb.dtype
-    assert np.array_equal(trace.probs, stacked)
+    assert isinstance(probs, np.ndarray)
+    assert probs.dtype == stacked.dtype == toy_model.weights.tok_emb.dtype
+    assert np.array_equal(probs, stacked)
 
 
 @pytest.mark.parametrize("kind", ["fp32", "q4", "float64"])
@@ -245,7 +245,7 @@ def test_layer_norm_equals_two_pass_formula(dtype):
     mu = x.mean(axis=-1, keepdims=True)
     var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
     expect = (x - mu) * (1.0 / np.sqrt(var + LN_EPS)) * g + b
-    assert np.array_equal(layer_norm(x, g, b), expect)
+    assert np.array_equal(ln_detail(x, g, b)[0], expect)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -419,6 +419,32 @@ def test_generate_bounds_and_modes(small_model):
         generate(small_model, prompt, steps=1, mode="sample", temperature=0.0)
     same = generate(small_model, prompt, steps=0)
     assert same.tolist() == prompt.tolist()
+
+
+def _full_forward_continuation(model, prompt, steps, mode, seed):
+    """generate's contract: each token from the full forward's last row, drawn as generate draws."""
+    rng = np.random.default_rng(seed)
+    seq = list(prompt)
+    for _ in range(steps):
+        logits, _ = _forward_full(model, np.asarray(seq), want_cache=False)
+        last = logits[-1].astype(np.float64)
+        if mode == "greedy":
+            seq.append(int(np.argmax(last)))
+        else:
+            p = np.exp(last - last.max())
+            seq.append(int(rng.choice(p.size, p=p / p.sum())))
+    return seq
+
+
+@pytest.mark.parametrize("mode", ["greedy", "sample"])
+@pytest.mark.parametrize("config", [TOY, SMALL], ids=["toy", "small"])
+def test_generate_picks_what_the_full_forwards_last_row_picks(config, mode, corpus):
+    """generate computes only its last 2 rows; the tokens are those of the full forward."""
+    model = init_model(config, seed=3)
+    for length in range(1, 9):
+        prompt = corpus[40 * length:41 * length]
+        got = generate(model, prompt, steps=12, mode=mode, seed=length)
+        assert got.tolist() == _full_forward_continuation(model, prompt, 12, mode, length)
 
 
 # ---------------------------------------------------------------------------

@@ -124,6 +124,14 @@ def test_aggregate_quality_is_mean_of_powered_ratios():
         aggregate_quality([])
 
 
+@pytest.mark.parametrize("exponent", [0, -1.5])
+def test_aggregate_quality_rejects_non_positive_exponent(exponent):
+    """Zero would score every method 1; a negative exponent would invert the order."""
+    rec = MetricRecord("ppl", Direction.LOWER_BETTER, 10.0, 14.0)
+    with pytest.raises(DomainError, match="quality_exponent"):
+        aggregate_quality([rec], exponent=exponent)
+
+
 def test_no_double_exponentiation():
     """opt must consume the aggregate directly, not re-raise it to the exponent."""
     rec = MetricRecord("ppl", Direction.LOWER_BETTER, 10.0, 14.0)
