@@ -24,7 +24,5 @@ from .distill import (CrossEntropy, DistillConfig, ForwardKLD, GradCheckReport,
                       grad_check, reverse_kld_loss, seqkd_corpus, train_student)
 from .meter import (CounterFile, PowerModel, ResourceRecord, SyntheticClock,
                     carbon_estimate, counter_delta, measure)
-from .cli import (MethodMeasurements, Report, ScoreTable, emit_plot_data,
-                  ingest_metrics, run_suite, score_report)
 
 __version__ = "0.1.0"

@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .compress import (MIN_CALIBRATION_LEN, CompressionPass, DistillRef, Prune24,
+from .compress import (SUPPORTED_BITS, Calibration, CompressionPass, DistillRef, Prune24,
                        PruneHeads, Quantize, compose, head_concentration,
                        prune_heads, prune_model_2_4, quantize_model)
 from .distill import METHOD_SEQKD, DistillConfig, seqkd_corpus, train_student
@@ -36,8 +36,8 @@ from .errors import (DomainError, FormatError, ParseError, SourceError, StateErr
 from .meter import (DEFAULT_CARBON_INTENSITY, DEFAULT_REPETITIONS, CounterFile,
                     EnergySource, PowerModel, SyntheticClock, carbon_estimate, measure)
 from .model import (LINEAR_NAMES, MIN_PPL_WINDOW, ModelConfig, TinyLM, dense_weight,
-                    init_model, load_model, param_tensors, perplexity, save_model,
-                    tokenize)
+                    init_model, load_model, param_tensors, perplexity,
+                    perplexity_window, save_model, tokenize)
 from .scoring import (BUILTIN_PROFILES, QUALITY_EXPONENT, Direction,
                       MetricRecord, OptResult, ResourceRatios, WeightProfile,
                       check_quality_exponent, opt_score, profile_by_name,
@@ -49,9 +49,6 @@ ENERGY_METRIC = "energy_kwh"
 RESERVED_METRICS = (TIME_METRIC, ENERGY_METRIC)
 
 BASE_PIPELINE = "base"
-# head-concentration calibration: the corpus's first 8 sequences of 32 tokens
-CALIBRATION_SEQUENCES = 8
-CALIBRATION_LENGTH = 32
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +379,7 @@ class SuiteConfig:
     profiles: tuple[WeightProfile, ...]
     ppl_window: int | None
     ppl_stride: int | None
-    calibration_sequences: int
-    calibration_length: int
+    calibration: Calibration
     carbon_intensity: float
     quality_exponent: float
 
@@ -442,10 +438,6 @@ def parse_suite_config(doc: dict) -> SuiteConfig:
     _require_keys(ppl, "perplexity", set(), {"window", "stride"})
     for key, value in ppl.items():
         check_integer(value, f"perplexity.{key}", MIN_PPL_WINDOW if key == "window" else 1)
-    calib = doc.get("calibration", {})
-    _require_keys(calib, "calibration", set(), {"sequences", "length"})
-    calib_sequences, calib_length = _check_calibration(
-        calib.get("sequences", CALIBRATION_SEQUENCES), calib.get("length", CALIBRATION_LENGTH))
     carbon = check_number(doc.get("carbon_intensity_g_per_kwh", DEFAULT_CARBON_INTENSITY),
                           "carbon_intensity_g_per_kwh")
     carbon_estimate(0.0, carbon)  # rejects a negative intensity before any measurement
@@ -457,7 +449,7 @@ def parse_suite_config(doc: dict) -> SuiteConfig:
         energy_source=functools.partial(source_cls, **source_args),
         profiles=_parse_profiles(doc.get("profiles", [])),
         ppl_window=ppl.get("window"), ppl_stride=ppl.get("stride"),
-        calibration_sequences=calib_sequences, calibration_length=calib_length,
+        calibration=_build(Calibration, doc.get("calibration", {}), "calibration"),
         carbon_intensity=carbon,
         quality_exponent=check_quality_exponent(doc.get("quality_exponent", QUALITY_EXPONENT)),
     )
@@ -470,29 +462,13 @@ def _load_corpus(path) -> np.ndarray:
     return toks
 
 
-def _check_calibration(sequences, length) -> tuple[int, int]:
-    """At least one calibration sequence, each long enough to hold an eligible query."""
-    return (check_integer(sequences, "calibration.sequences"),
-            check_integer(length, "calibration.length", minimum=MIN_CALIBRATION_LEN))
-
-
-def _calibration(corpus: np.ndarray, sequences: int, length: int) -> list[np.ndarray]:
-    """The corpus's first sequences x length tokens, cut into calibration sequences."""
-    need = sequences * length
-    if corpus.size < need:
-        raise DomainError(
-            f"corpus of {corpus.size} tokens cannot supply {need} calibration tokens"
-        )
-    return [corpus[i * length:(i + 1) * length] for i in range(sequences)]
-
-
 def build_student(teacher: TinyLM, spec: ModelSpec | StudentSpec,
                   corpus: np.ndarray) -> TinyLM:
     """Build one student: load a saved one, or distill it from the teacher."""
     if isinstance(spec, ModelSpec):
         return spec.build()
     train_corpus = corpus
-    if spec.distill.method == "seqkd":
+    if spec.distill.method == METHOD_SEQKD:
         sk = spec.seqkd
         if corpus.size < sk.prompt_len:
             raise DomainError("corpus too short to cut seqkd prompts from")
@@ -545,6 +521,9 @@ def run_suite(config: SuiteConfig) -> Report:
     """
     corpus = _load_corpus(config.corpus_path)
     base = config.model.build()
+    # checked against the base model before any student is trained
+    calibration = config.calibration.cut(corpus, base.config.context_len)
+    perplexity_window(base.config.context_len, config.ppl_window, config.ppl_stride)
 
     def student_ids(passes) -> set[str]:
         return {ps.student for ps in passes if isinstance(ps, DistillRef)}
@@ -556,9 +535,6 @@ def run_suite(config: SuiteConfig) -> Report:
             students[sid] = build_student(base, config.students[sid], corpus)
         except _ROW_ERRORS as exc:
             student_errors[sid] = f"student {sid!r} failed to build: {exc}"
-
-    calibration = _calibration(corpus, config.calibration_sequences,
-                               config.calibration_length)
 
     source = config.energy_source()
     measured: list[dict] = []
@@ -829,8 +805,9 @@ def _cmd_prune24(args) -> int:
 def _cmd_prune_heads(args) -> int:
     model = _model_from_args(args)
     corpus = _load_corpus(args.corpus)
-    report = head_concentration(model, _calibration(
-        corpus, *_check_calibration(args.calib_sequences, args.calib_length)))
+    calibration = _build(Calibration, {"sequences": args.calib_sequences,
+                                       "length": args.calib_length}, "calibration")
+    report = head_concentration(model, calibration.cut(corpus, model.config.context_len))
     if args.report:
         Path(args.report).write_text(json.dumps(report.as_dict(), indent=2,
                                                 sort_keys=True) + "\n")
@@ -847,17 +824,10 @@ def _cmd_prune_heads(args) -> int:
 
 def _cmd_distill(args) -> int:
     doc = _load_json(args.config)
-    _require_keys(doc, "distill config", {"teacher", "corpus", "student"},
-                  {"window", "seqkd"})
-    # the top-level window and seqkd belong to the student spec, and so does --seed
-    spec = doc["student"]
-    if isinstance(spec, dict):
-        twice = sorted(k for k in ("window", "seqkd") if k in doc and k in spec)
-        if twice:
-            raise DomainError(f"distill config: {twice} given both at the top level and in student")
-        spec = dict(spec, **{k: doc[k] for k in ("window", "seqkd") if k in doc})
-        if args.seed is not None and isinstance(spec.get("distill"), dict):
-            spec["distill"] = dict(spec["distill"], seed=args.seed)
+    _require_keys(doc, "distill config", {"teacher", "corpus", "student"})
+    spec = doc["student"]  # the student object a suite's students hold
+    if args.seed is not None and isinstance(spec, dict) and isinstance(spec.get("distill"), dict):
+        spec = dict(spec, distill=dict(spec["distill"], seed=args.seed))
     student = _parse_student(spec, "student")
     teacher = _parse_model_spec(doc["teacher"], "teacher")
     corpus = check_string(doc["corpus"], "corpus")
@@ -917,7 +887,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("quantize", help="quantize a model's linear projections")
     _add_model_source_args(sp)
-    sp.add_argument("--bits", type=int, required=True, choices=(4, 8))
+    sp.add_argument("--bits", type=int, required=True, help=f"one of {SUPPORTED_BITS}")
     sp.add_argument("--out", required=True, help="output model file")
     sp.set_defaults(func=_cmd_quantize)
 
@@ -930,8 +900,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_source_args(sp)
     sp.add_argument("--corpus", required=True, help="calibration text")
     sp.add_argument("--threshold", type=float, required=True)
-    sp.add_argument("--calib-sequences", type=int, default=CALIBRATION_SEQUENCES)
-    sp.add_argument("--calib-length", type=int, default=CALIBRATION_LENGTH)
+    sp.add_argument("--calib-sequences", type=int, default=Calibration.sequences)
+    sp.add_argument("--calib-length", type=int, default=Calibration.length)
     sp.add_argument("--report", default=None, help="write concentration scores here")
     sp.add_argument("--out", default=None, help="write the masked model here")
     sp.set_defaults(func=_cmd_prune_heads)

@@ -164,6 +164,29 @@ class HeadConcentrationReport:
         }
 
 
+@dataclass(frozen=True)
+class Calibration:
+    """Head-concentration probes: the corpus's first sequences x length tokens."""
+
+    sequences: int = 8
+    length: int = 32
+
+    def __post_init__(self):
+        check_integer(self.sequences, "sequences")
+        check_integer(self.length, "length", minimum=MIN_CALIBRATION_LEN)
+
+    def cut(self, corpus: np.ndarray, context_len: int) -> list[np.ndarray]:
+        """The calibration sequences, for a model of context_len tokens."""
+        if self.length > context_len:
+            raise DomainError(f"calibration length {self.length} exceeds "
+                              f"context length {context_len}")
+        need = self.sequences * self.length
+        if corpus.size < need:
+            raise DomainError(
+                f"corpus of {corpus.size} tokens cannot supply {need} calibration tokens")
+        return [corpus[i * self.length:(i + 1) * self.length] for i in range(self.sequences)]
+
+
 def head_concentration(model: TinyLM, calibration: Sequence) -> HeadConcentrationReport:
     """Score how sharply each head's attention concentrates on single keys.
 

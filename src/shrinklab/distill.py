@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, check_integer, check_number
-from .model import (ModelConfig, TinyLM, _check_tokens, _forward_full, astype,
+from .model import (ModelConfig, TinyLM, _check_tokens, _forward_full, _nll_rows, astype,
                     copy_model, gelu_grad, generate,
                     init_model, log_softmax_rows, param_tensors)
 # train_student's teacher pass calls _forward_full to skip the backprop cache;
@@ -71,14 +71,9 @@ def _as_logit_rows(z, what: str) -> np.ndarray:
 
 def _loss_and_dlogits(logits: np.ndarray, spec: LossSpec) -> tuple[float, np.ndarray]:
     """Loss value and its gradient with respect to the student logits."""
-    n, vocab = logits.shape
+    n = len(logits)
     if isinstance(spec, CrossEntropy):
-        t = np.asarray(spec.targets)
-        if t.ndim != 1 or t.size != n:
-            raise DomainError(f"cross-entropy needs {n} targets, got shape {t.shape}")
-        if not np.issubdtype(t.dtype, np.integer) or t.min() < 0 or t.max() >= vocab:
-            raise DomainError("cross-entropy targets must be valid token ids")
-        ls = log_softmax_rows(logits)
+        ls, t = _nll_rows(logits, spec.targets)
         loss = float(-ls[np.arange(n), t].mean())
         d = np.exp(ls)
         d[np.arange(n), t] -= 1.0

@@ -360,11 +360,8 @@ def forward(model: TinyLM, tokens) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 # likelihoods
 
-def mean_nll(logits, targets) -> float:
-    """Mean negative log-likelihood of targets under row-wise softmax, in nats.
-
-    Accumulates in float64 regardless of the logits dtype.
-    """
+def _nll_rows(logits, targets) -> tuple[np.ndarray, np.ndarray]:
+    """Float64 log-softmax rows of logits, and targets checked as one class index per row."""
     z = np.asarray(logits)  # log_softmax_rows makes the one float64 copy
     t = np.asarray(targets)
     if z.ndim != 2:
@@ -372,11 +369,34 @@ def mean_nll(logits, targets) -> float:
     if t.ndim != 1 or t.size != z.shape[0]:
         raise DomainError("need exactly one target per logit row")
     if t.size == 0:
-        raise DomainError("mean_nll needs at least one position")
+        raise DomainError("need at least one position")
     if not np.issubdtype(t.dtype, np.integer) or t.min() < 0 or t.max() >= z.shape[1]:
         raise DomainError("targets must be valid class indices")
-    ls = log_softmax_rows(z)
+    return log_softmax_rows(z), t
+
+
+def mean_nll(logits, targets) -> float:
+    """Mean negative log-likelihood of targets under row-wise softmax, in nats.
+
+    Accumulates in float64 regardless of the logits dtype.
+    """
+    ls, t = _nll_rows(logits, targets)
     return float(-ls[np.arange(t.size), t].mean())
+
+
+def perplexity_window(context_len: int, window=None, stride=None) -> tuple[int, int]:
+    """Checked (window, stride) for perplexity on a model of context_len tokens.
+
+    A window scores at least one token, so it spans at least MIN_PPL_WINDOW tokens.
+    """
+    window = check_integer(context_len if window is None else window, "window",
+                           minimum=MIN_PPL_WINDOW)
+    stride = check_integer(window if stride is None else stride, "stride")
+    if window > context_len:
+        raise DomainError(f"perplexity window must lie in [{MIN_PPL_WINDOW}, {context_len}]")
+    if stride > window:
+        raise DomainError("perplexity stride must lie in [1, window]")
+    return window, stride
 
 
 def perplexity(model: TinyLM, corpus, window: int | None = None,
@@ -388,17 +408,10 @@ def perplexity(model: TinyLM, corpus, window: int | None = None,
     so the first token of each chunk is never scored.  A stride smaller than
     the window slides the window instead, giving each newly scored token at
     least window - stride tokens of context; every token is still scored
-    exactly once.  A window scores at least one token, so it spans at least
-    MIN_PPL_WINDOW tokens.
+    exactly once.
     """
     cfg = model.config
-    window = check_integer(cfg.context_len if window is None else window, "window",
-                           minimum=MIN_PPL_WINDOW)
-    stride = check_integer(window if stride is None else stride, "stride")
-    if window > cfg.context_len:
-        raise DomainError(f"window must lie in [{MIN_PPL_WINDOW}, {cfg.context_len}]")
-    if stride > window:
-        raise DomainError("stride must lie in [1, window]")
+    window, stride = perplexity_window(cfg.context_len, window, stride)
     toks = np.asarray(corpus)
     if toks.ndim != 1 or toks.size < 2:
         raise DomainError("perplexity needs a corpus of at least 2 tokens")

@@ -1,13 +1,18 @@
 """CSV ingest, scoring tables, suite configs, and the command line surface."""
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import shrinklab
 from shrinklab import data as bundled
 from shrinklab.cli import (
     _load_json,
@@ -25,7 +30,7 @@ from shrinklab.cli import (
     score_report,
     write_metrics_csv,
 )
-from shrinklab.compress import DistillRef, Prune24, PruneHeads, Quantize
+from shrinklab.compress import Calibration, DistillRef, Prune24, PruneHeads, Quantize
 from shrinklab.distill import DistillConfig
 from shrinklab.errors import BelowRandomFloor, DomainError, ParseError
 from shrinklab.meter import CounterFile, PowerModel, SyntheticClock
@@ -255,7 +260,7 @@ def test_suite_config_minimal(tmp_path):
     cfg = parse_suite_config(small_suite_doc(tmp_path))
     assert cfg.repetitions == 2
     assert [p.name for p in cfg.pipelines] == ["base", "8bit", "sparse"]
-    assert cfg.calibration_sequences == 8 and cfg.calibration_length == 32
+    assert cfg.calibration == Calibration(sequences=8, length=32)
 
 
 def test_suite_config_rejections(tmp_path):
@@ -448,7 +453,7 @@ def test_cli_prune_heads_writes_report(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag,value", [
     ("--calib-length", "-1"), ("--calib-length", "0"), ("--calib-length", "4"),
-    ("--calib-sequences", "-1"), ("--calib-sequences", "0"),
+    ("--calib-length", "100"), ("--calib-sequences", "-1"), ("--calib-sequences", "0"),
 ])
 def test_cli_prune_heads_checks_calibration_like_the_suite(tmp_path, capsys, flag, value):
     out_path = tmp_path / "pruned.lmz"
@@ -705,6 +710,32 @@ def test_run_suite_builds_only_referenced_students(tmp_path, capsys, monkeypatch
     assert rc == 0
 
 
+@pytest.mark.parametrize("changes, named", [
+    ({"calibration": {"length": 100}}, "calibration"),
+    ({"perplexity": {"window": 100}}, "window"),
+    ({"perplexity": {"window": 32, "stride": 64}}, "stride"),
+], ids=["calibration-length", "window", "stride"])
+def test_run_checks_the_base_context_before_any_student_is_trained(
+        tmp_path, capsys, monkeypatch, changes, named):
+    """Calibration and perplexity windows longer than the base model's context are
+    fatal, even with no prune_heads pipeline, and no student is trained first."""
+    import shrinklab.cli as cli
+    built = []
+    monkeypatch.setattr(cli, "build_student", lambda *args: built.append(args))
+    doc = small_suite_doc(tmp_path, **changes)
+    doc["students"] = {"kd": {"config": {"n_layers": 1, "n_heads": 2, "d_model": 32, "d_ff": 128},
+                              "distill": {"method": "forward_kld", "steps": 1}}}
+    doc["pipelines"].append({"name": "kd", "passes": [{"op": "distill", "student": "kd"}]})
+    cfg_path = tmp_path / "suite.json"
+    cfg_path.write_text(json.dumps(doc))
+    with pytest.raises(DomainError, match=named):
+        run_suite(parse_suite_config(doc))
+    rc, _, err = run_main(capsys, "run", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
+    assert rc == 2 and err.startswith("error:") and named in err
+    assert built == []
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_suite_failed_student_fails_only_its_pipelines(tmp_path):
     missing = tmp_path / "missing.lmz"
     doc = small_suite_doc(tmp_path, students={"s": {"path": str(missing)}})
@@ -863,6 +894,21 @@ def test_cli_distill_rejects_a_key_given_twice(tmp_path, capsys):
     assert not (tmp_path / "s.lmz").exists()
 
 
+def test_cli_distill_reads_window_only_inside_student(tmp_path, capsys):
+    corpus = tmp_path / "c.txt"
+    corpus.write_bytes(bundled.path("toy_corpus.txt").read_bytes()[:400])
+    cfg_path = tmp_path / "distill.json"
+    cfg_path.write_text(json.dumps({
+        "teacher": {"config": BAD_STEPS_STUDENT["config"]}, "corpus": str(corpus),
+        "window": 16,
+        "student": {"config": BAD_STEPS_STUDENT["config"],
+                    "distill": {"method": "forward_kld", "steps": 1}}}))
+    rc, _, err = run_main(capsys, "distill", "--config", str(cfg_path),
+                          "--out", str(tmp_path / "s.lmz"))
+    assert rc == 2 and err.startswith("error:") and "window" in err
+    assert not (tmp_path / "s.lmz").exists()
+
+
 @pytest.mark.parametrize("method", ["forward_kld", "reverse_kld"])
 def test_parse_rejects_a_seqkd_block_no_student_reads(tmp_path, method):
     student = {"config": {"n_layers": 1, "n_heads": 2, "d_model": 32, "d_ff": 128},
@@ -921,6 +967,25 @@ def test_cli_run_unreadable_json_exits_two(tmp_path, capsys, text):
     rc, _, err = run_main(capsys, "run", "--config", str(config), "--out", str(tmp_path / "o"))
     assert rc == 2 and err.startswith("error:")
     assert not (tmp_path / "o").exists()
+
+
+def test_cli_quantize_unsupported_bits_exits_two(tmp_path, capsys):
+    out = tmp_path / "q5.lmz"
+    rc, _, err = run_main(capsys, "quantize", "--seed", "1", "--arch", "1,2,32,128",
+                          "--bits", "5", "--out", str(out))
+    assert rc == 2
+    assert err.startswith("error: bits must be one of (4, 8), got 5")
+    assert not out.exists()
+
+
+def test_package_import_leaves_the_cli_to_its_entry_point():
+    """The library does not import its front end, so running it as a module does not warn."""
+    env = dict(os.environ, PYTHONPATH=str(Path(shrinklab.__file__).parents[1]))
+    probe = "import sys, shrinklab; sys.exit('shrinklab.cli' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
+    run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "shrinklab.cli",
+                          "--help"], env=env, capture_output=True, text=True)
+    assert run.returncode == 0 and not run.stderr
 
 
 def test_cli_perplexity_window_one_exits_two(tmp_path, capsys):
@@ -1007,6 +1072,64 @@ def test_parse_with_one_value_replaced_returns_or_raises_typed_error(source, pic
         parse_suite_config(doc)
     except (DomainError, ParseError):
         pass
+
+
+def _run_doc(corpus):
+    """A suite that runs in milliseconds: every pass, a seqkd student, one repetition."""
+    tiny = {"n_layers": 1, "n_heads": 2, "d_model": 8, "d_ff": 16, "context_len": 16}
+    return {
+        "model": {"config": dict(tiny), "seed": 1},
+        "corpus": str(corpus),
+        "students": {"kd": {"config": dict(tiny), "distill": {"method": "seqkd", "steps": 2},
+                            "window": 8, "seqkd": {"prompts": 2, "prompt_len": 4, "length": 4}},
+                     "saved": {"path": "kd.lmz"}},
+        "pipelines": [
+            {"name": "base", "passes": []},
+            {"name": "q", "passes": [{"op": "distill", "student": "kd"},
+                                     {"op": "quantize", "bits": 8},
+                                     {"op": "prune_heads", "threshold": 0.9},
+                                     {"op": "prune_2_4"}]},
+        ],
+        "repetitions": 1,
+        "energy_source": {"kind": "synthetic", "energy_deltas_j": [2.0, 1.0],
+                          "time_deltas_s": [0.5]},
+        "profiles": ["energy", {"name": "p", "alpha": 0.25, "beta": 0.75}],
+        "perplexity": {"window": 16, "stride": 8},
+        "calibration": {"sequences": 2, "length": 8},
+        "carbon_intensity_g_per_kwh": 300.0,
+        "quality_exponent": 1.5,
+    }
+
+
+# bounded, so that a replaced steps, repetitions or model size stays cheap; a
+# plain small integer, the likeliest value to pass parsing, is drawn most often
+_RUN_VALUES = st.integers(-2, 8) | st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 8) | st.floats(-2, 8) | st.text(max_size=4)
+    | st.sampled_from(["base", "kd", "seqkd", "quantize", "synthetic", "energy"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=4)
+
+
+@given(pick=st.integers(min_value=0), value=_RUN_VALUES)
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_run_with_one_value_replaced_exits_zero_one_or_two(tmp_path, capsys, pick, value):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_bytes(bundled.path("toy_corpus.txt").read_bytes()[:400])
+    doc = _run_doc(corpus)
+    paths = list(_value_paths(doc))
+    *parents, last = paths[pick % len(paths)]
+    holder = doc
+    for key in parents:
+        holder = holder[key]
+    holder[last] = value
+    cfg_path = tmp_path / "suite.json"
+    cfg_path.write_text(json.dumps(doc))
+    rc, _, err = run_main(capsys, "run", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
+    assert rc in (0, 1, 2)
+    if rc == 2:
+        assert err.startswith("error:")
 
 
 # mostly positive numbers, pairs of them 1e300 apart, and a little junk
