@@ -193,6 +193,15 @@ class ScoreTable:
         }
 
 
+def _check_unique(names, what: str) -> None:
+    """Reject a repeated name, naming it."""
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise DomainError(f"{what} must be unique: {name!r} is repeated")
+        seen.add(name)
+
+
 def score_report(measurements, profiles=BUILTIN_PROFILES,
                  exponent: float = QUALITY_EXPONENT) -> ScoreTable:
     """Score every method under every profile and rank them per profile."""
@@ -202,12 +211,9 @@ def score_report(measurements, profiles=BUILTIN_PROFILES,
     profs = tuple(profiles)
     if not profs:
         raise DomainError("score_report needs at least one weight profile")
-    names = [p.name for p in profs]
-    if len(set(names)) != len(names):
-        raise DomainError("weight profile names must be unique")
+    _check_unique((p.name for p in profs), "weight profile names")
     labels = [m.label for m in methods]
-    if len(set(labels)) != len(labels):
-        raise DomainError("method labels must be unique")
+    _check_unique(labels, "method labels")
 
     scores: dict[str, dict[str, OptResult]] = {}
     for m in methods:
@@ -388,8 +394,10 @@ def _parse_profiles(entries) -> tuple[WeightProfile, ...]:
     """Profile entries, each a built-in name or {name, alpha, beta}; none means all built-ins."""
     if not isinstance(entries, list):
         raise DomainError("profiles must be a list")
-    return tuple(profile_by_name(e) if isinstance(e, str) else _build(WeightProfile, e, "profile")
-                 for e in entries) or BUILTIN_PROFILES
+    profiles = tuple(profile_by_name(e) if isinstance(e, str)
+                     else _build(WeightProfile, e, "profile") for e in entries)
+    _check_unique((p.name for p in profiles), "weight profile names")
+    return profiles or BUILTIN_PROFILES
 
 
 def parse_suite_config(doc: dict) -> SuiteConfig:
@@ -414,9 +422,7 @@ def parse_suite_config(doc: dict) -> SuiteConfig:
         passes = [_build(*_tagged(ps, "op", _PASS_OPS, f"{what}.passes[{j}]"),
                          f"{what}.passes[{j}]") for j, ps in enumerate(p["passes"])]
         pipelines.append(PipelineSpec(name=p["name"], passes=passes))
-    names = [p.name for p in pipelines]
-    if len(set(names)) != len(names):
-        raise DomainError("pipeline names must be unique")
+    _check_unique((p.name for p in pipelines), "pipeline names")
     base_like = [p for p in pipelines if p.name == BASE_PIPELINE]
     if len(base_like) != 1:
         raise DomainError(f"exactly one pipeline must be named {BASE_PIPELINE!r}")
@@ -529,6 +535,16 @@ def run_suite(config: SuiteConfig) -> Report:
         return {ps.student for ps in passes if isinstance(ps, DistillRef)}
 
     used = set().union(*(student_ids(p.passes) for p in config.pipelines))
+    # a student whose heads a pipeline prunes is probed with the same calibration
+    probed = set().union(*(student_ids(p.passes[:i]) for p in config.pipelines
+                           for i, ps in enumerate(p.passes) if isinstance(ps, PruneHeads)))
+    for sid in sorted(probed & set(config.students)):
+        spec = config.students[sid]
+        if spec.config is not None:  # a saved student's context is known once it is loaded
+            try:
+                config.calibration.cut(corpus, spec.config.context_len)
+            except DomainError as exc:
+                raise DomainError(f"student {sid!r}: {exc}") from exc
     students, student_errors = {}, {}
     for sid in sorted(used & set(config.students)):
         try:

@@ -24,6 +24,8 @@ INIT_STD = 0.02
 BYTE_VOCAB = 256
 # a perplexity window scores every token but its first
 MIN_PPL_WINDOW = 2
+# perplexity windows per forward call; more buys no speed and costs memory
+PPL_BATCH = 4
 
 # names of the linear projection attributes on a layer, in storage order
 LINEAR_NAMES = ("wq", "wk", "wv", "wo", "w_in", "w_out")
@@ -239,8 +241,19 @@ GELU_K = 0.044715
 # pow per element, far slower than two multiplications.
 
 def gelu(x):
-    """tanh approximation of GELU."""
-    return 0.5 * x * (1.0 + np.tanh(GELU_C * (x + GELU_K * (x * x * x))))
+    """tanh approximation of GELU, 0.5 x (1 + tanh(C (x + K x^3))).
+
+    Computed in one buffer, step for step in the order of that expression.
+    """
+    t = x * x
+    t *= x
+    t *= GELU_K
+    t += x
+    t *= GELU_C
+    np.tanh(t, out=t)
+    t += 1.0
+    t *= 0.5 * x
+    return t
 
 
 def gelu_grad(x):
@@ -260,14 +273,24 @@ def ln_detail(x, g, b):
     return xhat * g + b, xhat, inv_std
 
 
-def softmax_rows(x):
-    """Softmax over the last axis, accumulated in float64, cast back to x's dtype."""
-    # np.array always copies, so the in-place steps never touch the caller's x
-    p = np.array(x, dtype=np.float64)
-    p -= p.max(axis=-1, keepdims=True)
+def softmax_rows(x, where, out=None):
+    """Softmax over the last axis, accumulated in float64, in x's dtype.
+
+    Each row keeps to the entries that where, a boolean array broadcast
+    against x with a True entry in every row, marks.  The result equals the
+    softmax of np.where(where, x, -inf) bit for bit, but no -inf reaches
+    exp: numpy's float64 exp leaves its SIMD fast path on one.  The result
+    goes to out, which may be x, or to a new array.
+    """
+    x = np.asarray(x)
+    hidden = ~where
+    p = x.astype(np.float64)  # a copy, so the in-place steps never touch x
+    p -= np.max(p, axis=-1, keepdims=True, where=where, initial=-np.inf)
+    np.copyto(p, 0.0, where=hidden)
     np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
-    return p.astype(np.asarray(x).dtype, copy=False)
+    np.copyto(p, 0.0, where=hidden)
+    return np.divide(p, np.add.reduce(p, axis=-1, keepdims=True),
+                     out=np.empty_like(x) if out is None else out, casting="same_kind")
 
 
 def log_softmax_rows(x):
@@ -283,6 +306,11 @@ def log_softmax_rows(x):
 
 def _forward_full(model: TinyLM, tokens: np.ndarray, want_cache: bool, first_row: int = 0):
     """Single forward implementation behind inference, head scoring and backprop.
+
+    tokens is one sequence (n,) or a batch of them (B, n), giving logits
+    (n, vocab) or (B, n, vocab).  Each window of a batch is multiplied by
+    its own expansion of a quantized projection, so a batch pays the
+    dequantizations its windows would pay one by one.
 
     Returns (logits, cache).  The cache holds just what backprop reads (and
     forward() its attention maps); it is built only with want_cache and is
@@ -300,9 +328,18 @@ def _forward_full(model: TinyLM, tokens: np.ndarray, want_cache: bool, first_row
         raise DomainError("the cache covers every row; first_row must be 0")
     cfg = model.config
     W = model.weights
-    n = tokens.size
+    batch = tokens.shape[:-1]
+    n = tokens.shape[-1]
     h_dim, n_heads = cfg.d_head, cfg.n_heads
     dtype = W.tok_emb.dtype
+
+    def proj(w):
+        if isinstance(w, np.ndarray) or not batch:
+            return dense_weight(w, dtype)
+        return np.stack([w.dense(dtype) for _ in range(batch[0])])
+
+    def split_heads(t):  # (..., rows, d_model) -> (..., heads, rows, d_head)
+        return t.reshape(*t.shape[:-1], n_heads, h_dim).swapaxes(-3, -2)
 
     x = W.tok_emb[tokens] + W.pos_emb[:n]
     causal = np.tri(n, dtype=bool)
@@ -311,25 +348,21 @@ def _forward_full(model: TinyLM, tokens: np.ndarray, want_cache: bool, first_row
     last = len(W.layers) - 1
     for li, lw in enumerate(W.layers):
         r = first_row if li == last else 0
-        n_q = n - r
         a, xhat1, inv1 = ln_detail(x, lw.ln1_g, lw.ln1_b)
-        q = a[r:] @ dense_weight(lw.wq, dtype)
-        k = a @ dense_weight(lw.wk, dtype)
-        v = a @ dense_weight(lw.wv, dtype)
-        qh = q.reshape(n_q, n_heads, h_dim).transpose(1, 0, 2)
-        kh = k.reshape(n, n_heads, h_dim).transpose(1, 0, 2)
-        vh = v.reshape(n, n_heads, h_dim).transpose(1, 0, 2)
-        scores = qh @ kh.transpose(0, 2, 1) / math.sqrt(h_dim)
-        scores = np.where(causal[r:], scores, -np.inf)
-        probs = softmax_rows(scores)
+        qh = split_heads(a[..., r:, :] @ proj(lw.wq))
+        kh = split_heads(a @ proj(lw.wk))
+        vh = split_heads(a @ proj(lw.wv))
+        scores = qh @ kh.swapaxes(-1, -2)
+        scores /= math.sqrt(h_dim)
+        probs = softmax_rows(scores, where=causal[r:], out=scores)
         head_keep = model.head_mask[li].astype(dtype)[:, None, None]
         ctx = (probs @ vh) * head_keep
-        merged = ctx.transpose(1, 0, 2).reshape(n_q, cfg.d_model)
-        x_mid = x[r:] + merged @ dense_weight(lw.wo, dtype)
+        merged = ctx.swapaxes(-3, -2).reshape(*batch, n - r, cfg.d_model)
+        x_mid = x[..., r:, :] + merged @ proj(lw.wo)
         h, xhat2, inv2 = ln_detail(x_mid, lw.ln2_g, lw.ln2_b)
-        u = h @ dense_weight(lw.w_in, dtype)
+        u = h @ proj(lw.w_in)
         act = gelu(u)
-        x = x_mid + act @ dense_weight(lw.w_out, dtype)
+        x = x_mid + act @ proj(lw.w_out)
         if want_cache:
             cache["layers"].append({
                 "a": a, "xhat1": xhat1, "inv1": inv1, "qh": qh, "kh": kh, "vh": vh,
@@ -416,24 +449,32 @@ def perplexity(model: TinyLM, corpus, window: int | None = None,
     if toks.ndim != 1 or toks.size < 2:
         raise DomainError("perplexity needs a corpus of at least 2 tokens")
 
-    total = 0.0
-    count = 0
+    # each window as (start, length, first_row); it scores its rows after first_row
+    plan = []
     start = 0
     scored_upto = 1  # corpus position 0 has no predecessor anywhere
-    n = toks.size
-    while scored_upto < n:
-        end = min(start + window, n)
+    while scored_upto < toks.size:
+        end = min(start + window, toks.size)
         first = max(scored_upto, start + 1)
         if first < end:
-            chunk = _check_tokens(toks[start:end], cfg)
             # rows first-1-start .. end-1-start: the scored ones plus the last,
             # which keeps every product at 2 or more rows (see _forward_full)
-            logits, _ = _forward_full(model, chunk, want_cache=False,
-                                      first_row=first - 1 - start)
-            total += mean_nll(logits[:-1], chunk[first - start:]) * (end - first)
-            count += end - first
+            plan.append((start, end - start, first - 1 - start))
         scored_upto = end
         start += stride
+
+    # consecutive windows of one length and row cut share a forward call
+    total = 0.0
+    count = 0
+    for (n, row), run in itertools.groupby(plan, key=lambda w: w[1:]):
+        starts = [s for s, _, _ in run]
+        for b in range(0, len(starts), PPL_BATCH):
+            chunks = np.stack([_check_tokens(toks[s:s + n], cfg)
+                               for s in starts[b:b + PPL_BATCH]])
+            logits, _ = _forward_full(model, chunks, want_cache=False, first_row=row)
+            for chunk, z in zip(chunks, logits):
+                total += mean_nll(z[:-1], chunk[row + 1:]) * (n - row - 1)
+                count += n - row - 1
     return float(np.exp(total / count))
 
 

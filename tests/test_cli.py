@@ -736,6 +736,54 @@ def test_run_checks_the_base_context_before_any_student_is_trained(
     assert not (tmp_path / "o").exists()
 
 
+def _run_with_student_spy(tmp_path, capsys, monkeypatch, doc, student_context=64):
+    """main(["run", ...]) on doc plus a distilled student 'kd'; returns rc, stderr
+    and the students build_student was asked for."""
+    import shrinklab.cli as cli
+    built = []
+    real_build = cli.build_student
+
+    def spy(*args):
+        built.append(args)
+        return real_build(*args)
+
+    monkeypatch.setattr(cli, "build_student", spy)
+    doc["students"] = {"kd": {"config": {"n_layers": 1, "n_heads": 2, "d_model": 32, "d_ff": 128,
+                                         "context_len": student_context},
+                              "distill": {"method": "forward_kld", "steps": 1}}}
+    cfg_path = tmp_path / "suite.json"
+    cfg_path.write_text(json.dumps(doc))
+    rc, _, err = run_main(capsys, "run", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
+    return rc, err, built
+
+
+def test_run_rejects_repeated_profiles_before_any_student_is_built(tmp_path, capsys, monkeypatch):
+    doc = small_suite_doc(tmp_path, profiles=["balanced", "energy", "energy"])
+    doc["pipelines"].append({"name": "kd", "passes": [{"op": "distill", "student": "kd"}]})
+    rc, err, built = _run_with_student_spy(tmp_path, capsys, monkeypatch, doc)
+    assert rc == 2 and err.startswith("error:")
+    assert "weight profile names must be unique" in err and "'energy'" in err
+    assert built == []
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_checks_calibration_against_a_pruned_students_context(tmp_path, capsys, monkeypatch):
+    """Calibration that fits the base model but not a student whose heads a
+    pipeline prunes is fatal before the student is trained."""
+    doc = small_suite_doc(tmp_path, calibration={"length": 14})
+    doc["pipelines"] += [{"name": "kd", "passes": [{"op": "distill", "student": "kd"}]},
+                         {"name": "kd+ah", "passes": [{"op": "distill", "student": "kd"},
+                                                      {"op": "prune_heads", "threshold": 0.9}]}]
+    rc, err, built = _run_with_student_spy(tmp_path, capsys, monkeypatch, doc, student_context=12)
+    assert rc == 2 and err.startswith("error:")
+    assert "calibration length 14 exceeds context length 12" in err and "'kd'" in err
+    assert built == []
+    # the same student without a head-pruning pipeline is never probed
+    doc["pipelines"].pop()
+    rc, err, built = _run_with_student_spy(tmp_path, capsys, monkeypatch, doc, student_context=12)
+    assert "calibration" not in err and len(built) == 1
+
+
 def test_run_suite_failed_student_fails_only_its_pipelines(tmp_path):
     missing = tmp_path / "missing.lmz"
     doc = small_suite_doc(tmp_path, students={"s": {"path": str(missing)}})

@@ -1,5 +1,6 @@
 """Transformer tests: forward oracle, likelihoods, generation, persistence."""
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from shrinklab.model import (
     GELU_C,
     GELU_K,
     LN_EPS,
+    PPL_BATCH,
     ModelConfig,
     _forward_full,
     astype,
@@ -220,7 +222,7 @@ def _masked_scores(dtype):
 def test_softmax_rows_equal_out_of_place_formula(dtype):
     for x in (_masked_scores(dtype),
               np.random.default_rng(4).normal(0.0, 30.0, size=(5, 256)).astype(dtype)):
-        p = softmax_rows(x)
+        p = softmax_rows(x, where=np.isfinite(x))
         assert p.dtype == dtype
         assert np.array_equal(p, _softmax_reference(x))
         ls = log_softmax_rows(x)
@@ -231,9 +233,47 @@ def test_softmax_rows_equal_out_of_place_formula(dtype):
 def test_softmax_rows_leave_float64_input_untouched():
     x = _masked_scores(np.float64)
     before = x.copy()
-    softmax_rows(x)
+    softmax_rows(x, where=np.isfinite(x))
     log_softmax_rows(x)
     assert np.array_equal(x, before)
+
+
+def _same_bits(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_causal_softmax_equals_the_softmax_of_minus_inf_masked_scores(dtype):
+    """The engine's mask keeps every bit of the -inf formulation, and no -inf
+    or masked value, however large, reaches exp."""
+    n = 12
+    causal = np.tri(n, dtype=bool)
+    rng = np.random.default_rng(8)
+    big = np.finfo(dtype).max / 4
+    cases = [rng.normal(0.0, 4.0, size=(2, 3, n, n)),
+             rng.normal(0.0, 1e4, size=(3, n, n)),
+             # huge masked entries over huge negative live ones
+             np.where(causal, -big, big) + rng.normal(0.0, 1.0, size=(n, n))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scores in (c.astype(dtype) for c in cases):
+            for r in (0, 1, n // 2, n - 1):  # row r keeps r + 1 live entries
+                live = causal[r:]
+                x = np.ascontiguousarray(scores[..., r:, :])
+                want = _softmax_reference(np.where(live, x, -np.inf))
+                assert _same_bits(softmax_rows(x, where=live), want), (dtype, r)
+                assert _same_bits(softmax_rows(x, where=live, out=x), want), (dtype, r)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_equals_its_out_of_place_expression(dtype):
+    tiny = np.finfo(dtype).smallest_subnormal
+    x = np.concatenate([np.linspace(-10.0, 10.0, 4001),
+                        np.random.default_rng(9).normal(0.0, 3.0, 20000),
+                        [0.0, -0.0, 1e-30, -1e-30, 1e12, -1e12]]).astype(dtype)
+    x = np.concatenate([x, np.array([tiny, -tiny, 7 * tiny], dtype=dtype)])
+    want = 0.5 * x * (1.0 + np.tanh(GELU_C * (x + GELU_K * (x * x * x))))
+    assert _same_bits(gelu(x), want)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -354,6 +394,88 @@ def test_perplexity_sliding_scores_each_token_once(small_model, corpus):
         else:
             assert seen == [t for t in range(1, n) if t % stride != 0]
         assert got == pytest.approx(float(np.exp(total / len(seen))), rel=1e-10)
+
+
+def _windows(n, window, stride):
+    """(start, end, first) of every window that scores tokens first..end-1."""
+    out, start, scored_upto = [], 0, 1
+    while scored_upto < n:
+        end = min(start + window, n)
+        first = max(scored_upto, start + 1)
+        if first < end:
+            out.append((start, end, first))
+        scored_upto = end
+        start += stride
+    return out
+
+
+def _perplexity_by_window(model, toks, window, stride):
+    """Oracle: each window alone through the 1-D forward, then mean_nll."""
+    total, count = 0.0, 0
+    for start, end, first in _windows(toks.size, window, stride):
+        logits, _ = _forward_full(model, toks[start:end], False, first_row=first - 1 - start)
+        total += mean_nll(logits[:-1], toks[first:end]) * (end - first)
+        count += end - first
+    return float(np.exp(total / count))
+
+
+def _ppl_models(config):
+    from shrinklab.compress import prune_model_2_4, quantize_model
+    base = init_model(config, seed=2)
+    masked = init_model(config, seed=2)
+    masked.head_mask[-1, 1] = 0.0
+    return {"fp32": base, "q4": quantize_model(base, 4), "2:4": prune_model_2_4(base),
+            "masked": masked}
+
+
+@pytest.mark.parametrize("config", [TOY, SMALL], ids=["toy", "small"])
+def test_perplexity_batches_equal_a_window_by_window_oracle(config, corpus, monkeypatch):
+    import shrinklab.model as model_mod
+    batches = []
+
+    def spy(model, tokens, *args, **kwargs):
+        batches.append(tokens.shape)
+        return _forward_full(model, tokens, *args, **kwargs)
+
+    monkeypatch.setattr(model_mod, "_forward_full", spy)
+    for kind, m in _ppl_models(config).items():
+        for window, stride in ((5, 1), (5, 5), (17, 1), (17, 5), (17, 8),
+                               (64, 1), (64, 5), (64, 8), (64, 63), (64, 64)):
+            toks = corpus[:100 if stride == 1 else 148]
+            got = perplexity(m, toks, window=window, stride=stride)
+            assert got == _perplexity_by_window(m, toks, window, stride), (kind, window, stride)
+    # partial last batches, single-window batches and short tails all ran
+    assert {b for b, _ in batches} == set(range(1, PPL_BATCH + 1))
+    assert any(length < 5 for _, length in batches)
+
+    # a (B, n) stack gives the stacked 1-D results, with and without a row cut
+    rng = np.random.default_rng(1)
+    for kind, m in _ppl_models(config).items():
+        for n in (17, 64):
+            stack = rng.integers(0, config.vocab_size, size=(PPL_BATCH, n))
+            for k in (0, n - 9):
+                want = np.stack([_forward_full(m, t, False, first_row=k)[0] for t in stack])
+                got = _forward_full(m, stack, False, first_row=k)[0]
+                assert _same_bits(got, want), (kind, n, k)
+
+
+def test_perplexity_expands_each_quantized_projection_once_per_window(corpus, monkeypatch):
+    """Batching must not amortize q4's dequantization: the measured cost of a
+    quantized model stays what running its windows one by one pays."""
+    from shrinklab.compress import QuantizedTensor, quantize_model
+    m = quantize_model(init_model(TOY, seed=4), 4)
+    calls = []
+    real_dense = QuantizedTensor.dense
+
+    def counting_dense(self, *args, **kwargs):
+        calls.append(self)
+        return real_dense(self, *args, **kwargs)
+
+    monkeypatch.setattr(QuantizedTensor, "dense", counting_dense)
+    for window, stride in ((64, 8), (64, 64), (17, 5)):
+        calls.clear()
+        perplexity(m, corpus[:500], window=window, stride=stride)
+        assert len(calls) == 6 * TOY.n_layers * len(_windows(500, window, stride))
 
 
 def test_perplexity_validation(small_model):
