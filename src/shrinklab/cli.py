@@ -341,6 +341,17 @@ class SeqkdPrompts:
         for f in fields(self):
             check_integer(getattr(self, f.name), f.name)
 
+    def cut(self, corpus: np.ndarray, context_len: int) -> list[np.ndarray]:
+        """Evenly spaced prompts, for a teacher of context_len tokens to continue."""
+        if self.prompt_len + self.length > context_len:
+            raise DomainError(f"seqkd prompt_len {self.prompt_len} plus length {self.length} "
+                              f"exceeds context length {context_len}")
+        if corpus.size < self.prompt_len:
+            raise DomainError("corpus too short to cut seqkd prompts from")
+        span = corpus.size - self.prompt_len
+        starts = [(i * span) // max(1, self.prompts - 1) for i in range(self.prompts)]
+        return [corpus[s:s + self.prompt_len] for s in starts]
+
 
 @dataclass(frozen=True)
 class StudentSpec:
@@ -475,14 +486,8 @@ def build_student(teacher: TinyLM, spec: ModelSpec | StudentSpec,
         return spec.build()
     train_corpus = corpus
     if spec.distill.method == METHOD_SEQKD:
-        sk = spec.seqkd
-        if corpus.size < sk.prompt_len:
-            raise DomainError("corpus too short to cut seqkd prompts from")
-        span = corpus.size - sk.prompt_len
-        starts = [(i * span) // max(1, sk.prompts - 1) for i in range(sk.prompts)]
-        prompts = [corpus[s:s + sk.prompt_len] for s in starts]
-        train_corpus = seqkd_corpus(teacher, prompts, sk.length, mode="greedy",
-                                    seed=spec.distill.seed)
+        train_corpus = seqkd_corpus(teacher, spec.seqkd.cut(corpus, teacher.config.context_len),
+                                    spec.seqkd.length, mode="greedy", seed=spec.distill.seed)
     return train_student(teacher, spec.config, train_corpus, spec.distill,
                          window=spec.window).student
 
@@ -519,8 +524,10 @@ _ROW_ERRORS = (DomainError, FormatError, SourceError, StateError, OSError)
 def run_suite(config: SuiteConfig) -> Report:
     """Measure every pipeline against the base model and score the results.
 
-    Only students that some pipeline distills to are built.  A pipeline that
-    fails to build, measure or score, or whose student failed to build,
+    Only students that some pipeline distills to are built, saved ones first,
+    and every student is checked before any is trained.  Every pipeline is
+    measured with the base model's perplexity window and stride.  A pipeline
+    that fails to build, measure or score, or whose student failed to build,
     contributes an error row and the suite moves on; a failing base pipeline
     is fatal since nothing can be scored without it.  With a synthetic energy
     source and a seeded model, repeat runs produce byte-identical reports.
@@ -529,35 +536,43 @@ def run_suite(config: SuiteConfig) -> Report:
     base = config.model.build()
     # checked against the base model before any student is trained
     calibration = config.calibration.cut(corpus, base.config.context_len)
-    perplexity_window(base.config.context_len, config.ppl_window, config.ppl_stride)
+    window, stride = perplexity_window(base.config.context_len,
+                                       config.ppl_window, config.ppl_stride)
 
-    def student_ids(passes) -> set[str]:
-        return {ps.student for ps in passes if isinstance(ps, DistillRef)}
-
-    used = set().union(*(student_ids(p.passes) for p in config.pipelines))
+    # a pipeline's student is its first pass, the only place compose accepts one
+    student_of = {p.name: p.passes[0].student for p in config.pipelines
+                  if p.passes and isinstance(p.passes[0], DistillRef)}
     # a student whose heads a pipeline prunes is probed with the same calibration
-    probed = set().union(*(student_ids(p.passes[:i]) for p in config.pipelines
-                           for i, ps in enumerate(p.passes) if isinstance(ps, PruneHeads)))
-    for sid in sorted(probed & set(config.students)):
-        spec = config.students[sid]
-        if spec.config is not None:  # a saved student's context is known once it is loaded
-            try:
-                config.calibration.cut(corpus, spec.config.context_len)
-            except DomainError as exc:
-                raise DomainError(f"student {sid!r}: {exc}") from exc
+    probed = {student_of[p.name] for p in config.pipelines if p.name in student_of
+              and any(isinstance(ps, PruneHeads) for ps in p.passes)}
+    specs = {sid: config.students[sid]
+             for sid in sorted(set(student_of.values()) & set(config.students))}
     students, student_errors = {}, {}
-    for sid in sorted(used & set(config.students)):
+
+    def build(kind) -> None:
+        for sid, spec in specs.items():
+            if isinstance(spec, kind):
+                try:
+                    students[sid] = build_student(base, spec, corpus)
+                except _ROW_ERRORS as exc:
+                    student_errors[sid] = f"student {sid!r} failed to build: {exc}"
+
+    build(ModelSpec)  # a saved student only loads, and then its context is known
+    for sid, spec in specs.items():
         try:
-            students[sid] = build_student(base, config.students[sid], corpus)
-        except _ROW_ERRORS as exc:
-            student_errors[sid] = f"student {sid!r} failed to build: {exc}"
+            if sid in probed and sid not in student_errors:
+                config.calibration.cut(corpus, students.get(sid, spec).config.context_len)
+            if isinstance(spec, StudentSpec) and spec.distill.method == METHOD_SEQKD:
+                spec.seqkd.cut(corpus, base.config.context_len)
+        except DomainError as exc:
+            raise DomainError(f"student {sid!r}: {exc}") from exc
+    build(StudentSpec)
 
     source = config.energy_source()
     measured: list[dict] = []
     for p in config.pipelines:
-        failed = sorted(student_ids(p.passes) & set(student_errors))
-        if failed:
-            measured.append({"pipeline": p.name, "error": student_errors[failed[0]]})
+        if student_of.get(p.name) in student_errors:
+            measured.append({"pipeline": p.name, "error": student_errors[student_of[p.name]]})
             continue
         try:
             transform = compose(p.passes, calibration=calibration, students=students)
@@ -565,9 +580,7 @@ def run_suite(config: SuiteConfig) -> Report:
             holder: dict[str, float] = {}
 
             def work():
-                holder["ppl"] = perplexity(candidate, corpus,
-                                           window=config.ppl_window,
-                                           stride=config.ppl_stride)
+                holder["ppl"] = perplexity(candidate, corpus, window=window, stride=stride)
 
             rec = measure(source, work, repetitions=config.repetitions,
                           carbon_intensity=config.carbon_intensity)

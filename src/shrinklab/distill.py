@@ -15,9 +15,6 @@ from .errors import DomainError, check_integer, check_number
 from .model import (ModelConfig, TinyLM, _check_tokens, _forward_full, _nll_rows, astype,
                     copy_model, gelu_grad, generate,
                     init_model, log_softmax_rows, param_tensors)
-# train_student's teacher pass calls _forward_full to skip the backprop cache;
-# forward stays importable here because perfbench's tracer patches distill.forward
-from .model import forward  # noqa: F401
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -313,6 +310,9 @@ class DistillConfig:
             raise DomainError("temperature must be positive")
         if not 0.0 <= check_number(self.ce_mix_lambda, "ce_mix_lambda") <= 1.0:
             raise DomainError("ce_mix_lambda must lie in [0, 1]")
+        if self.ce_mix_lambda > 0 and self.method == METHOD_SEQKD:
+            raise DomainError("ce_mix_lambda mixes cross-entropy into a KL loss; "
+                              "method 'seqkd' trains on cross-entropy alone")
         if check_number(self.learning_rate, "learning_rate") <= 0:
             raise DomainError("learning_rate must be positive")
         check_integer(self.steps, "steps", minimum=0)
@@ -341,6 +341,12 @@ class _Adam:
             self.m[k] = ADAM_BETA1 * self.m[k] + (1.0 - ADAM_BETA1) * g
             self.v[k] = ADAM_BETA2 * self.v[k] + (1.0 - ADAM_BETA2) * g * g
             p -= self.lr * (self.m[k] / bc1) / (np.sqrt(self.v[k] / bc2) + ADAM_EPS)
+
+
+def forward(teacher: TinyLM, tokens) -> np.ndarray:
+    """The teacher's logits on one training window, without a backprop cache."""
+    logits, _ = _forward_full(teacher, _check_tokens(tokens, teacher.config), want_cache=False)
+    return logits
 
 
 def train_student(teacher: TinyLM, student_config: ModelConfig, corpus,
@@ -381,15 +387,14 @@ def train_student(teacher: TinyLM, student_config: ModelConfig, corpus,
         if config.method == METHOD_SEQKD:
             spec: LossSpec = CrossEntropy(tgt)
         else:
-            t_logits, _ = _forward_full(teacher64, _check_tokens(inp, teacher64.config),
-                                        want_cache=False)
+            t_logits = forward(teacher64, inp)
             if config.method == METHOD_FORWARD_KLD:
                 spec = ForwardKLD(t_logits, config.temperature)
             else:
                 spec = ReverseKLD(t_logits, config.temperature)
         loss, grads = backward(student, inp, spec)
         lam = config.ce_mix_lambda
-        if lam > 0 and config.method != METHOD_SEQKD:
+        if lam > 0:
             ce_loss, ce_grads = backward(student, inp, CrossEntropy(tgt))
             loss = (1.0 - lam) * loss + lam * ce_loss
             grads = {k: (1.0 - lam) * grads[k] + lam * ce_grads[k] for k in grads}

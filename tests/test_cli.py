@@ -20,6 +20,7 @@ from shrinklab.cli import (
     METRICS_HEADER,
     Report,
     ScoreTable,
+    StudentSpec,
     config_digest,
     emit_plot_data,
     ingest_metrics,
@@ -736,23 +737,32 @@ def test_run_checks_the_base_context_before_any_student_is_trained(
     assert not (tmp_path / "o").exists()
 
 
-def _run_with_student_spy(tmp_path, capsys, monkeypatch, doc, student_context=64):
-    """main(["run", ...]) on doc plus a distilled student 'kd'; returns rc, stderr
-    and the students build_student was asked for."""
+def _spied_suite(tmp_path, monkeypatch, doc):
+    """doc written to suite.json, and the specs build_student will be asked for."""
     import shrinklab.cli as cli
     built = []
     real_build = cli.build_student
 
-    def spy(*args):
-        built.append(args)
-        return real_build(*args)
+    def spy(teacher, spec, corpus):
+        built.append(spec)
+        return real_build(teacher, spec, corpus)
 
     monkeypatch.setattr(cli, "build_student", spy)
-    doc["students"] = {"kd": {"config": {"n_layers": 1, "n_heads": 2, "d_model": 32, "d_ff": 128,
-                                         "context_len": student_context},
-                              "distill": {"method": "forward_kld", "steps": 1}}}
     cfg_path = tmp_path / "suite.json"
     cfg_path.write_text(json.dumps(doc))
+    return cfg_path, built
+
+
+TRAINED = {"config": {"n_layers": 1, "n_heads": 2, "d_model": 32, "d_ff": 128},
+           "distill": {"method": "forward_kld", "steps": 1}}
+
+
+def _run_with_student_spy(tmp_path, capsys, monkeypatch, doc, student_context=64):
+    """main(["run", ...]) on doc plus a distilled student 'kd'; returns rc, stderr
+    and the students build_student was asked for."""
+    doc["students"] = {"kd": dict(TRAINED, config=dict(TRAINED["config"],
+                                                       context_len=student_context))}
+    cfg_path, built = _spied_suite(tmp_path, monkeypatch, doc)
     rc, _, err = run_main(capsys, "run", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
     return rc, err, built
 
@@ -782,6 +792,66 @@ def test_run_checks_calibration_against_a_pruned_students_context(tmp_path, caps
     doc["pipelines"].pop()
     rc, err, built = _run_with_student_spy(tmp_path, capsys, monkeypatch, doc, student_context=12)
     assert "calibration" not in err and len(built) == 1
+
+
+def test_run_checks_calibration_against_a_saved_students_context(tmp_path, capsys, monkeypatch):
+    """A saved student is loaded first and probed like a trained one, so a calibration
+    longer than its context is fatal before any configured student is trained."""
+    saved = tmp_path / "kd.lmz"
+    save_model(init_model(ModelConfig(1, 2, 32, 128, context_len=12), seed=1), saved)
+    doc = small_suite_doc(tmp_path, calibration={"length": 14},
+                          students={"kd": {"path": str(saved)}, "trained": TRAINED})
+    doc["pipelines"] += [{"name": "kd+ah", "passes": [{"op": "distill", "student": "kd"},
+                                                      {"op": "prune_heads", "threshold": 0.9}]},
+                         {"name": "trained", "passes": [{"op": "distill", "student": "trained"}]}]
+    cfg_path, built = _spied_suite(tmp_path, monkeypatch, doc)
+    with pytest.raises(DomainError, match="calibration length 14 exceeds context length 12"):
+        run_suite(parse_suite_config(doc))
+    rc, _, err = run_main(capsys, "run", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
+    assert rc == 2 and err.startswith("error:")
+    assert "calibration length 14 exceeds context length 12" in err and "'kd'" in err
+    assert built and not any(isinstance(spec, StudentSpec) for spec in built)
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_suite_measures_every_pipeline_with_the_base_window(tmp_path):
+    """With no perplexity block the window is the base model's context, for students too:
+    a student with a shorter context fails its pipelines instead of being scored
+    over shorter windows."""
+    doc = small_suite_doc(tmp_path)
+    del doc["perplexity"]
+    base_row = run_suite(parse_suite_config(doc)).rows[0]
+    doc["students"] = {"short": dict(TRAINED, config=dict(TRAINED["config"], context_len=16))}
+    doc["pipelines"] += [{"name": "short", "passes": [{"op": "distill", "student": "short"}]},
+                         {"name": "short+8bit", "passes": [{"op": "distill", "student": "short"},
+                                                           {"op": "quantize", "bits": 8}]}]
+    rows = {r["pipeline"]: r for r in run_suite(parse_suite_config(doc)).rows}
+    for name in ("short", "short+8bit"):
+        assert set(rows[name]) == {"pipeline", "error"}
+        assert "perplexity window" in rows[name]["error"]
+    assert rows["base"] == base_row
+    assert "opt" in rows["8bit"] and "opt" in rows["sparse"]
+
+
+@pytest.mark.parametrize("distill, seqkd, named", [
+    ({}, {"length": 100}, "seqkd prompt_len 8 plus length 100 exceeds context length 64"),
+    ({"ce_mix_lambda": 0.5}, {}, "ce_mix_lambda"),
+], ids=["does-not-fit", "ce-mix"])
+def test_run_rejects_a_seqkd_student_before_any_student_is_built(
+        tmp_path, capsys, monkeypatch, distill, seqkd, named):
+    """A seqkd student that cannot be trained ends the run with exit 2, naming it,
+    before any student is built."""
+    sk = {"config": TRAINED["config"], "seqkd": seqkd,
+          "distill": dict({"method": "seqkd", "steps": 1}, **distill)}
+    doc = small_suite_doc(tmp_path, students={"sk": sk, "a": TRAINED})
+    doc["pipelines"] += [{"name": n, "passes": [{"op": "distill", "student": n}]}
+                         for n in ("a", "sk")]
+    cfg_path, built = _spied_suite(tmp_path, monkeypatch, doc)
+    rc, _, err = run_main(capsys, "run", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
+    assert rc == 2 and err.startswith("error:")
+    assert named in err and "'sk'" in err
+    assert built == []
+    assert not (tmp_path / "o").exists()
 
 
 def test_run_suite_failed_student_fails_only_its_pipelines(tmp_path):

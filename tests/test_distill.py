@@ -246,6 +246,34 @@ def test_distill_config_validation():
             DistillConfig(**bad)
 
 
+def test_distill_config_rejects_ce_mix_on_seqkd():
+    """seqkd trains on cross-entropy alone, so a mixing weight would be ignored."""
+    DistillConfig(method="seqkd", ce_mix_lambda=0.0)
+    with pytest.raises(DomainError, match="ce_mix_lambda"):
+        DistillConfig(method="seqkd", ce_mix_lambda=0.5)
+
+
+@pytest.mark.parametrize("method, calls", [("forward_kld", 5), ("reverse_kld", 5),
+                                           ("seqkd", 0)])
+def test_train_student_runs_the_teacher_through_distill_forward(
+        small_model, corpus, monkeypatch, method, calls):
+    """The teacher pass is distill.forward, once a step, so it can be timed on its
+    own; seqkd reads no teacher logits."""
+    import shrinklab.distill as distill
+    seen = []
+    real_forward = distill.forward
+
+    def spy(teacher, tokens):
+        seen.append(len(tokens))
+        return real_forward(teacher, tokens)
+
+    monkeypatch.setattr(distill, "forward", spy)
+    cfg = DistillConfig(method=method, steps=5, seed=1)
+    result = train_student(small_model, SMALL, corpus[:300], cfg, window=16)
+    assert seen == [16] * calls
+    assert len(result.losses) == 5
+
+
 def test_train_student_zero_steps_returns_init(small_model, corpus):
     cfg = DistillConfig(method="forward_kld", steps=0, seed=9)
     result = train_student(small_model, SMALL, corpus[:200], cfg)
