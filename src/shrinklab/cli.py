@@ -28,15 +28,13 @@ from typing import Callable
 import numpy as np
 
 from .compress import (SUPPORTED_BITS, Calibration, CompressionPass, DistillRef, Prune24,
-                       PruneHeads, Quantize, compose, head_concentration,
-                       prune_heads, prune_model_2_4, quantize_model)
-from .distill import METHOD_SEQKD, DistillConfig, seqkd_corpus, train_student
+                       PruneHeads, Quantize, apply_pass, compose)
+from .distill import METHOD_SEQKD, DistillConfig, seqkd_corpus, train_student, training_window
 from .errors import (DomainError, FormatError, ParseError, SourceError, StateError,
                      check_integer, check_number, check_string)
 from .meter import (DEFAULT_CARBON_INTENSITY, DEFAULT_REPETITIONS, CounterFile,
                     EnergySource, PowerModel, SyntheticClock, carbon_estimate, measure)
-from .model import (LINEAR_NAMES, MIN_PPL_WINDOW, ModelConfig, TinyLM, dense_weight,
-                    init_model, load_model, param_tensors, perplexity,
+from .model import (MIN_PPL_WINDOW, ModelConfig, TinyLM, init_model, load_model, perplexity,
                     perplexity_window, save_model, tokenize)
 from .scoring import (BUILTIN_PROFILES, QUALITY_EXPONENT, Direction,
                       MetricRecord, OptResult, ResourceRatios, WeightProfile,
@@ -341,6 +339,11 @@ class SeqkdPrompts:
         for f in fields(self):
             check_integer(getattr(self, f.name), f.name)
 
+    @property
+    def size(self) -> int:
+        """Tokens in the corpus seqkd_corpus makes: each prompt plus its continuation."""
+        return self.prompts * (self.prompt_len + self.length)
+
     def cut(self, corpus: np.ndarray, context_len: int) -> list[np.ndarray]:
         """Evenly spaced prompts, for a teacher of context_len tokens to continue."""
         if self.prompt_len + self.length > context_len:
@@ -525,12 +528,13 @@ def run_suite(config: SuiteConfig) -> Report:
     """Measure every pipeline against the base model and score the results.
 
     Only students that some pipeline distills to are built, saved ones first,
-    and every student is checked before any is trained.  Every pipeline is
-    measured with the base model's perplexity window and stride.  A pipeline
-    that fails to build, measure or score, or whose student failed to build,
-    contributes an error row and the suite moves on; a failing base pipeline
-    is fatal since nothing can be scored without it.  With a synthetic energy
-    source and a seeded model, repeat runs produce byte-identical reports.
+    and every student, with its training window and data, is checked before
+    any is trained.  Every pipeline is measured with the base model's
+    perplexity window and stride.  A pipeline that fails to build, measure or
+    score, or whose student failed to build, contributes an error row and the
+    suite moves on; a failing base pipeline is fatal since nothing can be
+    scored without it.  With a synthetic energy source and a seeded model,
+    repeat runs produce byte-identical reports.
     """
     corpus = _load_corpus(config.corpus_path)
     base = config.model.build()
@@ -562,8 +566,12 @@ def run_suite(config: SuiteConfig) -> Report:
         try:
             if sid in probed and sid not in student_errors:
                 config.calibration.cut(corpus, students.get(sid, spec).config.context_len)
-            if isinstance(spec, StudentSpec) and spec.distill.method == METHOD_SEQKD:
-                spec.seqkd.cut(corpus, base.config.context_len)
+            if isinstance(spec, StudentSpec):
+                size = corpus.size
+                if spec.distill.method == METHOD_SEQKD:
+                    spec.seqkd.cut(corpus, base.config.context_len)
+                    size = spec.seqkd.size
+                training_window(base.config, spec.config, size, spec.window)
         except DomainError as exc:
             raise DomainError(f"student {sid!r}: {exc}") from exc
     build(StudentSpec)
@@ -805,48 +813,35 @@ def _cmd_perplexity(args) -> int:
 
 
 def _cmd_quantize(args) -> int:
-    model = _model_from_args(args)
-    quantized = quantize_model(model, args.bits)
-    worst = 0.0
-    for (_, orig), (_, q) in zip(param_tensors(model), param_tensors(quantized)):
-        if not isinstance(q, np.ndarray):
-            err = np.abs(dense_weight(orig, np.float64) - q.dense(np.float64)).max()
-            worst = max(worst, float(err))
-    save_model(quantized, args.out)
-    print(f"wrote {args.out} ({args.bits}-bit, max reconstruction error {worst:.3e})")
+    report = apply_pass(_model_from_args(args), Quantize(args.bits))
+    save_model(report.after, args.out)
+    print(f"wrote {args.out} ({args.bits}-bit, max reconstruction error {report.max_error:.3e})")
     return 0
 
 
 def _cmd_prune24(args) -> int:
-    model = _model_from_args(args)
-    pruned = prune_model_2_4(model)
-    zeros = total = 0
-    for name, t in param_tensors(pruned):
-        if name.split(".")[-1] in LINEAR_NAMES:
-            arr = dense_weight(t)
-            zeros += int((arr == 0).sum())
-            total += arr.size
-    save_model(pruned, args.out)
-    print(f"wrote {args.out} (projection sparsity {zeros / total:.3f})")
+    report = apply_pass(_model_from_args(args), Prune24())
+    save_model(report.after, args.out)
+    print(f"wrote {args.out} (projection sparsity {report.sparsity:.3f})")
     return 0
 
 
 def _cmd_prune_heads(args) -> int:
+    pruning = PruneHeads(args.threshold)  # checked before any file is written
     model = _model_from_args(args)
     corpus = _load_corpus(args.corpus)
     calibration = _build(Calibration, {"sequences": args.calib_sequences,
                                        "length": args.calib_length}, "calibration")
-    report = head_concentration(model, calibration.cut(corpus, model.config.context_len))
+    report = apply_pass(model, pruning,
+                        calibration=calibration.cut(corpus, model.config.context_len))
     if args.report:
-        Path(args.report).write_text(json.dumps(report.as_dict(), indent=2,
+        Path(args.report).write_text(json.dumps(report.concentration.as_dict(), indent=2,
                                                 sort_keys=True) + "\n")
         print(f"wrote {args.report}")
-    pruned = prune_heads(model, report, args.threshold)
-    dropped = int(model.head_mask.sum() - pruned.head_mask.sum())
     if args.out:
-        save_model(pruned, args.out)
+        save_model(report.after, args.out)
         print(f"wrote {args.out}")
-    print(f"pruned {dropped} of {int(model.head_mask.sum())} live heads "
+    print(f"pruned {report.heads_masked} of {int(model.head_mask.sum())} live heads "
           f"at threshold {args.threshold}")
     return 0
 

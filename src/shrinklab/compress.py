@@ -1,8 +1,8 @@
 """Compression passes: weight quantization, 2:4 sparsity, attention-head pruning.
 
 Every pass maps a model to a new model and leaves the input untouched, so
-passes compose freely.  compose() turns a list of pass descriptions into a
-single callable.
+passes compose freely.  apply_pass() runs one pass and reports what it did;
+compose() turns a list of pass descriptions into a single callable.
 """
 from __future__ import annotations
 
@@ -31,6 +31,11 @@ def _check_bits(bits) -> None:
 def _check_threshold(threshold) -> None:
     if not 0.0 < check_number(threshold, "threshold") <= 1.0:
         raise DomainError(f"threshold must lie in (0, 1], got {threshold}")
+
+
+def _projections(model: TinyLM) -> list:
+    """The six linear projections of every block, in storage order."""
+    return [getattr(layer, name) for layer in model.weights.layers for name in LINEAR_NAMES]
 
 
 def _map_projections(model: TinyLM, fn: Callable) -> TinyLM:
@@ -272,22 +277,54 @@ def _check_pass(p) -> None:
         raise DomainError(f"unknown compression pass {p!r}")
 
 
+@dataclass(frozen=True)
+class PassReport:
+    """What one pass did: its input and output models, and for a PruneHeads
+    pass the concentration scores it masked by.
+
+    The numbers that compare input and output are computed when read, so a
+    caller that only wants the output model pays nothing for them.
+    """
+
+    before: TinyLM
+    after: TinyLM
+    concentration: HeadConcentrationReport | None = None
+
+    @property
+    def heads_masked(self) -> int:
+        """Live heads before the pass minus live heads after it."""
+        return int(self.before.head_mask.sum() - self.after.head_mask.sum())
+
+    @property
+    def max_error(self) -> float:
+        """Largest float64 |before - after| entry over every block's projections."""
+        return max(float(np.abs(dense_weight(a, np.float64) - dense_weight(b, np.float64)).max())
+                   for a, b in zip(_projections(self.before), _projections(self.after)))
+
+    @property
+    def sparsity(self) -> float:
+        """Share of zero entries in the output model's projections."""
+        arrays = [dense_weight(t) for t in _projections(self.after)]
+        return sum(int((a == 0).sum()) for a in arrays) / sum(a.size for a in arrays)
+
+
 def apply_pass(model: TinyLM, p: CompressionPass,
                calibration: Sequence | None = None,
-               students: Mapping[str, TinyLM] | None = None) -> TinyLM:
+               students: Mapping[str, TinyLM] | None = None) -> PassReport:
+    """Run one pass on model and report what it did."""
     _check_pass(p)
     if isinstance(p, Quantize):
-        return quantize_model(model, p.bits)
+        return PassReport(model, quantize_model(model, p.bits))
     if isinstance(p, Prune24):
-        return prune_model_2_4(model)
+        return PassReport(model, prune_model_2_4(model))
     if isinstance(p, PruneHeads):
         if calibration is None:
             raise DomainError("a PruneHeads pass requires calibration sequences")
         report = head_concentration(model, calibration)
-        return prune_heads(model, report, p.threshold)
+        return PassReport(model, prune_heads(model, report, p.threshold), report)
     if not students or p.student not in students:
         raise DomainError(f"no student model registered under {p.student!r}")
-    return students[p.student]
+    return PassReport(model, students[p.student])
 
 
 def compose(passes: Sequence[CompressionPass],
@@ -309,7 +346,7 @@ def compose(passes: Sequence[CompressionPass],
 
     def transform(model: TinyLM) -> TinyLM:
         for p in frozen:
-            model = apply_pass(model, p, calibration=calibration, students=students)
+            model = apply_pass(model, p, calibration=calibration, students=students).after
         return model
 
     return transform

@@ -349,6 +349,26 @@ def forward(teacher: TinyLM, tokens) -> np.ndarray:
     return logits
 
 
+def training_window(teacher_config: ModelConfig, student_config: ModelConfig,
+                    corpus_tokens: int, window: int | None = None) -> int:
+    """The window train_student samples, checked against both models and the corpus size.
+
+    The models must share a vocabulary, the window must fit both contexts (by
+    default the shorter context, capped at 32), and the corpus must hold one
+    window plus a target.
+    """
+    if student_config.vocab_size != teacher_config.vocab_size:
+        raise DomainError("student and teacher must share a vocabulary")
+    limit = min(student_config.context_len, teacher_config.context_len)
+    wnd = min(limit, 32) if window is None else window
+    if not 1 <= wnd <= limit:
+        raise DomainError(f"window must lie in [1, {limit}]")
+    if corpus_tokens < wnd + 1:
+        raise DomainError(f"corpus of {corpus_tokens} tokens is shorter than one "
+                          f"window of {wnd} plus a target")
+    return wnd
+
+
 def train_student(teacher: TinyLM, student_config: ModelConfig, corpus,
                   config: DistillConfig, window: int | None = None) -> TrainResult:
     """Distill the teacher into a freshly initialized student.
@@ -360,18 +380,10 @@ def train_student(teacher: TinyLM, student_config: ModelConfig, corpus,
     Training state lives in float64 throughout; with a fixed seed the run is
     reproducible to the bit.
     """
-    if student_config.vocab_size != teacher.config.vocab_size:
-        raise DomainError("student and teacher must share a vocabulary")
     toks = np.asarray(corpus, dtype=np.int64)
     if toks.ndim != 1:
         raise DomainError("corpus must be a 1-D token sequence")
-    limit = min(student_config.context_len, teacher.config.context_len)
-    wnd = min(limit, 32) if window is None else window
-    if not 1 <= wnd <= limit:
-        raise DomainError(f"window must lie in [1, {limit}]")
-    if toks.size < wnd + 1:
-        raise DomainError(f"corpus of {toks.size} tokens is shorter than one "
-                          f"window of {wnd} plus a target")
+    wnd = training_window(teacher.config, student_config, toks.size, window)
 
     rng = np.random.default_rng(config.seed)
     student = astype(init_model(student_config, seed=config.seed), np.float64)

@@ -31,11 +31,14 @@ from shrinklab.cli import (
     score_report,
     write_metrics_csv,
 )
-from shrinklab.compress import Calibration, DistillRef, Prune24, PruneHeads, Quantize
+from shrinklab.compress import (Calibration, DistillRef, Prune24, PruneHeads, Quantize,
+                                head_concentration, prune_heads, prune_model_2_4,
+                                quantize_model)
 from shrinklab.distill import DistillConfig
 from shrinklab.errors import BelowRandomFloor, DomainError, ParseError
 from shrinklab.meter import CounterFile, PowerModel, SyntheticClock
-from shrinklab.model import ModelConfig, init_model, load_model, save_model
+from shrinklab.model import (LINEAR_NAMES, ModelConfig, dense_weight, init_model, load_model,
+                             param_tensors, save_model, tokenize)
 from shrinklab.scoring import WeightProfile
 
 HEADER = ",".join(METRICS_HEADER)
@@ -452,6 +455,76 @@ def test_cli_prune_heads_writes_report(tmp_path, capsys):
     assert "pruned" in out
 
 
+# the subcommands' printed numbers, worked out here tensor by tensor
+
+ARCH = ["--seed", "1", "--arch", "1,2,32,128"]
+
+
+def _fresh():
+    return init_model(ModelConfig(1, 2, 32, 128), seed=1)
+
+
+@pytest.mark.parametrize("bits", [4, 8])
+def test_cli_quantize_prints_the_largest_reconstruction_error(tmp_path, capsys, bits):
+    model, out = _fresh(), tmp_path / "q.lmz"
+    quantized = quantize_model(model, bits)
+    worst = 0.0
+    for (_, orig), (_, q) in zip(param_tensors(model), param_tensors(quantized)):
+        if not isinstance(q, np.ndarray):
+            err = np.abs(dense_weight(orig, np.float64) - q.dense(np.float64)).max()
+            worst = max(worst, float(err))
+    rc, printed, _ = run_main(capsys, "quantize", *ARCH, "--bits", str(bits), "--out", str(out))
+    assert rc == 0
+    assert printed == f"wrote {out} ({bits}-bit, max reconstruction error {worst:.3e})\n"
+
+
+def test_cli_prune24_prints_the_projection_sparsity(tmp_path, capsys):
+    zeros = total = 0
+    for name, t in param_tensors(prune_model_2_4(_fresh())):
+        if name.split(".")[-1] in LINEAR_NAMES:
+            arr = dense_weight(t)
+            zeros += int((arr == 0).sum())
+            total += arr.size
+    out = tmp_path / "s.lmz"
+    rc, printed, _ = run_main(capsys, "prune-24", *ARCH, "--out", str(out))
+    assert rc == 0
+    assert printed == f"wrote {out} (projection sparsity {zeros / total:.3f})\n"
+
+
+def test_cli_prune_heads_prints_the_heads_it_masked(tmp_path, capsys):
+    corpus = tmp_path / "c.txt"
+    corpus.write_bytes(bundled.path("toy_corpus.txt").read_bytes()[:600])
+    model = _fresh()
+    report = head_concentration(model, Calibration().cut(tokenize(corpus.read_bytes()),
+                                                         model.config.context_len))
+    threshold = float(report.scores.max())  # masks the most concentrated head
+    pruned = prune_heads(model, report, threshold)
+    dropped = int(model.head_mask.sum() - pruned.head_mask.sum())
+    assert dropped >= 1
+    report_path, out = tmp_path / "heads.json", tmp_path / "m.lmz"
+    rc, printed, _ = run_main(capsys, "prune-heads", *ARCH, "--corpus", str(corpus),
+                              "--threshold", repr(threshold), "--report", str(report_path),
+                              "--out", str(out))
+    assert rc == 0
+    assert printed == (f"wrote {report_path}\nwrote {out}\n"
+                       f"pruned {dropped} of {int(model.head_mask.sum())} live heads "
+                       f"at threshold {threshold}\n")
+    assert report_path.read_text() == json.dumps(report.as_dict(), indent=2,
+                                                 sort_keys=True) + "\n"
+    assert np.array_equal(load_model(out).head_mask, pruned.head_mask)
+
+
+def test_cli_prune_heads_checks_the_threshold_before_writing(tmp_path, capsys):
+    report_path, out = tmp_path / "r.json", tmp_path / "m.lmz"
+    rc, printed, err = run_main(capsys, "prune-heads", "--seed", "0",
+                                "--corpus", str(bundled.path("toy_corpus.txt")),
+                                "--threshold", "1.5", "--report", str(report_path),
+                                "--out", str(out))
+    assert rc == 2 and err.startswith("error:") and "threshold" in err
+    assert printed == ""
+    assert not report_path.exists() and not out.exists()
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--calib-length", "-1"), ("--calib-length", "0"), ("--calib-length", "4"),
     ("--calib-length", "100"), ("--calib-sequences", "-1"), ("--calib-sequences", "0"),
@@ -836,7 +909,9 @@ def test_run_suite_measures_every_pipeline_with_the_base_window(tmp_path):
 @pytest.mark.parametrize("distill, seqkd, named", [
     ({}, {"length": 100}, "seqkd prompt_len 8 plus length 100 exceeds context length 64"),
     ({"ce_mix_lambda": 0.5}, {}, "ce_mix_lambda"),
-], ids=["does-not-fit", "ce-mix"])
+    ({}, {"prompts": 1, "prompt_len": 2, "length": 2},
+     "corpus of 4 tokens is shorter than one window of 32 plus a target"),
+], ids=["does-not-fit", "ce-mix", "short-corpus"])
 def test_run_rejects_a_seqkd_student_before_any_student_is_built(
         tmp_path, capsys, monkeypatch, distill, seqkd, named):
     """A seqkd student that cannot be trained ends the run with exit 2, naming it,
@@ -850,6 +925,25 @@ def test_run_rejects_a_seqkd_student_before_any_student_is_built(
     rc, _, err = run_main(capsys, "run", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
     assert rc == 2 and err.startswith("error:")
     assert named in err and "'sk'" in err
+    assert built == []
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("change, named", [
+    ({"window": 100}, "window must lie in [1, 64]"),
+    ({"config": dict(TRAINED["config"], vocab_size=128)}, "share a vocabulary"),
+], ids=["window", "vocab"])
+def test_run_rejects_a_student_that_cannot_train_before_any_student_is_built(
+        tmp_path, capsys, monkeypatch, change, named):
+    """A training window or vocabulary that train_student would reject ends the run
+    with exit 2, naming the student, before any student is built."""
+    doc = small_suite_doc(tmp_path, students={"a": TRAINED, "kd": dict(TRAINED, **change)})
+    doc["pipelines"] += [{"name": n, "passes": [{"op": "distill", "student": n}]}
+                         for n in ("a", "kd")]
+    cfg_path, built = _spied_suite(tmp_path, monkeypatch, doc)
+    rc, _, err = run_main(capsys, "run", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
+    assert rc == 2 and err.startswith("error:")
+    assert named in err and "'kd'" in err
     assert built == []
     assert not (tmp_path / "o").exists()
 

@@ -8,6 +8,7 @@ from shrinklab.compress import (
     SUPPORTED_BITS,
     DistillRef,
     HeadConcentrationReport,
+    PassReport,
     Prune24,
     PruneHeads,
     Quantize,
@@ -367,3 +368,58 @@ def test_apply_pass_missing_context(small_model):
         apply_pass(small_model, PruneHeads(0.9))  # no calibration given
     with pytest.raises(DomainError):
         apply_pass(small_model, DistillRef("kd"), students={})
+
+
+# ---------------------------------------------------------------------------
+# what a pass reports
+
+def _layer_projections(model):
+    return [getattr(layer, name) for layer in model.weights.layers for name in LINEAR_NAMES]
+
+
+@pytest.mark.parametrize("bits", SUPPORTED_BITS)
+def test_quantize_pass_reports_its_reconstruction_error(small_model, bits):
+    report = apply_pass(small_model, Quantize(bits))
+    assert isinstance(report, PassReport) and report.before is small_model
+    expected = quantize_model(small_model, bits)
+    worst = 0.0
+    for orig, q, want in zip(_layer_projections(small_model), _layer_projections(report.after),
+                             _layer_projections(expected)):
+        assert isinstance(q, QuantizedTensor) and np.array_equal(q.codes, want.codes)
+        worst = max(worst, float(np.abs(orig.astype(np.float64) - dequantize(q)).max()))
+    assert worst > 0.0
+    assert report.max_error == worst
+    assert report.heads_masked == 0 and report.concentration is None
+
+
+def test_prune24_pass_reports_half_sparsity(small_model):
+    report = apply_pass(small_model, Prune24())
+    for got, want in zip(_layer_projections(report.after),
+                         _layer_projections(prune_model_2_4(small_model))):
+        assert np.array_equal(got, want)
+    assert report.sparsity == 0.5
+    assert report.max_error == max(float(np.abs(w).max()) for w in (
+        orig[pruned == 0] for orig, pruned in zip(_layer_projections(small_model),
+                                                  _layer_projections(report.after))))
+    assert report.heads_masked == 0
+
+
+def test_prune_heads_pass_reports_the_heads_it_masked():
+    model, probe = concentration_pair_model()
+    report = apply_pass(model, PruneHeads(0.9), calibration=[probe])
+    expected = head_concentration(model, [probe])
+    assert np.array_equal(report.concentration.scores, expected.scores)
+    assert report.concentration.n_positions == expected.n_positions
+    assert report.after.head_mask.tolist() == [[0.0, 1.0]]
+    assert report.heads_masked == int(model.head_mask.sum() - report.after.head_mask.sum()) == 1
+    assert report.max_error == 0.0
+    # masking is cumulative, so a second pass masks nothing more
+    again = apply_pass(report.after, PruneHeads(0.9), calibration=[probe])
+    assert again.heads_masked == 0
+
+
+def test_distill_pass_reports_the_student(small_model):
+    student = init_model(SMALL, seed=99)
+    report = apply_pass(small_model, DistillRef("kd"), students={"kd": student})
+    assert report.after is student and report.before is small_model
+    assert report.concentration is None
