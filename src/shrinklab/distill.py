@@ -6,6 +6,7 @@ student is returned in float32.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -124,18 +125,23 @@ def _ln_backward(dy, xhat, inv_std, g):
     dg = (dy * xhat).sum(axis=0)
     db = dy.sum(axis=0)
     dxh = dy * g
-    dx = inv_std * (dxh - dxh.mean(axis=-1, keepdims=True)
-                    - xhat * (dxh * xhat).mean(axis=-1, keepdims=True))
+    d = dy.shape[-1]  # add.reduce / d rounds like .mean(), as in ln_detail
+    dx = inv_std * (dxh - np.add.reduce(dxh, axis=-1, keepdims=True) / d
+                    - xhat * (np.add.reduce(dxh * xhat, axis=-1, keepdims=True) / d))
     return dx, dg, db
 
 
-def backward(model: TinyLM, tokens, spec: LossSpec) -> tuple[float, dict[str, np.ndarray]]:
+def backward(model: TinyLM, tokens, spec: LossSpec,
+             ce_mix: tuple[float, np.ndarray] | None = None) -> tuple[float, dict[str, np.ndarray]]:
     """Loss and its gradient for every trainable tensor.
 
     The model is run in float64 regardless of its stored dtype, so gradients
     are suitable for finite-difference verification.  Keys of the returned
     dict match param_tensors names.  Quantized weights cannot be trained and
     raise DomainError.
+
+    ce_mix, a pair (lam, targets), makes the loss and each gradient (1 - lam)
+    times spec's plus lam times cross-entropy's, swept back from one forward.
     """
     for name, t in param_tensors(model):
         if not isinstance(t, np.ndarray):
@@ -144,7 +150,18 @@ def backward(model: TinyLM, tokens, spec: LossSpec) -> tuple[float, dict[str, np
     toks = _check_tokens(tokens, m64.config)
     logits, cache = _forward_full(m64, toks, want_cache=True)
     loss, dlogits = _loss_and_dlogits(logits, spec)
+    grads = _sweep(m64, toks, cache, dlogits)
+    if ce_mix is not None:
+        lam, targets = ce_mix
+        ce_loss, ce_dlogits = _loss_and_dlogits(logits, CrossEntropy(targets))
+        ce_grads = _sweep(m64, toks, cache, ce_dlogits)
+        loss = (1.0 - lam) * loss + lam * ce_loss
+        grads = {k: (1.0 - lam) * grads[k] + lam * ce_grads[k] for k in grads}
+    return loss, grads
 
+
+def _sweep(m64: TinyLM, toks, cache: dict, dlogits) -> dict[str, np.ndarray]:
+    """Gradient of every trainable tensor, swept back from dlogits through the forward's cache."""
     cfg = m64.config
     W = m64.weights
     n = toks.size
@@ -202,7 +219,7 @@ def backward(model: TinyLM, tokens, spec: LossSpec) -> tuple[float, dict[str, np
 
     np.add.at(grads["tok_emb"], toks, dx)
     grads["pos_emb"][:n] += dx
-    return loss, grads
+    return grads
 
 
 def loss_value(model: TinyLM, tokens, spec: LossSpec) -> float:
@@ -236,7 +253,7 @@ def grad_check(model: TinyLM, tokens, spec: LossSpec, epsilon: float = 1e-4,
     if sample_size < 1:
         raise DomainError("sample_size must be at least 1")
     m64 = astype(copy_model(model), np.float64)
-    toks = np.asarray(tokens, dtype=np.int64)
+    toks = _check_tokens(tokens, m64.config)
     _, grads = backward(m64, toks, spec)
 
     tensors = param_tensors(m64)
@@ -276,18 +293,20 @@ def seqkd_corpus(teacher: TinyLM, prompts, length: int, mode: str = "greedy",
                  temperature: float = 1.0, seed: int = 0) -> np.ndarray:
     """Teacher continuations of each prompt, concatenated into one corpus.
 
-    Each prompt gets its own derived seed so sampled continuations differ
-    between prompts but the whole corpus is reproducible.
+    Prompt i is continued as generate does with seed + i, so sampled
+    continuations differ between prompts but the corpus is reproducible.
+    Each run of consecutive prompts of one length is decoded as one batch.
     """
-    if length < 1:
-        raise DomainError("length must be at least 1")
-    prompt_list = list(prompts)
-    if not prompt_list:
-        raise DomainError("seqkd_corpus needs at least one prompt")
+    check_integer(length, "length")
     pieces = []
-    for i, p in enumerate(prompt_list):
-        pieces.append(generate(teacher, p, length, mode=mode,
-                               temperature=temperature, seed=seed + i))
+    first = 0
+    for _, run in itertools.groupby(map(np.asarray, prompts), key=np.shape):
+        batch = np.stack(list(run))
+        pieces.append(generate(teacher, batch, length, mode=mode,
+                               temperature=temperature, seed=seed + first).ravel())
+        first += len(batch)
+    if not pieces:
+        raise DomainError("seqkd_corpus needs at least one prompt")
     return np.concatenate(pieces)
 
 
@@ -380,9 +399,9 @@ def train_student(teacher: TinyLM, student_config: ModelConfig, corpus,
     Training state lives in float64 throughout; with a fixed seed the run is
     reproducible to the bit.
     """
-    toks = np.asarray(corpus, dtype=np.int64)
-    if toks.ndim != 1:
-        raise DomainError("corpus must be a 1-D token sequence")
+    toks = np.asarray(corpus)
+    if toks.ndim != 1 or not np.issubdtype(toks.dtype, np.integer):
+        raise DomainError("corpus must be a 1-D sequence of integer token ids")
     wnd = training_window(teacher.config, student_config, toks.size, window)
 
     rng = np.random.default_rng(config.seed)
@@ -404,12 +423,8 @@ def train_student(teacher: TinyLM, student_config: ModelConfig, corpus,
                 spec = ForwardKLD(t_logits, config.temperature)
             else:
                 spec = ReverseKLD(t_logits, config.temperature)
-        loss, grads = backward(student, inp, spec)
         lam = config.ce_mix_lambda
-        if lam > 0:
-            ce_loss, ce_grads = backward(student, inp, CrossEntropy(tgt))
-            loss = (1.0 - lam) * loss + lam * ce_loss
-            grads = {k: (1.0 - lam) * grads[k] + lam * ce_grads[k] for k in grads}
+        loss, grads = backward(student, inp, spec, ce_mix=(lam, tgt) if lam > 0 else None)
         opt.step(params, grads)
         losses.append(float(loss))
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, FormatError, check_integer
+from .errors import DomainError, FormatError, check_integer, check_number
 
 LN_EPS = 1e-5
 INIT_STD = 0.02
@@ -215,13 +215,13 @@ def detokenize(tokens) -> str:
     return bytes(toks.astype(np.uint8).tolist()).decode("utf-8", errors="replace")
 
 
-def _check_tokens(tokens, config: ModelConfig) -> np.ndarray:
+def _check_tokens(tokens, config: ModelConfig, ndim: int = 1) -> np.ndarray:
     toks = np.asarray(tokens)
-    if toks.ndim != 1 or toks.size == 0:
-        raise DomainError("token sequence must be 1-D and non-empty")
-    if toks.size > config.context_len:
+    if toks.ndim != ndim or toks.size == 0:
+        raise DomainError(f"token ids must form a non-empty {ndim}-D array")
+    if toks.shape[-1] > config.context_len:
         raise DomainError(
-            f"sequence length {toks.size} exceeds context length {config.context_len}"
+            f"sequence length {toks.shape[-1]} exceeds context length {config.context_len}"
         )
     if not np.issubdtype(toks.dtype, np.integer):
         raise DomainError("token ids must be integers")
@@ -304,7 +304,8 @@ def log_softmax_rows(x):
 # ---------------------------------------------------------------------------
 # forward pass
 
-def _forward_full(model: TinyLM, tokens: np.ndarray, want_cache: bool, first_row: int = 0):
+def _forward_full(model: TinyLM, tokens: np.ndarray, want_cache: bool, first_row: int = 0,
+                  past: list | None = None):
     """Single forward implementation behind inference, head scoring and backprop.
 
     tokens is one sequence (n,) or a batch of them (B, n), giving logits
@@ -323,9 +324,14 @@ def _forward_full(model: TinyLM, tokens: np.ndarray, want_cache: bool, first_row
     subset of a product rounds like the full product's rows when it has at
     least 2 rows and a C-contiguous right operand, so callers keep 2 or more
     rows and the head multiplies by a contiguous copy of the embedding.
+
+    past, a list of each block's (keys, values) over earlier positions (empty
+    before the first call), places tokens after those positions, attending
+    to them too; the second element returned is then past extended by
+    tokens' keys and values, for the next call.  generate decodes this way.
     """
-    if want_cache and first_row > 0:
-        raise DomainError("the cache covers every row; first_row must be 0")
+    if want_cache and (first_row > 0 or past is not None):
+        raise DomainError("the cache covers whole sequences; first_row must be 0, past None")
     cfg = model.config
     W = model.weights
     batch = tokens.shape[:-1]
@@ -341,9 +347,11 @@ def _forward_full(model: TinyLM, tokens: np.ndarray, want_cache: bool, first_row
     def split_heads(t):  # (..., rows, d_model) -> (..., heads, rows, d_head)
         return t.reshape(*t.shape[:-1], n_heads, h_dim).swapaxes(-3, -2)
 
-    x = W.tok_emb[tokens] + W.pos_emb[:n]
-    causal = np.tri(n, dtype=bool)
+    p0 = past[0][0].shape[-2] if past else 0
+    x = W.tok_emb[tokens] + W.pos_emb[p0:p0 + n]
+    causal = np.tri(n, p0 + n, p0, dtype=bool)
     cache: dict | None = {"layers": []} if want_cache else None
+    kv = []
 
     last = len(W.layers) - 1
     for li, lw in enumerate(W.layers):
@@ -352,6 +360,10 @@ def _forward_full(model: TinyLM, tokens: np.ndarray, want_cache: bool, first_row
         qh = split_heads(a[..., r:, :] @ proj(lw.wq))
         kh = split_heads(a @ proj(lw.wk))
         vh = split_heads(a @ proj(lw.wv))
+        if past:
+            kh, vh = (np.concatenate(pair, axis=-2) for pair in zip(past[li], (kh, vh)))
+        if past is not None:
+            kv.append((kh, vh))
         scores = qh @ kh.swapaxes(-1, -2)
         scores /= math.sqrt(h_dim)
         probs = softmax_rows(scores, where=causal[r:], out=scores)
@@ -375,7 +387,7 @@ def _forward_full(model: TinyLM, tokens: np.ndarray, want_cache: bool, first_row
     logits = xf @ (np.ascontiguousarray(head) if first_row > 0 else head)
     if want_cache:
         cache.update(xf=xf, xhatf=xhatf, invf=invf)
-    return logits, cache
+    return logits, kv if past is not None else cache
 
 
 def forward(model: TinyLM, tokens) -> tuple[np.ndarray, np.ndarray]:
@@ -485,37 +497,48 @@ def generate(model: TinyLM, prompt, steps: int, mode: str = "greedy",
              temperature: float = 1.0, seed: int = 0) -> np.ndarray:
     """Continue prompt by steps tokens; returns prompt plus continuation.
 
-    greedy takes the argmax at each step; sample draws from the
-    temperature-scaled softmax with a generator seeded by seed, so results
-    are reproducible.  Greedy is the temperature -> 0 limit of sampling.
+    prompt is one sequence (n,) or a batch of equal-length ones (B, n),
+    giving (n + steps,) or (B, n + steps).  greedy takes the argmax at each
+    step; sample draws from the temperature-scaled softmax, row i with a
+    generator seeded by seed + i, so results are reproducible.  Greedy is
+    the temperature -> 0 limit of sampling.
+
+    One forward runs on the prompts, then one per new token against the
+    cached keys and values: logits that may differ from the full forward's
+    in the last bits, with tokens the tests pin to the full forward's.
     """
-    toks = _check_tokens(prompt, model.config)
-    if toks.size + check_integer(steps, "steps", minimum=0) > model.config.context_len:
+    cfg = model.config
+    toks = _check_tokens(prompt, cfg, ndim=2 if np.ndim(prompt) == 2 else 1)
+    n = toks.shape[-1]
+    if n + check_integer(steps, "steps", minimum=0) > cfg.context_len:
         raise DomainError(
-            f"prompt of {toks.size} plus {steps} steps exceeds context length "
-            f"{model.config.context_len}"
+            f"prompt of {n} plus {steps} steps exceeds context length {cfg.context_len}"
         )
     if mode not in ("greedy", "sample"):
         raise DomainError(f"mode must be 'greedy' or 'sample', got {mode!r}")
-    if mode == "sample" and temperature <= 0:
+    if check_number(temperature, "temperature") <= 0 and mode == "sample":
         raise DomainError("temperature must be positive")
+    check_integer(seed, "seed", minimum=0)
 
-    rng = np.random.default_rng(seed)
-    seq = list(toks)
-    for _ in range(steps):
-        # the last row is read; the one before keeps the products at 2 rows (see _forward_full)
-        logits, _ = _forward_full(model, np.asarray(seq, dtype=np.int64), want_cache=False,
-                                  first_row=max(len(seq) - 2, 0))
-        last = np.asarray(logits[-1], dtype=np.float64)
+    seqs = np.pad(np.atleast_2d(toks), ((0, 0), (0, steps)))
+    rngs = [np.random.default_rng(seed + i) for i in range(len(seqs))]
+    past = []
+    # on the prompts, the row before the last keeps the products at 2 rows (see _forward_full)
+    fed, cut = 0, max(n - 2, 0)
+    for t in range(n, n + steps):
+        logits, past = _forward_full(model, seqs[:, fed:t], want_cache=False,
+                                     first_row=cut, past=past)
+        fed, cut = t, 0
+        last = np.asarray(logits[:, -1], dtype=np.float64)
         if mode == "greedy":
-            nxt = int(np.argmax(last))
-        else:
-            z = (last - last.max()) / temperature
+            seqs[:, t] = np.argmax(last, axis=-1)
+            continue
+        for i, rng in enumerate(rngs):
+            z = (last[i] - last[i].max()) / temperature
             p = np.exp(z)
             p /= p.sum()
-            nxt = int(rng.choice(p.size, p=p))
-        seq.append(nxt)
-    return np.asarray(seq, dtype=np.int64)
+            seqs[i, t] = rng.choice(p.size, p=p)
+    return seqs if toks.ndim == 2 else seqs[0]
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,8 @@ from shrinklab.distill import (
 )
 from shrinklab.compress import quantize_model
 from shrinklab.errors import DomainError
-from shrinklab.model import ModelConfig, astype, forward, init_model, tokenize
+from shrinklab.model import (ModelConfig, astype, forward, generate, init_model, param_tensors,
+                             tokenize)
 
 from conftest import SMALL
 
@@ -182,6 +183,8 @@ def test_grad_check_validation(small_model, corpus):
         grad_check(small_model, tokens, spec, sample_size=0)
     with pytest.raises(DomainError):
         grad_check(quantize_model(small_model, 8), tokens, spec)
+    with pytest.raises(DomainError, match="integers"):
+        grad_check(small_model, tokens + 0.25, spec)
 
 
 def test_backward_rejects_quantized_weights(small_model, corpus):
@@ -228,6 +231,32 @@ def test_seqkd_corpus_validation(small_model):
     # prompt plus continuation must still fit the context window
     with pytest.raises(DomainError):
         seqkd_corpus(small_model, [tokenize("ab")], length=SMALL.context_len - 1)
+    for bad in (dict(temperature=float("nan")), dict(temperature=float("inf")), dict(seed=-1)):
+        with pytest.raises(DomainError):
+            seqkd_corpus(small_model, [tokenize("ab")], length=4, mode="sample", **bad)
+
+
+@pytest.mark.parametrize("mode", ["greedy", "sample"])
+def test_seqkd_corpus_decodes_each_run_of_equal_length_prompts_as_one_batch(
+        small_model, corpus, monkeypatch, mode):
+    """The corpus is the per-prompt generate calls, prompt i seeded by seed + i,
+    made with one forward per new token for each run of equal-length prompts."""
+    import shrinklab.model as model_mod
+    prompts = [corpus[0:2], corpus[10:12], corpus[20:23], corpus[30:32]]
+    want = np.concatenate([generate(small_model, p, 9, mode=mode, seed=3 + i)
+                           for i, p in enumerate(prompts)])
+    batches = []
+    real_forward_full = model_mod._forward_full
+
+    def spy(m, tokens, *args, **kwargs):
+        batches.append(tokens.shape[0])
+        return real_forward_full(m, tokens, *args, **kwargs)
+
+    monkeypatch.setattr(model_mod, "_forward_full", spy)
+    got = seqkd_corpus(small_model, prompts, 9, mode=mode, seed=3)
+    assert got.tolist() == want.tolist()
+    # the runs are prompts 0-1 (length 2), prompt 2 (length 3) and prompt 3 (length 2)
+    assert batches == [2] * 9 + [1] * 9 + [1] * 9
 
 
 # ---------------------------------------------------------------------------
@@ -325,3 +354,54 @@ def test_train_student_validation(small_model, corpus):
     with pytest.raises(DomainError):
         train_student(small_model, SMALL, corpus[:100], cfg,
                       window=SMALL.context_len + 1)
+    # float token ids would be truncated, not rejected, by an int cast
+    with pytest.raises(DomainError, match="integer"):
+        train_student(small_model, SMALL, np.linspace(0.2, 200.7, 100), cfg)
+
+
+def _train_by_two_backwards(teacher, student_config, corpus, config, window):
+    """Reference training loop: the teacher's logits from distill.forward, one
+    backward call per loss, the cross-entropy mixed in tensor by tensor, and
+    one Adam step."""
+    import shrinklab.distill as distill
+    rng = np.random.default_rng(config.seed)
+    student = astype(init_model(student_config, seed=config.seed), np.float64)
+    teacher64 = astype(teacher, np.float64)
+    params = dict(param_tensors(student))
+    opt = distill._Adam(params, config.learning_rate)
+    lam = config.ce_mix_lambda
+    losses = []
+    for _ in range(config.steps):
+        start = int(rng.integers(0, corpus.size - window))
+        inp, tgt = corpus[start:start + window], corpus[start + 1:start + window + 1]
+        if config.method == "seqkd":
+            spec = CrossEntropy(tgt)
+        else:
+            kind = ForwardKLD if config.method == "forward_kld" else ReverseKLD
+            spec = kind(distill.forward(teacher64, inp), config.temperature)
+        loss, grads = backward(student, inp, spec)
+        if lam > 0:
+            ce_loss, ce_grads = backward(student, inp, CrossEntropy(tgt))
+            loss = (1.0 - lam) * loss + lam * ce_loss
+            grads = {k: (1.0 - lam) * grads[k] + lam * ce_grads[k] for k in grads}
+        opt.step(params, grads)
+        losses.append(float(loss))
+    return losses, astype(student, np.float32)
+
+
+@pytest.mark.parametrize("config", [
+    DistillConfig("forward_kld", temperature=2.0, steps=6, seed=1),
+    DistillConfig("reverse_kld", ce_mix_lambda=0.5, steps=6, seed=2),
+    DistillConfig("seqkd", steps=6, seed=3),
+], ids=["forward_kld", "reverse_kld-ce_mix", "seqkd"])
+def test_train_student_keeps_the_bits_of_the_reference_loop(small_model, corpus, config):
+    """One student forward per step, swept back once per loss, gives the loss
+    stream and final weights of a forward and backward per loss."""
+    data = corpus[:300]
+    if config.method == "seqkd":
+        data = seqkd_corpus(small_model, [corpus[i * 40:i * 40 + 6] for i in range(4)], 20)
+    result = train_student(small_model, SMALL, data, config, window=16)
+    losses, student = _train_by_two_backwards(small_model, SMALL, data, config, 16)
+    assert result.losses == losses
+    for (name, got), (_, want) in zip(param_tensors(result.student), param_tensors(student)):
+        assert np.array_equal(got, want), name

@@ -193,6 +193,26 @@ def test_forward_first_row_equals_the_full_forwards_rows(config, kind):
             assert np.array_equal(_forward_full(m, toks, False, first_row=k)[0], full[k:]), (n, k)
     with pytest.raises(DomainError):
         _forward_full(m, toks, True, first_row=1)
+    with pytest.raises(DomainError):
+        _forward_full(m, toks, True, past=[])
+
+
+@pytest.mark.parametrize("kind, rtol", [("fp32", 1e-4), ("q4", 1e-4), ("float64", 1e-10)])
+def test_forward_with_past_gives_the_full_forwards_rows(corpus, kind, rtol):
+    """Rows decoded against cached keys and values match the whole sequence's
+    forward to the dtype's rounding, for a single sequence and a batch."""
+    from shrinklab.compress import quantize_model
+    base = init_model(TOY, seed=5)
+    m = {"fp32": base, "q4": quantize_model(base, 4), "float64": astype(base, np.float64)}[kind]
+    for toks in (corpus[:20], np.stack([corpus[:20], corpus[100:120], corpus[7:27]])):
+        full, _ = _forward_full(m, toks, False)
+        got, past = _forward_full(m, toks[..., :9], False, past=[])
+        rows = [got]
+        for split in ((9, 10), (10, 16), (16, 20)):
+            got, past = _forward_full(m, toks[..., slice(*split)], False, past=past)
+            rows.append(got)
+        assert [k.shape[-2] for k, _ in past] == [20] * TOY.n_layers
+        np.testing.assert_allclose(np.concatenate(rows, axis=-2), full, rtol=rtol, atol=rtol)
 
 
 # ---------------------------------------------------------------------------
@@ -539,6 +559,14 @@ def test_generate_bounds_and_modes(small_model):
         generate(small_model, prompt, steps=1, mode="beam")
     with pytest.raises(DomainError):
         generate(small_model, prompt, steps=1, mode="sample", temperature=0.0)
+    for bad in (dict(temperature=float("nan")), dict(temperature=float("inf")),
+                dict(temperature="1"), dict(seed=-1), dict(seed=1.5)):
+        with pytest.raises(DomainError):
+            generate(small_model, prompt, steps=1, mode="sample", **bad)
+    with pytest.raises(DomainError):
+        generate(small_model, np.zeros((0, 3), dtype=np.int64), steps=1)
+    with pytest.raises(DomainError):
+        generate(small_model, np.zeros((1, 2, 3), dtype=np.int64), steps=1)
     same = generate(small_model, prompt, steps=0)
     assert same.tolist() == prompt.tolist()
 
@@ -567,6 +595,16 @@ def test_generate_picks_what_the_full_forwards_last_row_picks(config, mode, corp
         prompt = corpus[40 * length:41 * length]
         got = generate(model, prompt, steps=12, mode=mode, seed=length)
         assert got.tolist() == _full_forward_continuation(model, prompt, 12, mode, length)
+
+
+@pytest.mark.parametrize("mode", ["greedy", "sample"])
+def test_generate_on_a_batch_equals_one_call_per_row(toy_model, corpus, mode):
+    """Row i of a (B, n) batch is decoded as a single call seeded by seed + i."""
+    prompts = np.stack([corpus[s:s + 6] for s in (0, 50, 90, 300)])
+    got = generate(toy_model, prompts, steps=10, mode=mode, seed=7)
+    assert got.shape == (4, 16)
+    for i, prompt in enumerate(prompts):
+        assert got[i].tolist() == generate(toy_model, prompt, 10, mode=mode, seed=7 + i).tolist()
 
 
 # ---------------------------------------------------------------------------
