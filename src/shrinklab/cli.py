@@ -34,8 +34,8 @@ from .errors import (DomainError, FormatError, ParseError, SourceError, StateErr
                      check_integer, check_number, check_string)
 from .meter import (DEFAULT_CARBON_INTENSITY, DEFAULT_REPETITIONS, CounterFile,
                     EnergySource, PowerModel, SyntheticClock, carbon_estimate, measure)
-from .model import (MIN_PPL_WINDOW, ModelConfig, TinyLM, init_model, load_model, perplexity,
-                    perplexity_window, save_model, tokenize)
+from .model import (MIN_PPL_WINDOW, ModelConfig, TinyLM, _check_tokens, init_model, load_model,
+                    perplexity, perplexity_window, save_model, tokenize)
 from .scoring import (BUILTIN_PROFILES, QUALITY_EXPONENT, Direction,
                       MetricRecord, OptResult, ResourceRatios, WeightProfile,
                       check_quality_exponent, opt_score, profile_by_name,
@@ -527,17 +527,22 @@ _ROW_ERRORS = (DomainError, FormatError, SourceError, StateError, OSError)
 def run_suite(config: SuiteConfig) -> Report:
     """Measure every pipeline against the base model and score the results.
 
-    Only students that some pipeline distills to are built, saved ones first,
-    and every student, with its training window and data, is checked before
-    any is trained.  Every pipeline is measured with the base model's
-    perplexity window and stride.  A pipeline that fails to build, measure or
-    score, or whose student failed to build, contributes an error row and the
-    suite moves on; a failing base pipeline is fatal since nothing can be
-    scored without it.  With a synthetic energy source and a seeded model,
-    repeat runs produce byte-identical reports.
+    The corpus is checked against the base model's vocabulary, and every
+    student some pipeline distills to, saved ones loaded first, is checked
+    with its calibration, training window and data before any is trained;
+    a failure there ends the run.  Every pipeline is measured with the base
+    model's perplexity window and stride.  A pipeline that fails to build,
+    measure or score contributes an error row and the suite moves on; a
+    failing base pipeline is fatal since nothing can be scored without it.
+    With a synthetic energy source and a seeded model, repeat runs produce
+    byte-identical reports.
     """
     corpus = _load_corpus(config.corpus_path)
     base = config.model.build()
+    try:
+        _check_tokens(corpus, base.config)
+    except DomainError as exc:
+        raise DomainError(f"corpus {config.corpus_path}: {exc}") from exc
     # checked against the base model before any student is trained
     calibration = config.calibration.cut(corpus, base.config.context_len)
     window, stride = perplexity_window(base.config.context_len,
@@ -551,20 +556,13 @@ def run_suite(config: SuiteConfig) -> Report:
               and any(isinstance(ps, PruneHeads) for ps in p.passes)}
     specs = {sid: config.students[sid]
              for sid in sorted(set(student_of.values()) & set(config.students))}
-    students, student_errors = {}, {}
-
-    def build(kind) -> None:
-        for sid, spec in specs.items():
-            if isinstance(spec, kind):
-                try:
-                    students[sid] = build_student(base, spec, corpus)
-                except _ROW_ERRORS as exc:
-                    student_errors[sid] = f"student {sid!r} failed to build: {exc}"
-
-    build(ModelSpec)  # a saved student only loads, and then its context is known
-    for sid, spec in specs.items():
+    students = {}
+    # saved students first: one loads, and then its context is known
+    for sid, spec in sorted(specs.items(), key=lambda item: isinstance(item[1], StudentSpec)):
         try:
-            if sid in probed and sid not in student_errors:
+            if isinstance(spec, ModelSpec):
+                students[sid] = build_student(base, spec, corpus)
+            if sid in probed:
                 config.calibration.cut(corpus, students.get(sid, spec).config.context_len)
             if isinstance(spec, StudentSpec):
                 size = corpus.size
@@ -572,16 +570,15 @@ def run_suite(config: SuiteConfig) -> Report:
                     spec.seqkd.cut(corpus, base.config.context_len)
                     size = spec.seqkd.size
                 training_window(base.config, spec.config, size, spec.window)
-        except DomainError as exc:
+        except _ROW_ERRORS as exc:
             raise DomainError(f"student {sid!r}: {exc}") from exc
-    build(StudentSpec)
+    for sid, spec in specs.items():
+        if isinstance(spec, StudentSpec):
+            students[sid] = build_student(base, spec, corpus)
 
     source = config.energy_source()
     measured: list[dict] = []
     for p in config.pipelines:
-        if student_of.get(p.name) in student_errors:
-            measured.append({"pipeline": p.name, "error": student_errors[student_of[p.name]]})
-            continue
         try:
             transform = compose(p.passes, calibration=calibration, students=students)
             candidate = transform(base)

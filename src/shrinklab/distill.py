@@ -329,9 +329,9 @@ class DistillConfig:
             raise DomainError("temperature must be positive")
         if not 0.0 <= check_number(self.ce_mix_lambda, "ce_mix_lambda") <= 1.0:
             raise DomainError("ce_mix_lambda must lie in [0, 1]")
-        if self.ce_mix_lambda > 0 and self.method == METHOD_SEQKD:
-            raise DomainError("ce_mix_lambda mixes cross-entropy into a KL loss; "
-                              "method 'seqkd' trains on cross-entropy alone")
+        if self.method == METHOD_SEQKD and (self.ce_mix_lambda > 0 or self.temperature != 1.0):
+            raise DomainError("temperature and ce_mix_lambda shape a KL loss; method 'seqkd' "
+                              "decodes greedily and trains on cross-entropy alone")
         if check_number(self.learning_rate, "learning_rate") <= 0:
             raise DomainError("learning_rate must be positive")
         check_integer(self.steps, "steps", minimum=0)
@@ -357,9 +357,12 @@ class _Adam:
         bc2 = 1.0 - ADAM_BETA2 ** self.t
         for k, p in params.items():
             g = grads[k]
-            self.m[k] = ADAM_BETA1 * self.m[k] + (1.0 - ADAM_BETA1) * g
-            self.v[k] = ADAM_BETA2 * self.v[k] + (1.0 - ADAM_BETA2) * g * g
-            p -= self.lr * (self.m[k] / bc1) / (np.sqrt(self.v[k] / bc2) + ADAM_EPS)
+            m, v = self.m[k], self.v[k]
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 def forward(teacher: TinyLM, tokens) -> np.ndarray:
@@ -399,9 +402,7 @@ def train_student(teacher: TinyLM, student_config: ModelConfig, corpus,
     Training state lives in float64 throughout; with a fixed seed the run is
     reproducible to the bit.
     """
-    toks = np.asarray(corpus)
-    if toks.ndim != 1 or not np.issubdtype(toks.dtype, np.integer):
-        raise DomainError("corpus must be a 1-D sequence of integer token ids")
+    toks = _check_tokens(corpus, teacher.config)
     wnd = training_window(teacher.config, student_config, toks.size, window)
 
     rng = np.random.default_rng(config.seed)

@@ -216,13 +216,10 @@ def detokenize(tokens) -> str:
 
 
 def _check_tokens(tokens, config: ModelConfig, ndim: int = 1) -> np.ndarray:
+    """Integer ids in config's vocabulary, of any length: _forward_full checks the context."""
     toks = np.asarray(tokens)
     if toks.ndim != ndim or toks.size == 0:
         raise DomainError(f"token ids must form a non-empty {ndim}-D array")
-    if toks.shape[-1] > config.context_len:
-        raise DomainError(
-            f"sequence length {toks.shape[-1]} exceeds context length {config.context_len}"
-        )
     if not np.issubdtype(toks.dtype, np.integer):
         raise DomainError("token ids must be integers")
     if toks.min() < 0 or toks.max() >= config.vocab_size:
@@ -348,6 +345,8 @@ def _forward_full(model: TinyLM, tokens: np.ndarray, want_cache: bool, first_row
         return t.reshape(*t.shape[:-1], n_heads, h_dim).swapaxes(-3, -2)
 
     p0 = past[0][0].shape[-2] if past else 0
+    if p0 + n > cfg.context_len:
+        raise DomainError(f"sequence length {p0 + n} exceeds context length {cfg.context_len}")
     x = W.tok_emb[tokens] + W.pos_emb[p0:p0 + n]
     causal = np.tri(n, p0 + n, p0, dtype=bool)
     cache: dict | None = {"layers": []} if want_cache else None
@@ -457,8 +456,8 @@ def perplexity(model: TinyLM, corpus, window: int | None = None,
     """
     cfg = model.config
     window, stride = perplexity_window(cfg.context_len, window, stride)
-    toks = np.asarray(corpus)
-    if toks.ndim != 1 or toks.size < 2:
+    toks = _check_tokens(corpus, cfg)
+    if toks.size < 2:
         raise DomainError("perplexity needs a corpus of at least 2 tokens")
 
     # each window as (start, length, first_row); it scores its rows after first_row
@@ -481,8 +480,7 @@ def perplexity(model: TinyLM, corpus, window: int | None = None,
     for (n, row), run in itertools.groupby(plan, key=lambda w: w[1:]):
         starts = [s for s, _, _ in run]
         for b in range(0, len(starts), PPL_BATCH):
-            chunks = np.stack([_check_tokens(toks[s:s + n], cfg)
-                               for s in starts[b:b + PPL_BATCH]])
+            chunks = np.stack([toks[s:s + n] for s in starts[b:b + PPL_BATCH]])
             logits, _ = _forward_full(model, chunks, want_cache=False, first_row=row)
             for chunk, z in zip(chunks, logits):
                 total += mean_nll(z[:-1], chunk[row + 1:]) * (n - row - 1)

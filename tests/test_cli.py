@@ -639,6 +639,47 @@ def test_cli_energy_source_flag(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("flag", ["power:abc", "counter:uj,x", "bogus"])
+def test_cli_run_malformed_energy_source_flag_exits_two(tmp_path, capsys, flag):
+    cfg_path = tmp_path / "suite.json"
+    cfg_path.write_text(json.dumps(small_suite_doc(tmp_path)))
+    rc, _, err = run_main(capsys, "run", "--config", str(cfg_path),
+                          "--out", str(tmp_path / "o"), "--energy-source", flag)
+    assert rc == 2 and err.startswith("error:")
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_run_missing_counter_file_fails_the_base_pipeline(tmp_path, capsys):
+    cfg_path = tmp_path / "suite.json"
+    cfg_path.write_text(json.dumps(small_suite_doc(tmp_path)))
+    rc, _, err = run_main(capsys, "run", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                          "--energy-source", f"counter:{tmp_path / 'absent'},1000000")
+    assert rc == 2 and err.startswith("error:") and "base pipeline failed" in err
+
+
+def test_cli_run_profile_flag_scores_only_that_profile(tmp_path, capsys):
+    doc = small_suite_doc(tmp_path)
+    cfg_path = tmp_path / "suite.json"
+    cfg_path.write_text(json.dumps(doc))
+    rc, _, _ = run_main(capsys, "run", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                        "--profile", "energy")
+    assert rc == 0
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert report["config_digest"] == config_digest(dict(doc, profiles=["energy"]))
+    assert all(set(row["opt"]) == {"energy"} for row in report["rows"])
+
+
+def test_cli_run_base_only_suite_writes_no_metrics(tmp_path, capsys):
+    cfg_path = tmp_path / "suite.json"
+    cfg_path.write_text(json.dumps(small_suite_doc(
+        tmp_path, pipelines=[{"name": "base", "passes": []}])))
+    out_dir = tmp_path / "o"
+    rc, out, _ = run_main(capsys, "run", "--config", str(cfg_path), "--out", str(out_dir))
+    assert rc == 0
+    assert "no scoreable pipelines beyond base" in out
+    assert sorted(p.name for p in out_dir.iterdir()) == ["report.json"]
+
+
 def test_cli_run_digest_covers_flags(tmp_path, capsys):
     doc = small_suite_doc(tmp_path)
     cfg_path = tmp_path / "suite.json"
@@ -948,22 +989,47 @@ def test_run_rejects_a_student_that_cannot_train_before_any_student_is_built(
     assert not (tmp_path / "o").exists()
 
 
-def test_run_suite_failed_student_fails_only_its_pipelines(tmp_path):
-    missing = tmp_path / "missing.lmz"
-    doc = small_suite_doc(tmp_path, students={"s": {"path": str(missing)}})
+@pytest.mark.parametrize("saved_bytes, named", [
+    (None, "No such file"), (b"not a model", "missing header line"),
+], ids=["missing", "malformed"])
+def test_run_rejects_a_saved_student_that_cannot_load_before_any_is_trained(
+        tmp_path, capsys, monkeypatch, saved_bytes, named):
+    """A saved student that cannot be loaded ends the run with exit 2, naming it,
+    before any configured student is trained."""
+    saved = tmp_path / "s.lmz"
+    if saved_bytes is not None:
+        saved.write_bytes(saved_bytes)
+    doc = small_suite_doc(tmp_path, students={"s": {"path": str(saved)}, "a": TRAINED})
     doc["pipelines"] += [
-        {"name": "s", "passes": [{"op": "distill", "student": "s"}]},
+        {"name": "a", "passes": [{"op": "distill", "student": "a"}]},
         {"name": "s+8bit", "passes": [{"op": "distill", "student": "s"},
                                       {"op": "quantize", "bits": 8}]},
     ]
-    report = run_suite(parse_suite_config(doc))
-    rows = {r["pipeline"]: r for r in report.rows}
-    assert [r["pipeline"] for r in report.rows] == ["base", "8bit", "sparse", "s", "s+8bit"]
-    for name in ("s", "s+8bit"):
-        assert set(rows[name]) == {"pipeline", "error"}
-        assert "student 's'" in rows[name]["error"] and str(missing) in rows[name]["error"]
-    for name in ("base", "8bit", "sparse"):
-        assert "opt" in rows[name]
+    cfg_path, built = _spied_suite(tmp_path, monkeypatch, doc)
+    with pytest.raises(DomainError, match="student 's'"):
+        run_suite(parse_suite_config(doc))
+    rc, _, err = run_main(capsys, "run", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
+    assert rc == 2 and err.startswith("error:")
+    assert "student 's'" in err and named in err
+    assert built and not any(isinstance(spec, StudentSpec) for spec in built)
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_rejects_a_corpus_outside_the_base_vocabulary_before_any_student_is_built(
+        tmp_path, capsys, monkeypatch):
+    """The corpus is checked against the base model once, before any student is
+    built: a byte at or above vocab_size ends the run with exit 2, naming the corpus."""
+    doc = small_suite_doc(tmp_path, students={"a": TRAINED})
+    doc["model"]["config"]["vocab_size"] = 100
+    doc["pipelines"].append({"name": "a", "passes": [{"op": "distill", "student": "a"}]})
+    cfg_path, built = _spied_suite(tmp_path, monkeypatch, doc)
+    with pytest.raises(DomainError, match=r"token ids must lie in \[0, 100\)"):
+        run_suite(parse_suite_config(doc))
+    rc, _, err = run_main(capsys, "run", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
+    assert rc == 2 and err.startswith("error:")
+    assert f"corpus {doc['corpus']}: token ids must lie in [0, 100)" in err
+    assert built == []
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_run_nan_student_is_an_error_row(tmp_path, capsys):
@@ -1235,7 +1301,7 @@ def _value_paths(obj, path=()):
 
 def _property_doc(source):
     student = {"config": {"n_layers": 1, "n_heads": 2, "d_model": 32, "d_ff": 128},
-               "distill": {"method": "seqkd", "temperature": 2.0, "steps": 3, "seed": 1},
+               "distill": {"method": "seqkd", "steps": 3, "seed": 1},
                "window": 16, "seqkd": {"prompts": 2, "prompt_len": 4, "length": 8}}
     return {
         "model": {"config": {"n_layers": 1, "n_heads": 2, "d_model": 32, "d_ff": 128},

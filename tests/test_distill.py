@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 from shrinklab.distill import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     CrossEntropy,
     DistillConfig,
     ForwardKLD,
@@ -97,6 +100,16 @@ def test_kld_validation():
         forward_kld_loss(t, t, temperature=0.0)
     with pytest.raises(DomainError):
         reverse_kld_loss(t, t, temperature=-1.0)
+    with pytest.raises(DomainError, match="1-D or 2-D"):
+        forward_kld_loss(t[None], t[None])
+    with pytest.raises(DomainError, match="at least 2 classes"):
+        forward_kld_loss([[0.0]], [[0.0]])
+
+
+def test_kld_reads_1d_logits_as_one_row():
+    t, s = np.array([0.3, -1.2, 2.0]), np.array([1.0, 0.5, -0.5])
+    assert forward_kld_loss(t, s) == forward_kld_loss(t[None], s[None])
+    assert reverse_kld_loss(t, s) == reverse_kld_loss(t[None], s[None])
 
 
 def test_mode_seeking_against_mass_covering():
@@ -282,6 +295,14 @@ def test_distill_config_rejects_ce_mix_on_seqkd():
         DistillConfig(method="seqkd", ce_mix_lambda=0.5)
 
 
+def test_distill_config_rejects_a_temperature_on_seqkd():
+    """seqkd decodes greedily and trains on cross-entropy, so a softening
+    temperature would be ignored."""
+    DistillConfig(method="seqkd", temperature=1.0)
+    with pytest.raises(DomainError, match="temperature"):
+        DistillConfig(method="seqkd", temperature=5.0)
+
+
 @pytest.mark.parametrize("method, calls", [("forward_kld", 5), ("reverse_kld", 5),
                                            ("seqkd", 0)])
 def test_train_student_runs_the_teacher_through_distill_forward(
@@ -359,16 +380,35 @@ def test_train_student_validation(small_model, corpus):
         train_student(small_model, SMALL, np.linspace(0.2, 200.7, 100), cfg)
 
 
+class _ReferenceAdam:
+    """Adam with a new array for every moment update, the arithmetic the
+    trainer's in-place updates must match bit for bit."""
+
+    def __init__(self, params, lr):
+        self.lr, self.t = lr, 0
+        self.m = {k: np.zeros_like(p) for k, p in params.items()}
+        self.v = {k: np.zeros_like(p) for k, p in params.items()}
+
+    def step(self, params, grads):
+        self.t += 1
+        bc1, bc2 = 1.0 - ADAM_BETA1 ** self.t, 1.0 - ADAM_BETA2 ** self.t
+        for k, p in params.items():
+            g = grads[k]
+            self.m[k] = ADAM_BETA1 * self.m[k] + (1.0 - ADAM_BETA1) * g
+            self.v[k] = ADAM_BETA2 * self.v[k] + (1.0 - ADAM_BETA2) * g * g
+            p -= self.lr * (self.m[k] / bc1) / (np.sqrt(self.v[k] / bc2) + ADAM_EPS)
+
+
 def _train_by_two_backwards(teacher, student_config, corpus, config, window):
     """Reference training loop: the teacher's logits from distill.forward, one
     backward call per loss, the cross-entropy mixed in tensor by tensor, and
-    one Adam step."""
+    one reference Adam step."""
     import shrinklab.distill as distill
     rng = np.random.default_rng(config.seed)
     student = astype(init_model(student_config, seed=config.seed), np.float64)
     teacher64 = astype(teacher, np.float64)
     params = dict(param_tensors(student))
-    opt = distill._Adam(params, config.learning_rate)
+    opt = _ReferenceAdam(params, config.learning_rate)
     lam = config.ce_mix_lambda
     losses = []
     for _ in range(config.steps):

@@ -74,7 +74,7 @@ def test_config_validation():
 def test_forward_token_validation(small_model):
     with pytest.raises(DomainError):
         forward(small_model, [])
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="sequence length 65 exceeds context length 64"):
         forward(small_model, np.zeros(SMALL.context_len + 1, dtype=np.int64))
     with pytest.raises(DomainError):
         forward(small_model, [0, 256])
@@ -496,6 +496,24 @@ def test_perplexity_expands_each_quantized_projection_once_per_window(corpus, mo
         calls.clear()
         perplexity(m, corpus[:500], window=window, stride=stride)
         assert len(calls) == 6 * TOY.n_layers * len(_windows(500, window, stride))
+
+
+def test_perplexity_checks_its_corpus_once(small_model, corpus, monkeypatch):
+    """The whole corpus is checked against the vocabulary in one call; each window's
+    length is left to the forward it runs through."""
+    import shrinklab.model as model_mod
+    seen = []
+    real_check = model_mod._check_tokens
+
+    def spy(tokens, config, *args):
+        seen.append(len(tokens))
+        return real_check(tokens, config, *args)
+
+    monkeypatch.setattr(model_mod, "_check_tokens", spy)
+    perplexity(small_model, corpus[:200], window=16, stride=8)
+    assert seen == [200]
+    with pytest.raises(DomainError, match=r"token ids must lie in \[0, 256\)"):
+        perplexity(small_model, np.append(corpus[:200], 256))
 
 
 def test_perplexity_validation(small_model):
