@@ -29,7 +29,8 @@ import numpy as np
 
 from .compress import (SUPPORTED_BITS, Calibration, CompressionPass, DistillRef, Prune24,
                        PruneHeads, Quantize, apply_pass, compose)
-from .distill import METHOD_SEQKD, DistillConfig, seqkd_corpus, train_student, training_window
+from .distill import (METHOD_SEQKD, DistillConfig, check_shared_vocabulary, seqkd_corpus,
+                      train_student, training_window)
 from .errors import (DomainError, FormatError, ParseError, SourceError, StateError,
                      check_integer, check_number, check_string)
 from .meter import (DEFAULT_CARBON_INTENSITY, DEFAULT_REPETITIONS, CounterFile,
@@ -424,6 +425,13 @@ def parse_suite_config(doc: dict) -> SuiteConfig:
     model = _parse_model_spec(doc["model"], "model")
     corpus_path = check_string(doc["corpus"], "corpus")
 
+    students = doc.get("students", {})
+    if not isinstance(students, dict):
+        raise DomainError("students must be a JSON object")
+    students = {sid: (_parse_model_spec if isinstance(spec, dict) and "path" in spec
+                      else _parse_student)(spec, f"students[{sid!r}]")
+                for sid, spec in students.items()}
+
     if not isinstance(doc["pipelines"], list) or not doc["pipelines"]:
         raise DomainError("pipelines must be a non-empty list")
     pipelines = []
@@ -435,6 +443,12 @@ def parse_suite_config(doc: dict) -> SuiteConfig:
             raise DomainError(f"{what}: passes must be a list")
         passes = [_build(*_tagged(ps, "op", _PASS_OPS, f"{what}.passes[{j}]"),
                          f"{what}.passes[{j}]") for j, ps in enumerate(p["passes"])]
+        try:
+            compose(passes)  # a distill pass must come first
+            if passes and isinstance(passes[0], DistillRef) and passes[0].student not in students:
+                raise DomainError(f"student {passes[0].student!r} is not defined in students")
+        except DomainError as exc:
+            raise DomainError(f"pipeline {p['name']!r}: {exc}") from exc
         pipelines.append(PipelineSpec(name=p["name"], passes=passes))
     _check_unique((p.name for p in pipelines), "pipeline names")
     base_like = [p for p in pipelines if p.name == BASE_PIPELINE]
@@ -442,13 +456,6 @@ def parse_suite_config(doc: dict) -> SuiteConfig:
         raise DomainError(f"exactly one pipeline must be named {BASE_PIPELINE!r}")
     if base_like[0].passes:
         raise DomainError(f"the {BASE_PIPELINE!r} pipeline must have no passes")
-
-    students = doc.get("students", {})
-    if not isinstance(students, dict):
-        raise DomainError("students must be a JSON object")
-    students = {sid: (_parse_model_spec if isinstance(spec, dict) and "path" in spec
-                      else _parse_student)(spec, f"students[{sid!r}]")
-                for sid, spec in students.items()}
 
     source_cls, source_args = _tagged(doc.get("energy_source", {"kind": "synthetic"}),
                                       "kind", _ENERGY_SOURCES, "energy_source")
@@ -502,8 +509,8 @@ def build_student(teacher: TinyLM, spec: ModelSpec | StudentSpec,
 class Report:
     """Result of one suite run; rows are JSON-ready dicts.
 
-    A row is either a full measurement (pipeline, perplexity, time_s,
-    energy_kwh, carbon_g, opt per profile) or a failure (pipeline, error).
+    Every pipeline has one row: pipeline, perplexity, time_s, energy_kwh,
+    carbon_g and opt per profile.
     """
 
     config_digest: str
@@ -521,7 +528,7 @@ def config_digest(doc: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-_ROW_ERRORS = (DomainError, FormatError, SourceError, StateError, OSError)
+_RUN_ERRORS = (DomainError, FormatError, SourceError, StateError, OSError)
 
 
 def run_suite(config: SuiteConfig) -> Report:
@@ -529,13 +536,12 @@ def run_suite(config: SuiteConfig) -> Report:
 
     The corpus is checked against the base model's vocabulary, and every
     student some pipeline distills to, saved ones loaded first, is checked
-    with its calibration, training window and data before any is trained;
-    a failure there ends the run.  Every pipeline is measured with the base
-    model's perplexity window and stride.  A pipeline that fails to build,
-    measure or score contributes an error row and the suite moves on; a
-    failing base pipeline is fatal since nothing can be scored without it.
-    With a synthetic energy source and a seeded model, repeat runs produce
-    byte-identical reports.
+    with its vocabulary, calibration, perplexity window, training window and
+    data before any is trained.  Every pipeline is measured with the base
+    model's perplexity window and stride.  Any failure ends the run with a
+    DomainError naming the student or pipeline, so a report always holds a
+    scored row for every pipeline.  With a synthetic energy source and a
+    seeded model, repeat runs produce byte-identical reports.
     """
     corpus = _load_corpus(config.corpus_path)
     base = config.model.build()
@@ -554,34 +560,35 @@ def run_suite(config: SuiteConfig) -> Report:
     # a student whose heads a pipeline prunes is probed with the same calibration
     probed = {student_of[p.name] for p in config.pipelines if p.name in student_of
               and any(isinstance(ps, PruneHeads) for ps in p.passes)}
-    specs = {sid: config.students[sid]
-             for sid in sorted(set(student_of.values()) & set(config.students))}
+    specs = {sid: config.students[sid] for sid in sorted(set(student_of.values()))}
     students = {}
     # saved students first: one loads, and then its context is known
     for sid, spec in sorted(specs.items(), key=lambda item: isinstance(item[1], StudentSpec)):
         try:
             if isinstance(spec, ModelSpec):
                 students[sid] = build_student(base, spec, corpus)
+            student_config = students.get(sid, spec).config
+            check_shared_vocabulary(base.config, student_config)
             if sid in probed:
-                config.calibration.cut(corpus, students.get(sid, spec).config.context_len)
+                config.calibration.cut(corpus, student_config.context_len)
+            perplexity_window(student_config.context_len, window, stride)
             if isinstance(spec, StudentSpec):
                 size = corpus.size
                 if spec.distill.method == METHOD_SEQKD:
                     spec.seqkd.cut(corpus, base.config.context_len)
                     size = spec.seqkd.size
                 training_window(base.config, spec.config, size, spec.window)
-        except _ROW_ERRORS as exc:
+        except _RUN_ERRORS as exc:
             raise DomainError(f"student {sid!r}: {exc}") from exc
     for sid, spec in specs.items():
         if isinstance(spec, StudentSpec):
             students[sid] = build_student(base, spec, corpus)
 
     source = config.energy_source()
-    measured: list[dict] = []
+    rows: list[dict] = []
     for p in config.pipelines:
         try:
-            transform = compose(p.passes, calibration=calibration, students=students)
-            candidate = transform(base)
+            candidate = compose(p.passes, calibration=calibration, students=students)(base)
             holder: dict[str, float] = {}
 
             def work():
@@ -589,38 +596,24 @@ def run_suite(config: SuiteConfig) -> Report:
 
             rec = measure(source, work, repetitions=config.repetitions,
                           carbon_intensity=config.carbon_intensity)
-            measured.append({
-                "pipeline": p.name, "perplexity": holder["ppl"],
-                "time_s": rec.wall_time_s, "energy_kwh": rec.energy_kwh,
-                "carbon_g": rec.carbon_g,
-            })
-        except _ROW_ERRORS as exc:
-            measured.append({"pipeline": p.name, "error": str(exc)})
+        except _RUN_ERRORS as exc:
+            raise DomainError(f"{p.name} pipeline failed: {exc}") from exc
+        rows.append({"pipeline": p.name, "perplexity": holder["ppl"], "time_s": rec.wall_time_s,
+                     "energy_kwh": rec.energy_kwh, "carbon_g": rec.carbon_g})
 
-    base_row = next(r for r in measured if r["pipeline"] == BASE_PIPELINE)
-    if "error" in base_row:
-        raise DomainError(f"base pipeline failed: {base_row['error']}")
-
-    for i, row in enumerate(measured):
-        if "error" in row:
-            continue
+    base_row = next(r for r in rows if r["pipeline"] == BASE_PIPELINE)
+    for row in rows:
         try:
-            ratios = ResourceRatios.from_measurements(
-                base_row["time_s"], row["time_s"],
-                base_row["energy_kwh"], row["energy_kwh"],
-            )
+            ratios = ResourceRatios.from_measurements(base_row["time_s"], row["time_s"],
+                                                      base_row["energy_kwh"], row["energy_kwh"])
             quality = [MetricRecord("perplexity", Direction.LOWER_BETTER,
                                     base_row["perplexity"], row["perplexity"])]
-            row["opt"] = {
-                prof.name: _result_fields(opt_score(quality, ratios, prof,
-                                                    config.quality_exponent))
-                for prof in config.profiles
-            }
+            row["opt"] = {prof.name: _result_fields(opt_score(quality, ratios, prof,
+                                                              config.quality_exponent))
+                          for prof in config.profiles}
         except DomainError as exc:
-            if row is base_row:
-                raise DomainError(f"base pipeline cannot be scored: {exc}") from exc
-            measured[i] = {"pipeline": row["pipeline"], "error": f"cannot be scored: {exc}"}
-    return Report(config_digest=config_digest(config.raw), rows=measured)
+            raise DomainError(f"{row['pipeline']} pipeline cannot be scored: {exc}") from exc
+    return Report(config_digest=config_digest(config.raw), rows=rows)
 
 
 def report_metric_rows(report: Report) -> list[list[str]]:
@@ -630,11 +623,11 @@ def report_metric_rows(report: Report) -> list[list[str]]:
     with the report to rounding error only.
     """
     base_row = next((r for r in report.rows if r["pipeline"] == BASE_PIPELINE), None)
-    if base_row is None or "error" in base_row:
+    if base_row is None:
         raise DomainError("report has no usable base row")
     out = []
     for row in report.rows:
-        if row["pipeline"] == BASE_PIPELINE or "error" in row:
+        if row is base_row:
             continue
         # report rows carry the metrics under their CSV names
         for metric in ("perplexity", TIME_METRIC, ENERGY_METRIC):
@@ -769,14 +762,9 @@ def _cmd_run(args) -> int:
 
     print(f"config digest {report.config_digest}")
     for r in report.rows:
-        if "error" in r:
-            print(f"  {r['pipeline']}: FAILED ({r['error']})")
-        else:
-            opts = " ".join(
-                f"{name}={vals['opt']:.4f}" for name, vals in sorted(r["opt"].items())
-            )
-            print(f"  {r['pipeline']}: ppl={r['perplexity']:.4f} {opts}")
-    return 1 if any("error" in r for r in report.rows) else 0
+        opts = " ".join(f"{name}={vals['opt']:.4f}" for name, vals in sorted(r["opt"].items()))
+        print(f"  {r['pipeline']}: ppl={r['perplexity']:.4f} {opts}")
+    return 0
 
 
 def _cmd_score(args) -> int:
@@ -940,7 +928,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _ROW_ERRORS + (ParseError,) as exc:
+    except _RUN_ERRORS + (ParseError,) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

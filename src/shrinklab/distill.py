@@ -371,6 +371,12 @@ def forward(teacher: TinyLM, tokens) -> np.ndarray:
     return logits
 
 
+def check_shared_vocabulary(teacher_config: ModelConfig, student_config: ModelConfig) -> None:
+    """A student is distilled from, and compared with, a teacher over one vocabulary."""
+    if student_config.vocab_size != teacher_config.vocab_size:
+        raise DomainError("student and teacher must share a vocabulary")
+
+
 def training_window(teacher_config: ModelConfig, student_config: ModelConfig,
                     corpus_tokens: int, window: int | None = None) -> int:
     """The window train_student samples, checked against both models and the corpus size.
@@ -379,8 +385,7 @@ def training_window(teacher_config: ModelConfig, student_config: ModelConfig,
     default the shorter context, capped at 32), and the corpus must hold one
     window plus a target.
     """
-    if student_config.vocab_size != teacher_config.vocab_size:
-        raise DomainError("student and teacher must share a vocabulary")
+    check_shared_vocabulary(teacher_config, student_config)
     limit = min(student_config.context_len, teacher_config.context_len)
     wnd = min(limit, 32) if window is None else window
     if not 1 <= wnd <= limit:

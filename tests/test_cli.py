@@ -20,6 +20,7 @@ from shrinklab.cli import (
     METRICS_HEADER,
     Report,
     ScoreTable,
+    SeqkdPrompts,
     StudentSpec,
     config_digest,
     emit_plot_data,
@@ -330,15 +331,19 @@ def test_run_suite_is_reproducible(tmp_path):
     assert a.json() == b.json()
 
 
-def test_run_suite_failed_pipeline_continues(tmp_path):
+def test_parse_rejects_a_pipeline_naming_an_undefined_student(tmp_path, monkeypatch):
+    import shrinklab.cli as cli
+
+    def no_model(*args, **kwargs):
+        raise AssertionError("a model was built while parsing")
+
+    monkeypatch.setattr(cli, "init_model", no_model)
     doc = small_suite_doc(tmp_path)
     doc["pipelines"].append(
         {"name": "broken", "passes": [{"op": "distill", "student": "ghost"}]})
-    report = run_suite(parse_suite_config(doc))
-    rows = {r["pipeline"]: r for r in report.rows}
-    assert "error" in rows["broken"]
-    assert "ghost" in rows["broken"]["error"]
-    assert "opt" in rows["8bit"]  # later pipelines unaffected
+    with pytest.raises(DomainError,
+                       match="pipeline 'broken': student 'ghost' is not defined in students"):
+        parse_suite_config(doc)
 
 
 def test_run_suite_trains_students(tmp_path):
@@ -406,16 +411,19 @@ def test_cli_run_writes_artifacts(tmp_path, capsys):
     assert "config digest" in out
 
 
-def test_cli_run_reports_failures_in_exit_code(tmp_path, capsys):
-    doc = small_suite_doc(tmp_path)
-    doc["pipelines"].append(
-        {"name": "broken", "passes": [{"op": "distill", "student": "ghost"}]})
-    cfg_path = tmp_path / "suite.json"
-    cfg_path.write_text(json.dumps(doc))
-    rc, out, _ = run_main(capsys, "run", "--config", str(cfg_path),
-                          "--out", str(tmp_path / "out"))
-    assert rc == 1
-    assert "FAILED" in out
+def test_cli_run_reports_failures_in_exit_code(tmp_path, capsys, monkeypatch):
+    """A suite either finishes with a row for every pipeline or exits 2 with nothing
+    written: an undefined student ends the run before any student is trained."""
+    doc = small_suite_doc(tmp_path, students={"kd": TRAINED})
+    doc["pipelines"] += [{"name": "kd", "passes": [{"op": "distill", "student": "kd"}]},
+                         {"name": "broken", "passes": [{"op": "distill", "student": "ghost"}]}]
+    cfg_path, built = _spied_suite(tmp_path, monkeypatch, doc)
+    rc, out, err = run_main(capsys, "run", "--config", str(cfg_path),
+                            "--out", str(tmp_path / "out"))
+    assert rc == 2 and out == ""
+    assert err.startswith("error: pipeline 'broken': student 'ghost'")
+    assert built == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_quantize_prune_perplexity_round_trip(tmp_path, capsys):
@@ -612,6 +620,35 @@ def test_cli_errors_exit_two(tmp_path, capsys):
     assert rc == 2
 
 
+METRICS_FLAG = ["--metrics", str(bundled.path("gpt2_standalone.csv"))]
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["quantize", "--bits", "8", "--model", "m.lmz", "--seed", "1", "--out", "q.lmz"],
+     "give either --model FILE or --seed N"),
+    (["quantize", "--bits", "8", "--out", "q.lmz"], "give either --model FILE or --seed N"),
+    (["quantize", "--bits", "8", "--seed", "1", "--arch", "1,2,3", "--out", "q.lmz"],
+     "--arch needs 4 or 6 comma-separated integers"),
+    (["quantize", "--bits", "8", "--seed", "1", "--arch", "1,2,a,b", "--out", "q.lmz"],
+     "--arch fields must be integers"),
+    (["rank", *METRICS_FLAG, "--profile", "1,2,3"], "custom profile must be alpha,beta"),
+    (["rank", *METRICS_FLAG, "--profile", "a,b"], "custom profile weights must be numbers"),
+    (["perplexity", "--seed", "1", "--corpus", "1.txt"],
+     "corpus {tmp}/1.txt holds fewer than 2 tokens"),
+    (["prune-heads", "--seed", "1", "--corpus", "10.txt", "--threshold", "0.9",
+      "--out", "q.lmz"], "corpus of 10 tokens cannot supply 256 calibration tokens"),
+], ids=["model-and-seed", "neither", "arch-3", "arch-letters", "profile-3", "profile-letters",
+        "corpus-1", "calibration-corpus-10"])
+def test_cli_flag_and_corpus_errors_exit_two(tmp_path, capsys, argv, named):
+    (tmp_path / "1.txt").write_bytes(b"a")
+    (tmp_path / "10.txt").write_bytes(b"abcdefghij")
+    args = [str(tmp_path / a) if a in ("m.lmz", "q.lmz", "1.txt", "10.txt") else a for a in argv]
+    rc, out, err = run_main(capsys, *args)
+    assert rc == 2 and out == ""
+    assert err == f"error: {named.format(tmp=tmp_path)}\n"
+    assert not (tmp_path / "q.lmz").exists()
+
+
 def test_cli_energy_source_flag(tmp_path, capsys):
     doc = small_suite_doc(tmp_path)
     cfg_path = tmp_path / "suite.json"
@@ -622,6 +659,12 @@ def test_cli_energy_source_flag(tmp_path, capsys):
     assert rc == 0
     report = json.loads((tmp_path / "out2" / "report.json").read_text())
     assert all(r["energy_kwh"] > 0 for r in report["rows"])
+
+    rc, _, _ = run_main(capsys, "run", "--config", str(cfg_path),
+                        "--out", str(tmp_path / "out1"), "--energy-source", "synthetic")
+    assert rc == 0
+    report = json.loads((tmp_path / "out1" / "report.json").read_text())
+    assert report["config_digest"] == config_digest(dict(doc, energy_source={"kind": "synthetic"}))
 
     # a counter that never advances gives the base pipeline zero energy,
     # which cannot anchor the ratios: typed failure, exit 2
@@ -751,13 +794,20 @@ def test_cli_distill_wrong_typed_steps_exit_two(tmp_path, capsys):
     assert err.startswith("error:")
 
 
-def test_run_suite_distill_after_other_passes_is_an_error_row(tmp_path):
-    doc = small_suite_doc(tmp_path)
-    doc["pipelines"].append({"name": "late", "passes": [
-        {"op": "quantize", "bits": 8}, {"op": "distill", "student": "kd"}]})
-    rows = {r["pipeline"]: r for r in run_suite(parse_suite_config(doc)).rows}
-    assert "must come first" in rows["late"]["error"]
-    assert "opt" in rows["8bit"]
+def test_parse_rejects_distill_after_other_passes(tmp_path, capsys, monkeypatch):
+    """compose's rule that a distill pass comes first is applied when the suite is
+    parsed, so the run exits 2 before any student is trained."""
+    doc = small_suite_doc(tmp_path, students={"kd": TRAINED})
+    doc["pipelines"] += [{"name": "kd", "passes": [{"op": "distill", "student": "kd"}]},
+                         {"name": "late", "passes": [{"op": "quantize", "bits": 8},
+                                                     {"op": "distill", "student": "kd"}]}]
+    with pytest.raises(DomainError, match="pipeline 'late': distill pass 'kd' must come first"):
+        parse_suite_config(doc)
+    cfg_path, built = _spied_suite(tmp_path, monkeypatch, doc)
+    rc, _, err = run_main(capsys, "run", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
+    assert rc == 2 and err.startswith("error: pipeline 'late':")
+    assert built == []
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("row, line", [
@@ -902,10 +952,13 @@ def test_run_checks_calibration_against_a_pruned_students_context(tmp_path, caps
     assert rc == 2 and err.startswith("error:")
     assert "calibration length 14 exceeds context length 12" in err and "'kd'" in err
     assert built == []
-    # the same student without a head-pruning pipeline is never probed
+    # the same student without a head-pruning pipeline is never probed; its context
+    # is still shorter than the perplexity window, and that too is fatal before training
     doc["pipelines"].pop()
     rc, err, built = _run_with_student_spy(tmp_path, capsys, monkeypatch, doc, student_context=12)
-    assert "calibration" not in err and len(built) == 1
+    assert rc == 2 and "calibration" not in err
+    assert "student 'kd': perplexity window must lie in [2, 12]" in err
+    assert built == []
 
 
 def test_run_checks_calibration_against_a_saved_students_context(tmp_path, capsys, monkeypatch):
@@ -928,23 +981,25 @@ def test_run_checks_calibration_against_a_saved_students_context(tmp_path, capsy
     assert not (tmp_path / "o").exists()
 
 
-def test_run_suite_measures_every_pipeline_with_the_base_window(tmp_path):
+def test_run_suite_measures_every_pipeline_with_the_base_window(tmp_path, capsys, monkeypatch):
     """With no perplexity block the window is the base model's context, for students too:
-    a student with a shorter context fails its pipelines instead of being scored
-    over shorter windows."""
-    doc = small_suite_doc(tmp_path)
+    a student with a shorter context ends the run before any student is trained,
+    instead of being scored over shorter windows."""
+    doc = small_suite_doc(tmp_path, students={
+        "a": TRAINED, "short": dict(TRAINED, config=dict(TRAINED["config"], context_len=16))})
     del doc["perplexity"]
-    base_row = run_suite(parse_suite_config(doc)).rows[0]
-    doc["students"] = {"short": dict(TRAINED, config=dict(TRAINED["config"], context_len=16))}
-    doc["pipelines"] += [{"name": "short", "passes": [{"op": "distill", "student": "short"}]},
+    doc["pipelines"] += [{"name": "a", "passes": [{"op": "distill", "student": "a"}]},
+                         {"name": "short", "passes": [{"op": "distill", "student": "short"}]},
                          {"name": "short+8bit", "passes": [{"op": "distill", "student": "short"},
                                                            {"op": "quantize", "bits": 8}]}]
-    rows = {r["pipeline"]: r for r in run_suite(parse_suite_config(doc)).rows}
-    for name in ("short", "short+8bit"):
-        assert set(rows[name]) == {"pipeline", "error"}
-        assert "perplexity window" in rows[name]["error"]
-    assert rows["base"] == base_row
-    assert "opt" in rows["8bit"] and "opt" in rows["sparse"]
+    cfg_path, built = _spied_suite(tmp_path, monkeypatch, doc)
+    with pytest.raises(DomainError, match=r"student 'short': perplexity window must lie in "
+                                          r"\[2, 16\]"):
+        run_suite(parse_suite_config(doc))
+    rc, _, err = run_main(capsys, "run", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
+    assert rc == 2 and err.startswith("error: student 'short': perplexity window")
+    assert built == []
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("distill, seqkd, named", [
@@ -1015,6 +1070,23 @@ def test_run_rejects_a_saved_student_that_cannot_load_before_any_is_trained(
     assert not (tmp_path / "o").exists()
 
 
+def test_run_rejects_a_saved_student_with_another_vocabulary_before_any_is_trained(
+        tmp_path, capsys, monkeypatch):
+    """A saved student is held to the shared-vocabulary rule a trained one is: a
+    smaller softmax would win a perplexity comparison by its size alone."""
+    saved = tmp_path / "v128.lmz"
+    save_model(init_model(ModelConfig(1, 2, 32, 128, vocab_size=128), seed=1), saved)
+    doc = small_suite_doc(tmp_path, students={"v128": {"path": str(saved)}, "a": TRAINED})
+    doc["pipelines"] += [{"name": n, "passes": [{"op": "distill", "student": n}]}
+                         for n in ("a", "v128")]
+    cfg_path, built = _spied_suite(tmp_path, monkeypatch, doc)
+    rc, _, err = run_main(capsys, "run", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
+    assert rc == 2
+    assert err.startswith("error: student 'v128': student and teacher must share a vocabulary")
+    assert built and not any(isinstance(spec, StudentSpec) for spec in built)
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_rejects_a_corpus_outside_the_base_vocabulary_before_any_student_is_built(
         tmp_path, capsys, monkeypatch):
     """The corpus is checked against the base model once, before any student is
@@ -1032,7 +1104,9 @@ def test_run_rejects_a_corpus_outside_the_base_vocabulary_before_any_student_is_
     assert not (tmp_path / "o").exists()
 
 
-def test_cli_run_nan_student_is_an_error_row(tmp_path, capsys):
+def test_cli_run_nan_student_exits_two(tmp_path, capsys):
+    """A pipeline whose result cannot be scored, here a NaN perplexity from a NaN
+    weight, ends the run: no non-finite score reaches a report or a ranking."""
     nan_model = init_model(ModelConfig(1, 2, 32, 128), seed=1)
     nan_model.weights.ln_f_g[0] = np.nan
     saved = tmp_path / "nan.lmz"
@@ -1042,23 +1116,17 @@ def test_cli_run_nan_student_is_an_error_row(tmp_path, capsys):
     cfg_path = tmp_path / "suite.json"
     cfg_path.write_text(json.dumps(doc))
     out_dir = tmp_path / "out"
-    rc, out, _ = run_main(capsys, "run", "--config", str(cfg_path), "--out", str(out_dir))
-    assert rc == 1
-    assert "nan: FAILED" in out
-    report = (out_dir / "report.json").read_text()
-    assert "NaN" not in report
-    rows = {r["pipeline"]: r for r in json.loads(report)["rows"]}
-    assert set(rows["nan"]) == {"pipeline", "error"}
-    assert "opt" in rows["8bit"] and "opt" in rows["sparse"]
-    # the other rows are still read back and plotted
-    plotted = {row["method"] for row in csv.DictReader(open(out_dir / "plot.csv"))}
-    assert plotted == {"8bit", "sparse"}
+    rc, out, err = run_main(capsys, "run", "--config", str(cfg_path), "--out", str(out_dir))
+    assert rc == 2 and out == ""
+    assert err.startswith("error: nan pipeline cannot be scored:")
+    assert not out_dir.exists()
 
-    # a base model that cannot be scored leaves nothing to compare against
+    # the base model gets the same wording
     cfg_path.write_text(json.dumps(dict(doc, model={"path": str(saved)})))
     rc, _, err = run_main(capsys, "run", "--config", str(cfg_path),
                           "--out", str(tmp_path / "out2"))
-    assert rc == 2 and "base pipeline" in err
+    assert rc == 2 and err.startswith("error: base pipeline cannot be scored:")
+    assert not (tmp_path / "out2").exists()
 
 
 @pytest.mark.parametrize("command, extra", [
@@ -1187,6 +1255,13 @@ def test_cli_distill_reads_window_only_inside_student(tmp_path, capsys):
     assert not (tmp_path / "s.lmz").exists()
 
 
+def test_seqkd_prompts_are_cut_from_a_corpus_of_at_least_prompt_len_tokens():
+    prompts = SeqkdPrompts(prompts=2, prompt_len=8, length=8)
+    with pytest.raises(DomainError, match="corpus too short to cut seqkd prompts from"):
+        prompts.cut(np.arange(7), 64)
+    assert [p.tolist() for p in prompts.cut(np.arange(8), 64)] == [list(range(8))] * 2
+
+
 @pytest.mark.parametrize("method", ["forward_kld", "reverse_kld"])
 def test_parse_rejects_a_seqkd_block_no_student_reads(tmp_path, method):
     student = {"config": {"n_layers": 1, "n_heads": 2, "d_model": 32, "d_ff": 128},
@@ -1238,7 +1313,8 @@ def test_cli_unscoreable_table_exits_two(tmp_path, capsys, table, command):
 @pytest.mark.parametrize("text", [
     '{"repetitions": ' + "9" * 5000 + "}",  # beyond Python's int-string digit limit
     "[" * 100_000,  # deeper than the JSON decoder's recursion limit
-], ids=["huge-integer", "deep-nesting"])
+    "[]",  # JSON, but not an object
+], ids=["huge-integer", "deep-nesting", "not-an-object"])
 def test_cli_run_unreadable_json_exits_two(tmp_path, capsys, text):
     config = tmp_path / "suite.json"
     config.write_text(text)
@@ -1392,7 +1468,7 @@ _RUN_VALUES = st.integers(-2, 8) | st.recursive(
 @given(pick=st.integers(min_value=0), value=_RUN_VALUES)
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_run_with_one_value_replaced_exits_zero_one_or_two(tmp_path, capsys, pick, value):
+def test_run_with_one_value_replaced_exits_zero_or_two(tmp_path, capsys, pick, value):
     corpus = tmp_path / "corpus.txt"
     corpus.write_bytes(bundled.path("toy_corpus.txt").read_bytes()[:400])
     doc = _run_doc(corpus)
@@ -1405,7 +1481,7 @@ def test_run_with_one_value_replaced_exits_zero_one_or_two(tmp_path, capsys, pic
     cfg_path = tmp_path / "suite.json"
     cfg_path.write_text(json.dumps(doc))
     rc, _, err = run_main(capsys, "run", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
-    assert rc in (0, 1, 2)
+    assert rc in (0, 2)
     if rc == 2:
         assert err.startswith("error:")
 

@@ -202,6 +202,9 @@ def test_counter_file_source_errors(tmp_path):
     with pytest.raises(DomainError):
         CounterFile(tmp_path / "x", wrap_max_microjoules=0)
 
+    with pytest.raises(StateError, match="CounterFile.stop without start"):
+        CounterFile(tmp_path / "x", wrap_max_microjoules=1000).stop()
+
 
 def test_carbon_estimate():
     assert carbon_estimate(2.0, 475.0) == 950.0
