@@ -482,11 +482,15 @@ def parse_suite_config(doc: dict) -> SuiteConfig:
     )
 
 
-def _load_corpus(path) -> np.ndarray:
+def _load_corpus(path, config: ModelConfig) -> np.ndarray:
+    """The corpus file's tokens, at least 2 of them, each in config's vocabulary."""
     toks = tokenize(Path(path).read_bytes())
     if toks.size < 2:
         raise DomainError(f"corpus {path} holds fewer than 2 tokens")
-    return toks
+    try:
+        return _check_tokens(toks, config)
+    except DomainError as exc:
+        raise DomainError(f"corpus {path}: {exc}") from exc
 
 
 def build_student(teacher: TinyLM, spec: ModelSpec | StudentSpec,
@@ -543,12 +547,8 @@ def run_suite(config: SuiteConfig) -> Report:
     scored row for every pipeline.  With a synthetic energy source and a
     seeded model, repeat runs produce byte-identical reports.
     """
-    corpus = _load_corpus(config.corpus_path)
     base = config.model.build()
-    try:
-        _check_tokens(corpus, base.config)
-    except DomainError as exc:
-        raise DomainError(f"corpus {config.corpus_path}: {exc}") from exc
+    corpus = _load_corpus(config.corpus_path, base.config)
     # checked against the base model before any student is trained
     calibration = config.calibration.cut(corpus, base.config.context_len)
     window, stride = perplexity_window(base.config.context_len,
@@ -725,7 +725,7 @@ def _score_table(args) -> ScoreTable:
     return score_report(measurements, profiles=profiles, exponent=exponent)
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args):
     # flags are written into the document, so they are validated and digested
     # exactly as the same values in the config file would be
     doc = _load_json(args.config)
@@ -736,6 +736,8 @@ def _cmd_run(args) -> int:
     if args.energy_source:
         doc["energy_source"] = _parse_energy_source_flag(args.energy_source)
     if args.seed is not None and isinstance(doc.get("model"), dict):
+        if "path" in doc["model"]:
+            raise DomainError("--seed seeds a fresh model, but the config's model is a saved file")
         doc["model"] = dict(doc["model"], seed=args.seed)
     config = parse_suite_config(doc)
 
@@ -764,10 +766,9 @@ def _cmd_run(args) -> int:
     for r in report.rows:
         opts = " ".join(f"{name}={vals['opt']:.4f}" for name, vals in sorted(r["opt"].items()))
         print(f"  {r['pipeline']}: ppl={r['perplexity']:.4f} {opts}")
-    return 0
 
 
-def _cmd_score(args) -> int:
+def _cmd_score(args):
     table = _score_table(args)
     text = json.dumps(table.as_dict(), indent=2, sort_keys=True)
     if args.out:
@@ -775,10 +776,9 @@ def _cmd_score(args) -> int:
         print(f"wrote {args.out}")
     else:
         print(text)
-    return 0
 
 
-def _cmd_rank(args) -> int:
+def _cmd_rank(args):
     table = _score_table(args)
     for p in table.profiles:
         print(f"[{p.name}]")
@@ -786,35 +786,31 @@ def _cmd_rank(args) -> int:
             r = table.scores[label][p.name]
             print(f"  {i}. {label}  opt={r.opt:.6f}  "
                   f"quality={r.quality_factor:.6f} cost={r.cost_factor:.6f}")
-    return 0
 
 
-def _cmd_perplexity(args) -> int:
+def _cmd_perplexity(args):
     model = _model_from_args(args)
-    corpus = _load_corpus(args.corpus)
+    corpus = _load_corpus(args.corpus, model.config)
     ppl = perplexity(model, corpus, window=args.window, stride=args.stride)
     print(f"perplexity {ppl!r} over {corpus.size} tokens")
-    return 0
 
 
-def _cmd_quantize(args) -> int:
+def _cmd_quantize(args):
     report = apply_pass(_model_from_args(args), Quantize(args.bits))
     save_model(report.after, args.out)
     print(f"wrote {args.out} ({args.bits}-bit, max reconstruction error {report.max_error:.3e})")
-    return 0
 
 
-def _cmd_prune24(args) -> int:
+def _cmd_prune24(args):
     report = apply_pass(_model_from_args(args), Prune24())
     save_model(report.after, args.out)
     print(f"wrote {args.out} (projection sparsity {report.sparsity:.3f})")
-    return 0
 
 
-def _cmd_prune_heads(args) -> int:
+def _cmd_prune_heads(args):
     pruning = PruneHeads(args.threshold)  # checked before any file is written
     model = _model_from_args(args)
-    corpus = _load_corpus(args.corpus)
+    corpus = _load_corpus(args.corpus, model.config)
     calibration = _build(Calibration, {"sequences": args.calib_sequences,
                                        "length": args.calib_length}, "calibration")
     report = apply_pass(model, pruning,
@@ -828,27 +824,24 @@ def _cmd_prune_heads(args) -> int:
         print(f"wrote {args.out}")
     print(f"pruned {report.heads_masked} of {int(model.head_mask.sum())} live heads "
           f"at threshold {args.threshold}")
-    return 0
 
 
-def _cmd_distill(args) -> int:
+def _cmd_distill(args):
     doc = _load_json(args.config)
     _require_keys(doc, "distill config", {"teacher", "corpus", "student"})
     spec = doc["student"]  # the student object a suite's students hold
     if args.seed is not None and isinstance(spec, dict) and isinstance(spec.get("distill"), dict):
         spec = dict(spec, distill=dict(spec["distill"], seed=args.seed))
     student = _parse_student(spec, "student")
-    teacher = _parse_model_spec(doc["teacher"], "teacher")
     corpus = check_string(doc["corpus"], "corpus")
-    save_model(build_student(teacher.build(), student, _load_corpus(corpus)), args.out)
+    teacher = _parse_model_spec(doc["teacher"], "teacher").build()
+    save_model(build_student(teacher, student, _load_corpus(corpus, teacher.config)), args.out)
     print(f"wrote {args.out}")
-    return 0
 
 
-def _cmd_plot_data(args) -> int:
+def _cmd_plot_data(args):
     emit_plot_data(_score_table(args), args.out)
     print(f"wrote {args.out}")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -927,10 +920,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except _RUN_ERRORS + (ParseError,) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -137,10 +137,17 @@ def prune_model_2_4(model: TinyLM) -> TinyLM:
     """Apply the 2:4 rule to every linear projection.
 
     Weights are stored as (in, out) with x @ W, so grouping runs along the
-    input (reduction) dimension: transpose, prune rows, transpose back.
+    input (reduction) dimension: transpose, prune rows, transpose back.  A
+    quantized projection stays quantized: its codes are zeroed where the
+    pruned dense is 0, so its dense view is the pruned dense.
     """
-    return _map_projections(
-        model, lambda t: np.ascontiguousarray(prune_2_4(dense_weight(t).T).T))
+    def prune(t):
+        pruned = np.ascontiguousarray(prune_2_4(dense_weight(t).T).T)
+        if isinstance(t, np.ndarray):
+            return pruned
+        return QuantizedTensor(t.bits, t.scales, np.where(pruned == 0, 0, t.codes).astype(np.int8))
+
+    return _map_projections(model, prune)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ ADAM_EPS = 1e-8
 METHOD_FORWARD_KLD = "forward_kld"
 METHOD_REVERSE_KLD = "reverse_kld"
 METHOD_SEQKD = "seqkd"
-METHODS = (METHOD_FORWARD_KLD, METHOD_REVERSE_KLD, METHOD_SEQKD)
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +53,9 @@ class ReverseKLD:
 
 
 LossSpec = CrossEntropy | ForwardKLD | ReverseKLD
+
+_KL_LOSSES = {METHOD_FORWARD_KLD: ForwardKLD, METHOD_REVERSE_KLD: ReverseKLD}
+METHODS = (*_KL_LOSSES, METHOD_SEQKD)
 
 
 def _as_logit_rows(z, what: str) -> np.ndarray:
@@ -400,12 +402,11 @@ def train_student(teacher: TinyLM, student_config: ModelConfig, corpus,
                   config: DistillConfig, window: int | None = None) -> TrainResult:
     """Distill the teacher into a freshly initialized student.
 
-    Each step samples one window from the corpus, computes the configured
-    loss against the teacher's logits on that window (or plain cross-entropy
-    for seqkd, whose corpus is expected to be teacher-generated), optionally
-    mixes in ce_mix_lambda of data cross-entropy, and takes one Adam step.
-    Training state lives in float64 throughout; with a fixed seed the run is
-    reproducible to the bit.
+    Each step samples one window and takes one Adam step on one loss: the
+    method's KL against the teacher's logits on that window, mixed with
+    ce_mix_lambda of data cross-entropy, or for seqkd, whose corpus the
+    teacher generated, plain cross-entropy.  Training state lives in float64
+    throughout; with a fixed seed the run is reproducible to the bit.
     """
     toks = _check_tokens(corpus, teacher.config)
     wnd = training_window(teacher.config, student_config, toks.size, window)
@@ -416,20 +417,14 @@ def train_student(teacher: TinyLM, student_config: ModelConfig, corpus,
     params = dict(param_tensors(student))
     opt = _Adam(params, config.learning_rate)
     losses: list[float] = []
+    kl = _KL_LOSSES.get(config.method)
+    lam = config.ce_mix_lambda
 
     for _ in range(config.steps):
         start = int(rng.integers(0, toks.size - wnd))
         inp = toks[start:start + wnd]
         tgt = toks[start + 1:start + wnd + 1]
-        if config.method == METHOD_SEQKD:
-            spec: LossSpec = CrossEntropy(tgt)
-        else:
-            t_logits = forward(teacher64, inp)
-            if config.method == METHOD_FORWARD_KLD:
-                spec = ForwardKLD(t_logits, config.temperature)
-            else:
-                spec = ReverseKLD(t_logits, config.temperature)
-        lam = config.ce_mix_lambda
+        spec = CrossEntropy(tgt) if kl is None else kl(forward(teacher64, inp), config.temperature)
         loss, grads = backward(student, inp, spec, ce_mix=(lam, tgt) if lam > 0 else None)
         opt.step(params, grads)
         losses.append(float(loss))

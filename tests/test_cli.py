@@ -133,6 +133,7 @@ def test_ingest_line_numbers_in_errors(tmp_path):
         (good + "m,ppl2,lower,0.25,10,12\n", 5),     # floor on a lower metric
         (good + "m,acc,higher,,0.5,0.6\n", 5),       # higher without floor
         (good + "m,,lower,,1,2\n", 5),               # empty metric name
+        (good + "m," + "x" * 131_073 + ",lower,,1,2\n", 5),  # field over csv's limit
     ]
     for body, line in cases:
         with pytest.raises(ParseError) as exc:
@@ -374,6 +375,11 @@ def test_report_round_trips_through_metrics_csv(tmp_path):
         for pname, vals in row["opt"].items():
             again = table.scores[row["pipeline"]][pname].opt
             assert again == pytest.approx(vals["opt"], abs=1e-12)
+
+
+def test_report_metric_rows_needs_a_base_row():
+    with pytest.raises(DomainError, match="report has no usable base row"):
+        report_metric_rows(Report(config_digest="", rows=[{"pipeline": "8bit"}]))
 
 
 def test_config_digest_tracks_content(tmp_path):
@@ -637,8 +643,13 @@ METRICS_FLAG = ["--metrics", str(bundled.path("gpt2_standalone.csv"))]
      "corpus {tmp}/1.txt holds fewer than 2 tokens"),
     (["prune-heads", "--seed", "1", "--corpus", "10.txt", "--threshold", "0.9",
       "--out", "q.lmz"], "corpus of 10 tokens cannot supply 256 calibration tokens"),
+    (["perplexity", "--seed", "1", "--arch", "1,2,32,128,100,64", "--corpus", "10.txt"],
+     "corpus {tmp}/10.txt: token ids must lie in [0, 100)"),
+    (["prune-heads", "--seed", "1", "--arch", "1,2,32,128,100,64", "--corpus", "10.txt",
+      "--threshold", "0.9", "--out", "q.lmz"],
+     "corpus {tmp}/10.txt: token ids must lie in [0, 100)"),
 ], ids=["model-and-seed", "neither", "arch-3", "arch-letters", "profile-3", "profile-letters",
-        "corpus-1", "calibration-corpus-10"])
+        "corpus-1", "calibration-corpus-10", "perplexity-vocab-100", "prune-heads-vocab-100"])
 def test_cli_flag_and_corpus_errors_exit_two(tmp_path, capsys, argv, named):
     (tmp_path / "1.txt").write_bytes(b"a")
     (tmp_path / "10.txt").write_bytes(b"abcdefghij")
@@ -751,7 +762,8 @@ def test_cli_run_digest_covers_flags(tmp_path, capsys):
     cfg_path.write_text(json.dumps(dict(doc, model={"path": str(saved)})))
     rc, _, err = run_main(capsys, "run", "--config", str(cfg_path),
                           "--out", str(tmp_path / "bad"), "--seed", "3")
-    assert rc == 2 and "seed" in err
+    assert rc == 2
+    assert err == "error: --seed seeds a fresh model, but the config's model is a saved file\n"
 
 
 BAD_STEPS_STUDENT = {"config": {"n_layers": 1, "n_heads": 2, "d_model": 32, "d_ff": 128},
@@ -852,6 +864,25 @@ def test_cli_distill_wrong_typed_corpus_exits_two(tmp_path, capsys):
                           "--out", str(tmp_path / "s.lmz"))
     assert rc == 2
     assert err.startswith("error:") and "corpus" in err
+
+
+def test_cli_distill_names_a_corpus_outside_the_teacher_vocabulary(tmp_path, capsys, monkeypatch):
+    """The corpus is checked against the teacher before any seqkd prompt is decoded."""
+    import shrinklab.cli as cli
+    decoded = []
+    monkeypatch.setattr(cli, "seqkd_corpus", lambda *a, **k: decoded.append(a))
+    corpus = tmp_path / "c.txt"
+    corpus.write_bytes(bundled.path("toy_corpus.txt").read_bytes()[:400])
+    small = dict(BAD_STEPS_STUDENT["config"], vocab_size=100)
+    cfg_path = tmp_path / "distill.json"
+    cfg_path.write_text(json.dumps({"teacher": {"config": small}, "corpus": str(corpus),
+                                    "student": {"config": small, "window": 16,
+                                                "distill": {"method": "seqkd", "steps": 2}}}))
+    rc, out, err = run_main(capsys, "distill", "--config", str(cfg_path),
+                            "--out", str(tmp_path / "s.lmz"))
+    assert rc == 2 and out == ""
+    assert err == f"error: corpus {corpus}: token ids must lie in [0, 100)\n"
+    assert decoded == [] and not (tmp_path / "s.lmz").exists()
 
 
 def test_run_suite_builds_only_referenced_students(tmp_path, capsys, monkeypatch):

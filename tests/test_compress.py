@@ -187,6 +187,21 @@ def test_prune_model_2_4_groups_along_input_dim(small_model, corpus):
     forward(pm, corpus[:10])
 
 
+@pytest.mark.parametrize("bits", SUPPORTED_BITS)
+def test_prune_model_2_4_keeps_a_quantized_model_quantized(small_model, bits):
+    """2:4 after quantize zeroes codes: the model still dequantizes on use, and its
+    dense view is, to the bit, the 2:4 rule applied to the quantized dense view."""
+    quantized = quantize_model(small_model, bits)
+    pruned = prune_model_2_4(quantized)
+    for before, after in zip(_layer_projections(quantized), _layer_projections(pruned)):
+        assert isinstance(after, QuantizedTensor) and after.bits == bits
+        assert np.array_equal(after.scales, before.scales)
+        groups = after.codes.T.reshape(after.shape[1], -1, 4)  # along the input dim
+        assert np.all((groups == 0).sum(axis=2) >= 2)
+        want = np.ascontiguousarray(prune_2_4(before.dense().T).T)
+        assert after.dense().tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # attention head concentration and pruning
 

@@ -198,6 +198,8 @@ def test_grad_check_validation(small_model, corpus):
         grad_check(quantize_model(small_model, 8), tokens, spec)
     with pytest.raises(DomainError, match="integers"):
         grad_check(small_model, tokens + 0.25, spec)
+    with pytest.raises(DomainError, match="unknown loss spec"):
+        loss_value(small_model, tokens, "spec")
 
 
 def test_backward_rejects_quantized_weights(small_model, corpus):

@@ -360,6 +360,8 @@ def test_mean_nll_validation():
         mean_nll(np.zeros((2, 4)), np.array([0, 4]))
     with pytest.raises(DomainError):
         mean_nll(np.zeros(4), np.array([0]))
+    with pytest.raises(DomainError, match="need at least one position"):
+        mean_nll(np.zeros((0, 4)), np.zeros(0, int))
 
 
 def test_uniform_model_perplexity_is_vocab_size(corpus):
@@ -691,6 +693,19 @@ def test_load_rejects_unreadable_json_header(tmp_path, header):
     path.write_bytes(header + b"\nxxxx")
     with pytest.raises(FormatError):
         load_model(path)
+
+
+@pytest.mark.parametrize("header, named", [
+    (b"{}", "header must carry 'config' and 'tensors'"),
+    (b'{"config": {"n_layers": 1, "n_heads": 2, "d_model": 32, "d_ff": 128}, "tensors": {}}',
+     "'tensors' must be a list"),
+], ids=["empty", "tensors-object"])
+def test_load_rejects_a_header_without_a_tensor_list(tmp_path, header, named):
+    path = tmp_path / "bad.lmz"
+    path.write_bytes(header + b"\nxxxx")
+    with pytest.raises(FormatError, match=named) as exc:
+        load_model(path)
+    assert exc.value.offset == 0
 
 
 def test_load_rejects_truncated_payload(small_model, tmp_path):

@@ -103,6 +103,8 @@ def test_metric_record_validation():
         MetricRecord("acc", Direction.HIGHER_BETTER, 0.6, 0.5)
     with pytest.raises(BelowRandomFloor):
         MetricRecord("acc", Direction.HIGHER_BETTER, 0.6, 0.19, random_floor=0.25)
+    with pytest.raises(DomainError, match="metric record needs a name"):
+        MetricRecord("", Direction.LOWER_BETTER, 10.0, 12.0)
 
 
 def test_metric_ratio_dispatches_on_direction():
