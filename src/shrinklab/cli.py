@@ -85,9 +85,9 @@ def _read_text(path) -> str:
 def ingest_metrics(path) -> list[MethodMeasurements]:
     """Read a metrics CSV into per-method measurements.
 
-    Syntax problems raise ParseError with the line number; rows that parse
-    but violate record invariants raise DomainError naming the record.
-    Groups come back in first-appearance order.
+    Syntax errors raise ParseError with the line number; rows that parse but
+    break a record rule, a random floor included, raise DomainError naming
+    the group and metric.  Groups come back in first-appearance order.
     """
     reader = csv.reader(io.StringIO(_read_text(path), newline=""))
     try:
@@ -121,14 +121,7 @@ def ingest_metrics(path) -> list[MethodMeasurements]:
             seen.add((group, metric))
             base_v = _csv_number(base_s, "base_value", line)
             model_v = _csv_number(model_s, "model_value", line)
-            if direction_s == "lower":
-                if floor_s:
-                    raise ParseError(
-                        "lower-is-better rows must leave random_floor empty", line=line
-                    )
-                floor = None
-            else:
-                floor = _csv_number(floor_s, "random_floor of a higher-is-better row", line)
+            floor = _csv_number(floor_s, "random_floor", line) if floor_s else None
             raw.setdefault(group, []).append((metric, direction_s, floor, base_v, model_v))
     except csv.Error as exc:
         raise ParseError(f"malformed CSV: {exc}", line=reader.line_num) from None
@@ -145,8 +138,8 @@ def ingest_metrics(path) -> list[MethodMeasurements]:
                 if metric not in RESERVED_METRICS:
                     records.append(MetricRecord(metric, Direction(direction_s),
                                                 base_v, model_v, floor))
-                elif direction_s != "lower":
-                    raise DomainError(f"{metric} must be lower-is-better")
+                elif direction_s != "lower" or floor is not None:
+                    raise DomainError(f"{metric} must be lower-is-better, with no random floor")
                 else:
                     resources[metric] = (base_v, model_v)
             for needed in RESERVED_METRICS:
@@ -493,11 +486,8 @@ def _load_corpus(path, config: ModelConfig) -> np.ndarray:
         raise DomainError(f"corpus {path}: {exc}") from exc
 
 
-def build_student(teacher: TinyLM, spec: ModelSpec | StudentSpec,
-                  corpus: np.ndarray) -> TinyLM:
-    """Build one student: load a saved one, or distill it from the teacher."""
-    if isinstance(spec, ModelSpec):
-        return spec.build()
+def build_student(teacher: TinyLM, spec: StudentSpec, corpus: np.ndarray) -> TinyLM:
+    """Distill one student from the teacher; seqkd trains on the teacher's continuations."""
     train_corpus = corpus
     if spec.distill.method == METHOD_SEQKD:
         train_corpus = seqkd_corpus(teacher, spec.seqkd.cut(corpus, teacher.config.context_len),
@@ -539,13 +529,14 @@ def run_suite(config: SuiteConfig) -> Report:
     """Measure every pipeline against the base model and score the results.
 
     The corpus is checked against the base model's vocabulary, and every
-    student some pipeline distills to, saved ones loaded first, is checked
-    with its vocabulary, calibration, perplexity window, training window and
-    data before any is trained.  Every pipeline is measured with the base
-    model's perplexity window and stride.  Any failure ends the run with a
-    DomainError naming the student or pipeline, so a report always holds a
-    scored row for every pipeline.  With a synthetic energy source and a
-    seeded model, repeat runs produce byte-identical reports.
+    student some pipeline distills to (a saved one loaded by its ModelSpec)
+    is checked in id order with its vocabulary, calibration, perplexity
+    window, training window and data before build_student trains any.
+    Every pipeline is measured with the base model's perplexity window and
+    stride.  Any failure ends the run with a DomainError naming the student
+    or pipeline, so a report always holds a scored row for every pipeline.
+    With a synthetic energy source and a seeded model, repeat runs produce
+    byte-identical reports.
     """
     base = config.model.build()
     corpus = _load_corpus(config.corpus_path, base.config)
@@ -554,22 +545,22 @@ def run_suite(config: SuiteConfig) -> Report:
     window, stride = perplexity_window(base.config.context_len,
                                        config.ppl_window, config.ppl_stride)
 
-    # a pipeline's student is its first pass, the only place compose accepts one
-    student_of = {p.name: p.passes[0].student for p in config.pipelines
-                  if p.passes and isinstance(p.passes[0], DistillRef)}
-    # a student whose heads a pipeline prunes is probed with the same calibration
-    probed = {student_of[p.name] for p in config.pipelines if p.name in student_of
-              and any(isinstance(ps, PruneHeads) for ps in p.passes)}
-    specs = {sid: config.students[sid] for sid in sorted(set(student_of.values()))}
+    # each used student (a pipeline's first pass, the only place compose accepts one)
+    # and whether some pipeline prunes its heads, so probes it with the calibration
+    probed: dict[str, bool] = {}
+    for p in config.pipelines:
+        if p.passes and isinstance(p.passes[0], DistillRef):
+            sid = p.passes[0].student
+            probed[sid] = probed.get(sid) or any(isinstance(ps, PruneHeads) for ps in p.passes)
     students = {}
-    # saved students first: one loads, and then its context is known
-    for sid, spec in sorted(specs.items(), key=lambda item: isinstance(item[1], StudentSpec)):
+    for sid in sorted(probed):
+        spec = config.students[sid]
         try:
             if isinstance(spec, ModelSpec):
-                students[sid] = build_student(base, spec, corpus)
+                students[sid] = spec.build()
             student_config = students.get(sid, spec).config
             check_shared_vocabulary(base.config, student_config)
-            if sid in probed:
+            if probed[sid]:
                 config.calibration.cut(corpus, student_config.context_len)
             perplexity_window(student_config.context_len, window, stride)
             if isinstance(spec, StudentSpec):
@@ -580,9 +571,8 @@ def run_suite(config: SuiteConfig) -> Report:
                 training_window(base.config, spec.config, size, spec.window)
         except _RUN_ERRORS as exc:
             raise DomainError(f"student {sid!r}: {exc}") from exc
-    for sid, spec in specs.items():
-        if isinstance(spec, StudentSpec):
-            students[sid] = build_student(base, spec, corpus)
+    for sid in sorted(probed.keys() - students.keys()):
+        students[sid] = build_student(base, config.students[sid], corpus)
 
     source = config.energy_source()
     rows: list[dict] = []

@@ -250,10 +250,10 @@ def grad_check(model: TinyLM, tokens, spec: LossSpec, epsilon: float = 1e-4,
     The relative error is |analytic - numeric| / max(1, |analytic|, |numeric|).
     Entries are drawn without replacement across all trainable tensors.
     """
-    if epsilon <= 0:
+    if check_number(epsilon, "epsilon") <= 0:
         raise DomainError("epsilon must be positive")
-    if sample_size < 1:
-        raise DomainError("sample_size must be at least 1")
+    check_integer(sample_size, "sample_size")
+    check_integer(seed, "seed", minimum=0)
     m64 = astype(copy_model(model), np.float64)
     toks = _check_tokens(tokens, m64.config)
     _, grads = backward(m64, toks, spec)
@@ -389,8 +389,8 @@ def training_window(teacher_config: ModelConfig, student_config: ModelConfig,
     """
     check_shared_vocabulary(teacher_config, student_config)
     limit = min(student_config.context_len, teacher_config.context_len)
-    wnd = min(limit, 32) if window is None else window
-    if not 1 <= wnd <= limit:
+    wnd = min(limit, 32) if window is None else check_integer(window, "window")
+    if wnd > limit:
         raise DomainError(f"window must lie in [1, {limit}]")
     if corpus_tokens < wnd + 1:
         raise DomainError(f"corpus of {corpus_tokens} tokens is shorter than one "

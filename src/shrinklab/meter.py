@@ -182,8 +182,7 @@ def measure(source: EnergySource, work: Callable[[], object],
     state.  A measurement inside work raises StateError.
     """
     global _measuring
-    if repetitions < 1:
-        raise DomainError(f"repetitions must be at least 1, got {repetitions}")
+    check_integer(repetitions, "repetitions")
     if _measuring:
         raise StateError("a measurement is already active in this process")
     _measuring = True

@@ -184,7 +184,7 @@ def init_model(config: ModelConfig, seed: int = 0, dtype=np.float32) -> TinyLM:
     All matrices and embeddings are drawn from one generator in layout
     order; norm gains start at 1 and biases at 0.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_integer(seed, "seed", minimum=0))
     return _from_layout(config, dtype,
                         lambda shape: rng.normal(0.0, INIT_STD, size=shape).astype(dtype))
 
@@ -637,4 +637,8 @@ def load_model(path) -> TinyLM:
 
     arrays = {name: np.frombuffer(payload[off:off + size], dtype="<f4").reshape(shape).copy()
               for name, shape, off, size in parsed}
-    return from_tensors(cfg, arrays, arrays[_HEAD_MASK_NAME])
+    mask = arrays[_HEAD_MASK_NAME]
+    if not ((mask == 0) | (mask == 1)).all():
+        raise FormatError(f"{_HEAD_MASK_NAME} entries must be 0 or 1",
+                          offset=payload_start + parsed[-1][2])
+    return from_tensors(cfg, arrays, mask)

@@ -21,7 +21,6 @@ from shrinklab.cli import (
     Report,
     ScoreTable,
     SeqkdPrompts,
-    StudentSpec,
     config_digest,
     emit_plot_data,
     ingest_metrics,
@@ -130,8 +129,6 @@ def test_ingest_line_numbers_in_errors(tmp_path):
         (good + "m,acc,sideways,,1,2\n", 5),         # direction
         (good + "m,acc2,higher,0.25,abc,0.5\n", 5),  # float
         (good + "m,perplexity,lower,,10,12\n", 5),   # duplicate metric
-        (good + "m,ppl2,lower,0.25,10,12\n", 5),     # floor on a lower metric
-        (good + "m,acc,higher,,0.5,0.6\n", 5),       # higher without floor
         (good + "m,,lower,,1,2\n", 5),               # empty metric name
         (good + "m," + "x" * 131_073 + ",lower,,1,2\n", 5),  # field over csv's limit
     ]
@@ -139,6 +136,12 @@ def test_ingest_line_numbers_in_errors(tmp_path):
         with pytest.raises(ParseError) as exc:
             ingest_metrics(write_csv(tmp_path, body))
         assert exc.value.line == line, body.splitlines()[-1]
+    # blank and whitespace-only rows are skipped but still counted as lines
+    spaced = "m,perplexity,lower,,10,12\n\nm,time_s,lower,,1,2\n  , \nm,energy_kwh,lower,,1,2\n"
+    assert [m.label for m in ingest_metrics(write_csv(tmp_path, spaced))] == ["m"]
+    with pytest.raises(ParseError) as exc:
+        ingest_metrics(write_csv(tmp_path, spaced + "m,acc,sideways,,1,2\n"))
+    assert exc.value.line == 7
 
 
 def test_ingest_invariant_violations(tmp_path):
@@ -150,10 +153,23 @@ def test_ingest_invariant_violations(tmp_path):
     with pytest.raises(DomainError, match="m"):
         ingest_metrics(write_csv(tmp_path, no_quality))
 
-    reserved_higher = ("m,perplexity,lower,,10,12\nm,time_s,higher,0.25,1,2\n"
-                       "m,energy_kwh,lower,,1,2\n")
-    with pytest.raises((DomainError, ParseError)):
-        ingest_metrics(write_csv(tmp_path, reserved_higher))
+    good = "m,perplexity,lower,,10,12\nm,time_s,lower,,1,2\nm,energy_kwh,lower,,1,2\n"
+    for row, message in [
+        ("m,ppl2,lower,0.25,10,12",
+         "group 'm': ppl2: lower-is-better metrics take no random floor"),
+        ("m,acc,higher,,0.5,0.6",
+         "group 'm': acc: higher-is-better metrics require a random floor"),
+    ]:
+        with pytest.raises(DomainError) as exc:
+            ingest_metrics(write_csv(tmp_path, good + row + "\n"))
+        assert str(exc.value) == message
+
+    # a reserved row must be lower-is-better and carry no floor
+    for row in ("m,time_s,higher,0.25,1,2", "m,time_s,higher,,1,2", "m,time_s,lower,0.25,1,2"):
+        with pytest.raises(DomainError) as exc:
+            ingest_metrics(write_csv(tmp_path, "m,perplexity,lower,,10,12\n" + row
+                                     + "\nm,energy_kwh,lower,,1,2\n"))
+        assert str(exc.value) == "group 'm': time_s must be lower-is-better, with no random floor"
 
     below = ("m,acc,higher,0.25,0.6,0.19\nm,time_s,lower,,1,2\n"
              "m,energy_kwh,lower,,1,2\n")
@@ -537,6 +553,20 @@ def test_cli_prune_heads_checks_the_threshold_before_writing(tmp_path, capsys):
     assert rc == 2 and err.startswith("error:") and "threshold" in err
     assert printed == ""
     assert not report_path.exists() and not out.exists()
+
+
+@pytest.mark.parametrize("entry", [0.5, float("nan")], ids=["half", "nan"])
+def test_cli_prune_heads_rejects_a_head_mask_entry_other_than_0_or_1(tmp_path, capsys, entry):
+    model = _fresh()
+    model.head_mask[0, 0] = entry
+    path, out = tmp_path / "m.lmz", tmp_path / "pruned.lmz"
+    save_model(model, path)
+    rc, printed, err = run_main(capsys, "prune-heads", "--model", str(path),
+                                "--corpus", str(bundled.path("toy_corpus.txt")),
+                                "--threshold", "0.9", "--out", str(out))
+    assert rc == 2 and printed == ""
+    assert err.startswith("error: head_mask entries must be 0 or 1 (byte ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag,value", [
@@ -1008,7 +1038,7 @@ def test_run_checks_calibration_against_a_saved_students_context(tmp_path, capsy
     rc, _, err = run_main(capsys, "run", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
     assert rc == 2 and err.startswith("error:")
     assert "calibration length 14 exceeds context length 12" in err and "'kd'" in err
-    assert built and not any(isinstance(spec, StudentSpec) for spec in built)
+    assert built == []
     assert not (tmp_path / "o").exists()
 
 
@@ -1097,7 +1127,7 @@ def test_run_rejects_a_saved_student_that_cannot_load_before_any_is_trained(
     rc, _, err = run_main(capsys, "run", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
     assert rc == 2 and err.startswith("error:")
     assert "student 's'" in err and named in err
-    assert built and not any(isinstance(spec, StudentSpec) for spec in built)
+    assert built == []
     assert not (tmp_path / "o").exists()
 
 
@@ -1114,7 +1144,7 @@ def test_run_rejects_a_saved_student_with_another_vocabulary_before_any_is_train
     rc, _, err = run_main(capsys, "run", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
     assert rc == 2
     assert err.startswith("error: student 'v128': student and teacher must share a vocabulary")
-    assert built and not any(isinstance(spec, StudentSpec) for spec in built)
+    assert built == []
     assert not (tmp_path / "o").exists()
 
 

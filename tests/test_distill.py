@@ -194,6 +194,11 @@ def test_grad_check_validation(small_model, corpus):
         grad_check(small_model, tokens, spec, epsilon=0.0)
     with pytest.raises(DomainError):
         grad_check(small_model, tokens, spec, sample_size=0)
+    for kwargs, named in [({"epsilon": "a"}, "epsilon"), ({"epsilon": True}, "epsilon"),
+                          ({"sample_size": 2.5}, "sample_size"), ({"seed": -1}, "seed"),
+                          ({"seed": 1.5}, "seed")]:
+        with pytest.raises(DomainError, match=named):
+            grad_check(small_model, tokens, spec, **kwargs)
     with pytest.raises(DomainError):
         grad_check(quantize_model(small_model, 8), tokens, spec)
     with pytest.raises(DomainError, match="integers"):
@@ -377,6 +382,9 @@ def test_train_student_validation(small_model, corpus):
     with pytest.raises(DomainError):
         train_student(small_model, SMALL, corpus[:100], cfg,
                       window=SMALL.context_len + 1)
+    for window in (0, 2.5, True):
+        with pytest.raises(DomainError, match="window must be an integer >= 1"):
+            train_student(small_model, SMALL, corpus[:100], cfg, window=window)
     # float token ids would be truncated, not rejected, by an int cast
     with pytest.raises(DomainError, match="integer"):
         train_student(small_model, SMALL, np.linspace(0.2, 200.7, 100), cfg)

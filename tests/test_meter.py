@@ -126,8 +126,9 @@ def test_measure_leaves_source_reusable_after_work_raises(tmp_path, make):
 
 
 def test_measure_validation():
-    with pytest.raises(DomainError):
-        measure(SyntheticClock([1.0]), lambda: None, repetitions=0)
+    for repetitions in (0, 2.5, True, "2"):
+        with pytest.raises(DomainError, match="repetitions must be an integer >= 1"):
+            measure(SyntheticClock([1.0]), lambda: None, repetitions=repetitions)
 
 
 def test_counter_delta_no_wrap():

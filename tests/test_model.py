@@ -1,4 +1,5 @@
 """Transformer tests: forward oracle, likelihoods, generation, persistence."""
+import dataclasses
 import json
 import warnings
 
@@ -708,6 +709,17 @@ def test_load_rejects_a_header_without_a_tensor_list(tmp_path, header, named):
     assert exc.value.offset == 0
 
 
+@pytest.mark.parametrize("entry", [0.5, np.nan], ids=["half", "nan"])
+def test_load_rejects_a_head_mask_entry_other_than_0_or_1(small_model, tmp_path, entry):
+    mask = small_model.head_mask.copy()
+    mask[0, 1] = entry
+    path = _saved(tmp_path, dataclasses.replace(small_model, head_mask=mask))
+    with pytest.raises(FormatError, match="head_mask entries must be 0 or 1") as exc:
+        load_model(path)
+    # the mask is the last tensor in the file
+    assert exc.value.offset == path.stat().st_size - mask.size * 4
+
+
 def test_load_rejects_truncated_payload(small_model, tmp_path):
     path = _saved(tmp_path, small_model)
     data = path.read_bytes()
@@ -849,6 +861,7 @@ def test_load_mutated_file_loads_or_raises_format_error(tiny_file_bytes, tmp_pat
     except FormatError:
         return
     assert isinstance(model.config, ModelConfig)
+    assert np.isin(model.head_mask, (0.0, 1.0)).all()
 
 
 def test_init_is_seed_deterministic():
@@ -860,3 +873,6 @@ def test_init_is_seed_deterministic():
     assert a.weights.tok_emb.dtype == np.float32
     # init scale: draws come from a 0.02 sigma normal
     assert abs(float(a.weights.tok_emb.std()) - 0.02) < 0.002
+    for seed in (-1, 1.5, True, "5"):
+        with pytest.raises(DomainError, match="seed must be an integer >= 0"):
+            init_model(SMALL, seed=seed)
