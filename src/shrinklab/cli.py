@@ -21,7 +21,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable
 
@@ -504,11 +504,13 @@ class Report:
     """Result of one suite run; rows are JSON-ready dicts.
 
     Every pipeline has one row: pipeline, perplexity, time_s, energy_kwh,
-    carbon_g and opt per profile.
+    carbon_g and opt per profile.  table is the ScoreTable those opt values
+    come from, base included; as_dict and json do not write it.
     """
 
     config_digest: str
     rows: list[dict] = field(default_factory=list)
+    table: ScoreTable | None = None
 
     def as_dict(self) -> dict:
         return {"config_digest": self.config_digest, "rows": self.rows}
@@ -533,10 +535,11 @@ def run_suite(config: SuiteConfig) -> Report:
     is checked in id order with its vocabulary, calibration, perplexity
     window, training window and data before build_student trains any.
     Every pipeline is measured with the base model's perplexity window and
-    stride.  Any failure ends the run with a DomainError naming the student
-    or pipeline, so a report always holds a scored row for every pipeline.
-    With a synthetic energy source and a seeded model, repeat runs produce
-    byte-identical reports.
+    stride, and one score_report call scores every row, base included,
+    against the base row; the report keeps its ScoreTable.  Any failure ends
+    the run with a DomainError naming the student or pipeline, so a report
+    always holds a scored row for every pipeline.  With a synthetic energy
+    source and a seeded model, repeat runs produce byte-identical reports.
     """
     base = config.model.build()
     corpus = _load_corpus(config.corpus_path, base.config)
@@ -592,18 +595,19 @@ def run_suite(config: SuiteConfig) -> Report:
                      "energy_kwh": rec.energy_kwh, "carbon_g": rec.carbon_g})
 
     base_row = next(r for r in rows if r["pipeline"] == BASE_PIPELINE)
+    methods = []
     for row in rows:
         try:
-            ratios = ResourceRatios.from_measurements(base_row["time_s"], row["time_s"],
-                                                      base_row["energy_kwh"], row["energy_kwh"])
-            quality = [MetricRecord("perplexity", Direction.LOWER_BETTER,
-                                    base_row["perplexity"], row["perplexity"])]
-            row["opt"] = {prof.name: _result_fields(opt_score(quality, ratios, prof,
-                                                              config.quality_exponent))
-                          for prof in config.profiles}
+            methods.append(MethodMeasurements(row["pipeline"], [MetricRecord(
+                "perplexity", Direction.LOWER_BETTER, base_row["perplexity"], row["perplexity"])],
+                ResourceRatios.from_measurements(base_row["time_s"], row["time_s"],
+                                                 base_row["energy_kwh"], row["energy_kwh"])))
         except DomainError as exc:
             raise DomainError(f"{row['pipeline']} pipeline cannot be scored: {exc}") from exc
-    return Report(config_digest=config_digest(config.raw), rows=rows)
+    table = score_report(methods, config.profiles, config.quality_exponent)
+    for row in rows:
+        row["opt"] = {name: _result_fields(r) for name, r in table.scores[row["pipeline"]].items()}
+    return Report(config_digest=config_digest(config.raw), rows=rows, table=table)
 
 
 def report_metric_rows(report: Report) -> list[list[str]]:
@@ -729,9 +733,7 @@ def _cmd_run(args):
         if "path" in doc["model"]:
             raise DomainError("--seed seeds a fresh model, but the config's model is a saved file")
         doc["model"] = dict(doc["model"], seed=args.seed)
-    config = parse_suite_config(doc)
-
-    report = run_suite(config)
+    report = run_suite(parse_suite_config(doc))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / "report.json"
@@ -742,11 +744,10 @@ def _cmd_run(args):
     if metric_rows:
         metrics_path = out_dir / "metrics.csv"
         write_metrics_csv(metric_rows, metrics_path)
-        table = score_report(ingest_metrics(metrics_path),
-                             profiles=config.profiles,
-                             exponent=config.quality_exponent)
         plot_path = out_dir / "plot.csv"
-        emit_plot_data(table, plot_path)
+        emit_plot_data(replace(report.table, rankings={
+            name: [m for m in order if m != BASE_PIPELINE]
+            for name, order in report.table.rankings.items()}), plot_path)
         print(f"wrote {metrics_path}")
         print(f"wrote {plot_path}")
     else:

@@ -148,12 +148,10 @@ EnergySource = SyntheticClock | PowerModel | CounterFile
 
 def counter_delta(previous: int, current: int, wrap_max: int) -> int:
     """Energy consumed between two counter readings, assuming at most one wrap."""
-    if wrap_max <= 0:
-        raise DomainError(f"wrap_max must be positive, got {wrap_max}")
-    if not 0 <= previous < wrap_max:
-        raise DomainError(f"previous reading {previous} outside [0, {wrap_max})")
-    if not 0 <= current < wrap_max:
-        raise DomainError(f"current reading {current} outside [0, {wrap_max})")
+    check_integer(wrap_max, "wrap_max")
+    for label, reading in (("previous", previous), ("current", current)):
+        if check_integer(reading, f"{label} reading", minimum=0) >= wrap_max:
+            raise DomainError(f"{label} reading {reading} outside [0, {wrap_max})")
     if current >= previous:
         return current - previous
     return current + wrap_max - previous
@@ -162,9 +160,9 @@ def counter_delta(previous: int, current: int, wrap_max: int) -> int:
 def carbon_estimate(energy_kwh: float,
                     intensity_g_per_kwh: float = DEFAULT_CARBON_INTENSITY) -> float:
     """Grams of CO2-equivalent for the given energy at a grid intensity."""
-    if energy_kwh < 0:
+    if check_number(energy_kwh, "energy_kwh") < 0:
         raise DomainError("energy must be non-negative")
-    if intensity_g_per_kwh < 0:
+    if check_number(intensity_g_per_kwh, "carbon intensity") < 0:
         raise DomainError("carbon intensity must be non-negative")
     return energy_kwh * intensity_g_per_kwh
 

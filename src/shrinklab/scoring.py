@@ -85,8 +85,9 @@ class MetricRecord:
     random_floor: float | None = None
 
     def __post_init__(self):
-        if not self.name:
-            raise DomainError("metric record needs a name")
+        check_string(self.name, "metric record name")
+        if not isinstance(self.direction, Direction):
+            raise DomainError(f"{self.name}: direction must be a Direction, got {self.direction!r}")
         if self.direction is Direction.LOWER_BETTER and self.random_floor is not None:
             raise DomainError(f"{self.name}: lower-is-better metrics take no random floor")
         if self.direction is Direction.HIGHER_BETTER and self.random_floor is None:
@@ -102,8 +103,9 @@ def ratio_lower_better(base: float, model: float) -> float:
 
     Returns model / base: 1 means unchanged, above 1 means worse.
     """
-    if not (0 < base < math.inf and 0 < model < math.inf and model / base < math.inf):
-        raise DomainError("lower-is-better ratio requires positive finite values and "
+    base, model = check_number(base, "base value"), check_number(model, "model value")
+    if not (0 < base and 0 < model and model / base < math.inf):
+        raise DomainError("lower-is-better ratio requires positive values and "
                           f"a finite ratio, got {base} and {model}")
     return model / base
 
@@ -114,13 +116,11 @@ def ratio_higher_better(base: float, model: float, random_floor: float) -> float
     Both scores are first reduced by 4/5 of the random-guess floor, then the
     ratio base/model is returned so that degradation again lands above 1.
     """
-    if not 0 <= random_floor < math.inf:
-        raise DomainError(f"random floor must be non-negative and finite, got {random_floor}")
+    if check_number(random_floor, "random floor") < 0:
+        raise DomainError(f"random floor must be non-negative, got {random_floor}")
     floor = FLOOR_DISCOUNT * random_floor
     for label, score in (("base", base), ("model", model)):
-        if not math.isfinite(score):
-            raise DomainError(f"{label} score must be finite, got {score}")
-        if score - floor <= 0:
+        if check_number(score, f"{label} score") - floor <= 0:
             raise BelowRandomFloor(f"{label} score {score} is at or below "
                                    f"{FLOOR_DISCOUNT:g} x random floor {random_floor}")
     ratio = (base - floor) / (model - floor)

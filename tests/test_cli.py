@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import shrinklab
+from shrinklab import cli
 from shrinklab import data as bundled
 from shrinklab.cli import (
     _load_json,
@@ -39,7 +40,7 @@ from shrinklab.errors import BelowRandomFloor, DomainError, ParseError
 from shrinklab.meter import CounterFile, PowerModel, SyntheticClock
 from shrinklab.model import (LINEAR_NAMES, ModelConfig, dense_weight, init_model, load_model,
                              param_tensors, save_model, tokenize)
-from shrinklab.scoring import WeightProfile
+from shrinklab.scoring import BUILTIN_PROFILES, WeightProfile, opt_score
 
 HEADER = ",".join(METRICS_HEADER)
 
@@ -431,6 +432,42 @@ def test_cli_run_writes_artifacts(tmp_path, capsys):
     assert (out_dir / "metrics.csv").exists()
     assert (out_dir / "plot.csv").exists()
     assert "config digest" in out
+
+
+def test_cli_run_scores_each_pipeline_once_per_profile(tmp_path, capsys, monkeypatch):
+    """run_suite's one score_report call is run's only scorer: plot.csv reuses its table."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return opt_score(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "opt_score", counted)
+    doc = small_suite_doc(tmp_path)
+    cfg_path = tmp_path / "suite.json"
+    cfg_path.write_text(json.dumps(doc))
+    rc, _, _ = run_main(capsys, "run", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
+    assert rc == 0
+    assert len(calls) == len(doc["pipelines"]) * len(BUILTIN_PROFILES)
+
+
+def test_cli_run_plot_matches_plot_data_on_its_metrics(tmp_path, capsys):
+    """run's plot.csv ranks the run's own scores, base left out: the bytes plot-data
+    writes from run's metrics.csv under the same profiles and exponent."""
+    doc = small_suite_doc(tmp_path, profiles=["energy", "balanced"], quality_exponent=2.0)
+    cfg_path = tmp_path / "suite.json"
+    cfg_path.write_text(json.dumps(doc))
+    out_dir = tmp_path / "o"
+    rc, _, _ = run_main(capsys, "run", "--config", str(cfg_path), "--out", str(out_dir))
+    assert rc == 0
+    exp_path = tmp_path / "exp.json"
+    exp_path.write_text(json.dumps({"quality_exponent": 2.0}))
+    again = tmp_path / "again.csv"
+    rc, _, _ = run_main(capsys, "plot-data", "--metrics", str(out_dir / "metrics.csv"),
+                        "--profile", "energy", "--profile", "balanced",
+                        "--config", str(exp_path), "--out", str(again))
+    assert rc == 0
+    assert (out_dir / "plot.csv").read_bytes() == again.read_bytes()
 
 
 def test_cli_run_reports_failures_in_exit_code(tmp_path, capsys, monkeypatch):

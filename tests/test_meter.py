@@ -1,4 +1,6 @@
 """Meter tests: scripted sources, wrap handling, additivity, nesting guard."""
+import math
+
 import pytest
 
 from shrinklab.errors import DomainError, SourceError, StateError
@@ -153,6 +155,12 @@ def test_counter_delta_validation():
         counter_delta(1, 2, 0)
 
 
+@pytest.mark.parametrize("previous, current", [(1.5, 2), (1, 2.0), (True, 2), ("1", 2)])
+def test_counter_delta_takes_integer_readings(previous, current):
+    with pytest.raises(DomainError, match="reading must be an integer"):
+        counter_delta(previous, current, 10)
+
+
 def test_power_model_scripted_clock():
     ticks = iter([0.0, 10.0])
     src = PowerModel(100.0, clock=lambda: next(ticks))
@@ -214,3 +222,11 @@ def test_carbon_estimate():
         carbon_estimate(1.0, -5.0)
     with pytest.raises(DomainError):
         carbon_estimate(-1.0, 475.0)
+
+
+@pytest.mark.parametrize("energy, intensity", [
+    (math.nan, 1.0), (math.inf, 1.0), ("a", 1.0), (1.0, math.nan), (1.0, "a"),
+])
+def test_carbon_estimate_rejects_non_numbers(energy, intensity):
+    with pytest.raises(DomainError, match="must be a finite number"):
+        carbon_estimate(energy, intensity)

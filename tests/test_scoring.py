@@ -103,8 +103,34 @@ def test_metric_record_validation():
         MetricRecord("acc", Direction.HIGHER_BETTER, 0.6, 0.5)
     with pytest.raises(BelowRandomFloor):
         MetricRecord("acc", Direction.HIGHER_BETTER, 0.6, 0.19, random_floor=0.25)
-    with pytest.raises(DomainError, match="metric record needs a name"):
+    with pytest.raises(DomainError, match="metric record name must be a non-empty string"):
         MetricRecord("", Direction.LOWER_BETTER, 10.0, 12.0)
+
+
+@pytest.mark.parametrize("args", [
+    ("p", "lower", 1.0, 2.0),
+    ("p", Direction.LOWER_BETTER, "a", 2.0),
+    (5, Direction.LOWER_BETTER, 1.0, 2.0),
+    ("acc", Direction.HIGHER_BETTER, 0.6, "a", 0.25),
+    ("acc", Direction.HIGHER_BETTER, 0.6, 0.5, "0.25"),
+])
+def test_metric_record_rejects_wrong_types(args):
+    """A wrong-typed name, direction, value or floor is a DomainError, not a TypeError."""
+    with pytest.raises(DomainError):
+        MetricRecord(*args)
+
+
+@pytest.mark.parametrize("func, args", [
+    (ratio_lower_better, ("a", 1.0)),
+    (ratio_lower_better, (1.0, None)),
+    (ratio_higher_better, ("a", 0.5, 0.25)),
+    (ratio_higher_better, (0.6, 0.5, "0.25")),
+    (ResourceRatios.from_measurements, ("a", 1.0, 1.0, 1.0)),
+    (ResourceRatios.from_measurements, (1.0, 1.0, 1.0, True)),
+])
+def test_ratio_inputs_must_be_numbers(func, args):
+    with pytest.raises(DomainError, match="must be a finite number"):
+        func(*args)
 
 
 def test_metric_ratio_dispatches_on_direction():
