@@ -32,7 +32,7 @@ from .compress import (SUPPORTED_BITS, Calibration, CompressionPass, DistillRef,
 from .distill import (METHOD_SEQKD, DistillConfig, check_shared_vocabulary, seqkd_corpus,
                       train_student, training_window)
 from .errors import (DomainError, FormatError, ParseError, SourceError, StateError,
-                     check_integer, check_number, check_string)
+                     check_integer, check_string)
 from .meter import (DEFAULT_CARBON_INTENSITY, DEFAULT_REPETITIONS, CounterFile,
                     EnergySource, PowerModel, SyntheticClock, carbon_estimate, measure)
 from .model import (MIN_PPL_WINDOW, ModelConfig, TinyLM, _check_tokens, init_model, load_model,
@@ -458,9 +458,8 @@ def parse_suite_config(doc: dict) -> SuiteConfig:
     _require_keys(ppl, "perplexity", set(), {"window", "stride"})
     for key, value in ppl.items():
         check_integer(value, f"perplexity.{key}", MIN_PPL_WINDOW if key == "window" else 1)
-    carbon = check_number(doc.get("carbon_intensity_g_per_kwh", DEFAULT_CARBON_INTENSITY),
-                          "carbon_intensity_g_per_kwh")
-    carbon_estimate(0.0, carbon)  # rejects a negative intensity before any measurement
+    carbon = doc.get("carbon_intensity_g_per_kwh", DEFAULT_CARBON_INTENSITY)
+    carbon_estimate(0.0, carbon)  # rejects a bad intensity before any measurement
 
     return SuiteConfig(
         raw=doc, model=model, corpus_path=corpus_path,
@@ -491,7 +490,7 @@ def build_student(teacher: TinyLM, spec: StudentSpec, corpus: np.ndarray) -> Tin
     train_corpus = corpus
     if spec.distill.method == METHOD_SEQKD:
         train_corpus = seqkd_corpus(teacher, spec.seqkd.cut(corpus, teacher.config.context_len),
-                                    spec.seqkd.length, mode="greedy", seed=spec.distill.seed)
+                                    spec.seqkd.length)
     return train_student(teacher, spec.config, train_corpus, spec.distill,
                          window=spec.window).student
 
@@ -685,28 +684,6 @@ def _profile_entries(args) -> list:
     return entries
 
 
-def _parse_energy_source_flag(text: str):
-    if text == "synthetic":
-        return {"kind": "synthetic"}
-    if text.startswith("power:"):
-        try:
-            watts = float(text.split(":", 1)[1])
-        except ValueError:
-            raise DomainError("--energy-source power:<watts> needs a number") from None
-        return {"kind": "power", "watts": watts}
-    if text.startswith("counter:"):
-        rest = text.split(":", 1)[1]
-        if "," not in rest:
-            raise DomainError("--energy-source counter:<path>,<wrap_max>")
-        p, wrap_s = rest.rsplit(",", 1)
-        try:
-            wrap = int(wrap_s)
-        except ValueError:
-            raise DomainError("counter wrap_max must be an integer") from None
-        return {"kind": "counter", "path": p, "wrap_max_microjoules": wrap}
-    raise DomainError(f"unknown energy source {text!r}")
-
-
 def _score_table(args) -> ScoreTable:
     """The --metrics table scored under the --profile flags and the --config exponent."""
     measurements = ingest_metrics(args.metrics)
@@ -720,20 +697,7 @@ def _score_table(args) -> ScoreTable:
 
 
 def _cmd_run(args):
-    # flags are written into the document, so they are validated and digested
-    # exactly as the same values in the config file would be
-    doc = _load_json(args.config)
-    if args.reps is not None:
-        doc["repetitions"] = args.reps
-    if args.profile:
-        doc["profiles"] = _profile_entries(args)
-    if args.energy_source:
-        doc["energy_source"] = _parse_energy_source_flag(args.energy_source)
-    if args.seed is not None and isinstance(doc.get("model"), dict):
-        if "path" in doc["model"]:
-            raise DomainError("--seed seeds a fresh model, but the config's model is a saved file")
-        doc["model"] = dict(doc["model"], seed=args.seed)
-    report = run_suite(parse_suite_config(doc))
+    report = run_suite(parse_suite_config(_load_json(args.config)))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / "report.json"
@@ -820,10 +784,7 @@ def _cmd_prune_heads(args):
 def _cmd_distill(args):
     doc = _load_json(args.config)
     _require_keys(doc, "distill config", {"teacher", "corpus", "student"})
-    spec = doc["student"]  # the student object a suite's students hold
-    if args.seed is not None and isinstance(spec, dict) and isinstance(spec.get("distill"), dict):
-        spec = dict(spec, distill=dict(spec["distill"], seed=args.seed))
-    student = _parse_student(spec, "student")
+    student = _parse_student(doc["student"], "student")  # as a suite's students hold it
     corpus = check_string(doc["corpus"], "corpus")
     teacher = _parse_model_spec(doc["teacher"], "teacher").build()
     save_model(build_student(teacher, student, _load_corpus(corpus, teacher.config)), args.out)
@@ -845,13 +806,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("run", help="run a compression suite end to end")
     sp.add_argument("--config", required=True, help="suite config JSON")
     sp.add_argument("--out", required=True, help="output directory")
-    sp.add_argument("--reps", type=int, default=None,
-                    help=f"override repetitions (config default {DEFAULT_REPETITIONS})")
-    sp.add_argument("--seed", type=int, default=None, help="override fresh-model seed")
-    sp.add_argument("--profile", action="append",
-                    help="weight profile name or alpha,beta; repeatable")
-    sp.add_argument("--energy-source", default=None,
-                    help="synthetic | power:<watts> | counter:<path>,<wrap_max>")
     sp.set_defaults(func=_cmd_run)
 
     for name, func, help_text in (
@@ -902,7 +856,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("distill", help="train a student model from a teacher")
     sp.add_argument("--config", required=True, help="distillation config JSON")
     sp.add_argument("--out", required=True, help="output student model file")
-    sp.add_argument("--seed", type=int, default=None, help="override training seed")
     sp.set_defaults(func=_cmd_distill)
 
     return parser

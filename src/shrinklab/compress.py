@@ -165,6 +165,14 @@ class HeadConcentrationReport:
     scores: np.ndarray
     n_positions: int
 
+    def __post_init__(self):
+        # a NaN score compares False against any threshold, so it would mask its head
+        bad = np.argwhere(~np.isfinite(self.scores))
+        if bad.size:
+            layer, head = bad[0]
+            raise DomainError(f"head concentration of layer {layer}, head {head} is not "
+                              f"finite: {float(self.scores[layer, head])}")
+
     def as_dict(self) -> dict:
         n_layers, n_heads = self.scores.shape
         return {

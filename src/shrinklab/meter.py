@@ -162,8 +162,9 @@ def carbon_estimate(energy_kwh: float,
     """Grams of CO2-equivalent for the given energy at a grid intensity."""
     if check_number(energy_kwh, "energy_kwh") < 0:
         raise DomainError("energy must be non-negative")
-    if check_number(intensity_g_per_kwh, "carbon intensity") < 0:
-        raise DomainError("carbon intensity must be non-negative")
+    if check_number(intensity_g_per_kwh, "carbon_intensity_g_per_kwh") < 0:
+        raise DomainError(f"carbon_intensity_g_per_kwh must be non-negative, "
+                          f"got {intensity_g_per_kwh!r}")
     return energy_kwh * intensity_g_per_kwh
 
 

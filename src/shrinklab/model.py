@@ -3,9 +3,9 @@
 Pre-norm blocks, learned positional embeddings, and an output head tied to
 the token embedding.  Weights are plain numpy arrays stored as x @ W with
 shape (in, out); linear projections may instead hold quantized views (see
-compress), which are expanded to dense on use.  Inference runs in the dtype
-of the stored weights, float32 by default, while softmax and log-likelihood
-sums accumulate in float64.
+compress), which are expanded to dense on use.  Models are built and saved
+in float32; inference runs in the dtype of the stored weights (float64 after
+astype), while softmax and log-likelihood sums accumulate in float64.
 """
 from __future__ import annotations
 
@@ -166,36 +166,37 @@ def copy_model(model: TinyLM) -> TinyLM:
     return _map_params(model, np.copy)
 
 
-def _from_layout(config: ModelConfig, dtype, matrix) -> TinyLM:
-    """Model whose matrices come from matrix(shape), in layout order.
+def _from_layout(config: ModelConfig, matrix) -> TinyLM:
+    """Float32 model whose matrices come from matrix(shape), in layout order.
 
     Norm gains (the names ending in g) start at 1, biases at 0, and every
     head is live.
     """
     tensors = {name: matrix(shape) if len(shape) == 2
-               else (np.ones if name.endswith("g") else np.zeros)(shape, dtype=dtype)
+               else (np.ones if name.endswith("g") else np.zeros)(shape, dtype=np.float32)
                for name, shape in param_layout(config)}
-    return from_tensors(config, tensors, np.ones((config.n_layers, config.n_heads), dtype=dtype))
+    return from_tensors(config, tensors,
+                        np.ones((config.n_layers, config.n_heads), dtype=np.float32))
 
 
-def init_model(config: ModelConfig, seed: int = 0, dtype=np.float32) -> TinyLM:
+def init_model(config: ModelConfig, seed: int = 0) -> TinyLM:
     """Fresh model with Gaussian weights (std 0.02), deterministic per seed.
 
     All matrices and embeddings are drawn from one generator in layout
     order; norm gains start at 1 and biases at 0.
     """
     rng = np.random.default_rng(check_integer(seed, "seed", minimum=0))
-    return _from_layout(config, dtype,
-                        lambda shape: rng.normal(0.0, INIT_STD, size=shape).astype(dtype))
+    return _from_layout(config,
+                        lambda shape: rng.normal(0.0, INIT_STD, size=shape).astype(np.float32))
 
 
-def zero_model(config: ModelConfig, dtype=np.float32) -> TinyLM:
+def zero_model(config: ModelConfig) -> TinyLM:
     """Model with every matrix and bias zero and norm gains one.
 
     Its logits are constant, so next-token distributions are exactly
     uniform; handy as a reference point.
     """
-    return _from_layout(config, dtype, lambda shape: np.zeros(shape, dtype=dtype))
+    return _from_layout(config, lambda shape: np.zeros(shape, dtype=np.float32))
 
 
 # ---------------------------------------------------------------------------

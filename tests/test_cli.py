@@ -592,6 +592,21 @@ def test_cli_prune_heads_checks_the_threshold_before_writing(tmp_path, capsys):
     assert not report_path.exists() and not out.exists()
 
 
+def test_cli_prune_heads_rejects_a_non_finite_concentration(tmp_path, capsys):
+    """NaN attention is an error: a NaN score is below no threshold, so it would mask its head."""
+    model = init_model(ModelConfig(2, 4, 64, 256), seed=0)
+    model.weights.layers[0].wq[0, 0] = np.nan
+    path, report_path, out = tmp_path / "nan.lmz", tmp_path / "r.json", tmp_path / "m.lmz"
+    save_model(model, path)
+    rc, printed, err = run_main(capsys, "prune-heads", "--model", str(path),
+                                "--corpus", str(bundled.path("toy_corpus.txt")),
+                                "--threshold", "0.9", "--report", str(report_path),
+                                "--out", str(out))
+    assert rc == 2 and printed == ""
+    assert err == "error: head concentration of layer 0, head 0 is not finite: nan\n"
+    assert not report_path.exists() and not out.exists()
+
+
 @pytest.mark.parametrize("entry", [0.5, float("nan")], ids=["half", "nan"])
 def test_cli_prune_heads_rejects_a_head_mask_entry_other_than_0_or_1(tmp_path, capsys, entry):
     model = _fresh()
@@ -628,14 +643,13 @@ def test_cli_distill_trains_and_saves(tmp_path, capsys):
         "corpus": str(corpus),
         "student": {
             "config": {"n_layers": 1, "n_heads": 2, "d_model": 32, "d_ff": 128},
-            "distill": {"method": "forward_kld", "steps": 5},
+            "distill": {"method": "forward_kld", "steps": 5, "seed": 7},
         },
     }
     cfg_path = tmp_path / "distill.json"
     cfg_path.write_text(json.dumps(cfg))
     out_path = tmp_path / "student.lmz"
-    rc, _, _ = run_main(capsys, "distill", "--config", str(cfg_path),
-                        "--out", str(out_path), "--seed", "7")
+    rc, _, _ = run_main(capsys, "distill", "--config", str(cfg_path), "--out", str(out_path))
     assert rc == 0
     load_model(out_path)
 
@@ -727,67 +741,67 @@ def test_cli_flag_and_corpus_errors_exit_two(tmp_path, capsys, argv, named):
     assert not (tmp_path / "q.lmz").exists()
 
 
-def test_cli_energy_source_flag(tmp_path, capsys):
-    doc = small_suite_doc(tmp_path)
+def run_suite_doc(capsys, tmp_path, doc, out="o"):
+    """main's exit code, stdout and stderr for run on doc, written as the suite file."""
     cfg_path = tmp_path / "suite.json"
     cfg_path.write_text(json.dumps(doc))
-    rc, _, _ = run_main(capsys, "run", "--config", str(cfg_path),
-                        "--out", str(tmp_path / "out2"), "--reps", "1",
-                        "--energy-source", "power:3.5")
-    assert rc == 0
-    report = json.loads((tmp_path / "out2" / "report.json").read_text())
-    assert all(r["energy_kwh"] > 0 for r in report["rows"])
+    return run_main(capsys, "run", "--config", str(cfg_path), "--out", str(tmp_path / out))
 
-    rc, _, _ = run_main(capsys, "run", "--config", str(cfg_path),
-                        "--out", str(tmp_path / "out1"), "--energy-source", "synthetic")
+
+def test_cli_run_energy_source_key(tmp_path, capsys):
+    rc, _, _ = run_suite_doc(capsys, tmp_path, small_suite_doc(
+        tmp_path, repetitions=1, energy_source={"kind": "power", "watts": 3.5}))
     assert rc == 0
-    report = json.loads((tmp_path / "out1" / "report.json").read_text())
-    assert report["config_digest"] == config_digest(dict(doc, energy_source={"kind": "synthetic"}))
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert all(r["energy_kwh"] > 0 for r in report["rows"])
 
     # a counter that never advances gives the base pipeline zero energy,
     # which cannot anchor the ratios: typed failure, exit 2
     counter = tmp_path / "uj"
     counter.write_text("0")
-    rc, _, err = run_main(capsys, "run", "--config", str(cfg_path),
-                          "--out", str(tmp_path / "out3"), "--reps", "1",
-                          "--energy-source", f"counter:{counter},1000000000")
-    assert rc == 2
-    assert err.strip()
-
-    rc, _, err = run_main(capsys, "run", "--config", str(cfg_path),
-                          "--out", str(tmp_path / "out4"),
-                          "--energy-source", "counter:no-wrap-given")
-    assert rc == 2
-
-
-@pytest.mark.parametrize("flag", ["power:abc", "counter:uj,x", "bogus"])
-def test_cli_run_malformed_energy_source_flag_exits_two(tmp_path, capsys, flag):
-    cfg_path = tmp_path / "suite.json"
-    cfg_path.write_text(json.dumps(small_suite_doc(tmp_path)))
-    rc, _, err = run_main(capsys, "run", "--config", str(cfg_path),
-                          "--out", str(tmp_path / "o"), "--energy-source", flag)
+    rc, _, err = run_suite_doc(capsys, tmp_path, small_suite_doc(
+        tmp_path, repetitions=1, energy_source={"kind": "counter", "path": str(counter),
+                                                "wrap_max_microjoules": 1000000000}), out="o3")
     assert rc == 2 and err.startswith("error:")
-    assert not (tmp_path / "o").exists()
+    assert not (tmp_path / "o3").exists()
+
+    rc, _, err = run_suite_doc(capsys, tmp_path, small_suite_doc(
+        tmp_path, energy_source={"kind": "counter", "path": str(counter)}), out="o4")
+    assert rc == 2 and "wrap_max_microjoules" in err
 
 
 def test_cli_run_missing_counter_file_fails_the_base_pipeline(tmp_path, capsys):
-    cfg_path = tmp_path / "suite.json"
-    cfg_path.write_text(json.dumps(small_suite_doc(tmp_path)))
-    rc, _, err = run_main(capsys, "run", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
-                          "--energy-source", f"counter:{tmp_path / 'absent'},1000000")
+    rc, _, err = run_suite_doc(capsys, tmp_path, small_suite_doc(
+        tmp_path, energy_source={"kind": "counter", "path": str(tmp_path / "absent"),
+                                 "wrap_max_microjoules": 1000000}))
     assert rc == 2 and err.startswith("error:") and "base pipeline failed" in err
 
 
-def test_cli_run_profile_flag_scores_only_that_profile(tmp_path, capsys):
-    doc = small_suite_doc(tmp_path)
-    cfg_path = tmp_path / "suite.json"
-    cfg_path.write_text(json.dumps(doc))
-    rc, _, _ = run_main(capsys, "run", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
-                        "--profile", "energy")
+def test_cli_run_profiles_key_scores_only_that_profile(tmp_path, capsys):
+    rc, _, _ = run_suite_doc(capsys, tmp_path, small_suite_doc(tmp_path, profiles=["energy"]))
     assert rc == 0
     report = json.loads((tmp_path / "o" / "report.json").read_text())
-    assert report["config_digest"] == config_digest(dict(doc, profiles=["energy"]))
     assert all(set(row["opt"]) == {"energy"} for row in report["rows"])
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("run", "--reps", "1"), ("run", "--seed", "1"), ("run", "--profile", "energy"),
+    ("run", "--energy-source", "synthetic"), ("distill", "--seed", "1"),
+])
+def test_cli_run_and_distill_read_only_config_and_out(tmp_path, capsys, command, flag, value):
+    """Every suite and distillation value is set in the config file, where it is digested."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) == {"--help", "--config",
+                                                                      "--out"}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(small_suite_doc(tmp_path)))
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o"), flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_run_base_only_suite_writes_no_metrics(tmp_path, capsys):
@@ -801,36 +815,23 @@ def test_cli_run_base_only_suite_writes_no_metrics(tmp_path, capsys):
     assert sorted(p.name for p in out_dir.iterdir()) == ["report.json"]
 
 
-def test_cli_run_digest_covers_flags(tmp_path, capsys):
-    doc = small_suite_doc(tmp_path)
-    cfg_path = tmp_path / "suite.json"
-    cfg_path.write_text(json.dumps(doc))
-
-    def digest(*flags):
-        out_dir = tmp_path / "-".join(("out",) + flags)
-        rc, out, _ = run_main(capsys, "run", "--config", str(cfg_path),
-                              "--out", str(out_dir), *flags)
+def test_cli_run_digest_is_the_suite_file_digest(tmp_path, capsys):
+    def digest(seed):
+        doc = small_suite_doc(tmp_path)
+        doc["model"]["seed"] = seed
+        rc, out, _ = run_suite_doc(capsys, tmp_path, doc, out=f"o{seed}")
         assert rc == 0
-        got = json.loads((out_dir / "report.json").read_text())["config_digest"]
+        got = json.loads((tmp_path / f"o{seed}" / "report.json").read_text())["config_digest"]
         assert f"config digest {got}" in out
+        assert got == config_digest(json.loads((tmp_path / "suite.json").read_text()))
         return got
 
-    assert digest() == config_digest(doc)
-    seeded = {digest("--seed", "1"), digest("--seed", "2")}
-    assert len(seeded) == 2 and config_digest(doc) not in seeded
-    # the flag is digested exactly as the same value in the file would be
-    assert digest("--seed", "1") == config_digest(dict(doc, model=dict(doc["model"], seed=1)))
+    assert digest(1) != digest(2)
 
-    rc, _, err = run_main(capsys, "run", "--config", str(cfg_path),
-                          "--out", str(tmp_path / "bad"), "--reps", "0")
+    rc, _, err = run_suite_doc(capsys, tmp_path, small_suite_doc(tmp_path, repetitions=0),
+                               out="bad")
     assert rc == 2 and "repetitions" in err
-    saved = tmp_path / "base.lmz"
-    save_model(init_model(ModelConfig(1, 2, 32, 128), seed=1), saved)
-    cfg_path.write_text(json.dumps(dict(doc, model={"path": str(saved)})))
-    rc, _, err = run_main(capsys, "run", "--config", str(cfg_path),
-                          "--out", str(tmp_path / "bad"), "--seed", "3")
-    assert rc == 2
-    assert err == "error: --seed seeds a fresh model, but the config's model is a saved file\n"
+    assert not (tmp_path / "bad").exists()
 
 
 BAD_STEPS_STUDENT = {"config": {"n_layers": 1, "n_heads": 2, "d_model": 32, "d_ff": 128},
@@ -859,6 +860,8 @@ def test_cli_run_wrong_typed_values_exit_two(tmp_path, capsys, changes):
                           "--out", str(tmp_path / "out"))
     assert rc == 2
     assert err.startswith("error:")
+    if "carbon_intensity_g_per_kwh" in changes:  # no prefix names the key, so its message must
+        assert "carbon_intensity_g_per_kwh" in err
 
 
 def test_cli_distill_wrong_typed_steps_exit_two(tmp_path, capsys):
@@ -1288,7 +1291,7 @@ def test_parse_rejects_bad_values_before_any_model_is_built(tmp_path, monkeypatc
 
     monkeypatch.setattr(cli, "init_model", no_model)
     monkeypatch.setattr(cli, "load_model", no_model)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=next(iter(changes))):
         parse_suite_config(small_suite_doc(tmp_path, **changes))
 
 
@@ -1368,16 +1371,16 @@ def test_parse_rejects_a_seqkd_block_no_student_reads(tmp_path, method):
         parse_suite_config(small_suite_doc(tmp_path, students={"kd": student}))
 
 
-def test_cli_distill_seed_flag_is_checked_by_distill_config(tmp_path, capsys):
+def test_cli_distill_seed_is_checked_by_distill_config(tmp_path, capsys):
     corpus = tmp_path / "c.txt"
     corpus.write_bytes(bundled.path("toy_corpus.txt").read_bytes()[:400])
     cfg_path = tmp_path / "distill.json"
     cfg_path.write_text(json.dumps({
         "teacher": {"config": BAD_STEPS_STUDENT["config"]}, "corpus": str(corpus),
         "student": {"config": BAD_STEPS_STUDENT["config"],
-                    "distill": {"method": "forward_kld", "steps": 1}}}))
+                    "distill": {"method": "forward_kld", "steps": 1, "seed": -1}}}))
     rc, _, err = run_main(capsys, "distill", "--config", str(cfg_path),
-                          "--out", str(tmp_path / "s.lmz"), "--seed", "-1")
+                          "--out", str(tmp_path / "s.lmz"))
     assert rc == 2 and "seed" in err
     assert not (tmp_path / "s.lmz").exists()
 

@@ -24,7 +24,7 @@ from shrinklab.compress import (
     quantize_tensor,
 )
 from shrinklab.errors import DomainError, ShapeError
-from shrinklab.model import LINEAR_NAMES, astype, forward, init_model, perplexity
+from shrinklab.model import LINEAR_NAMES, astype, copy_model, forward, init_model, perplexity
 
 from conftest import SMALL, concentration_pair_model, uniform_head_expected
 
@@ -309,6 +309,22 @@ def test_prune_heads_validation(toy_model, calibration):
     wrong = HeadConcentrationReport(scores=np.zeros((1, 2)), n_positions=3)
     with pytest.raises(DomainError):
         prune_heads(toy_model, wrong, threshold=0.5)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_concentration_report_rejects_a_non_finite_score(value):
+    """A NaN score is below no threshold, so it would mask its head; no report carries one."""
+    scores = np.full((1, 2), 0.5)
+    scores[0, 1] = value
+    with pytest.raises(DomainError, match=f"layer 0, head 1 is not finite: {value}"):
+        HeadConcentrationReport(scores=scores, n_positions=3)
+
+
+def test_head_concentration_of_nan_attention_raises(toy_model, calibration):
+    nan_query = copy_model(toy_model)
+    nan_query.weights.layers[0].wq[0, 0] = np.nan
+    with pytest.raises(DomainError, match="layer 0, head 0 is not finite: nan"):
+        head_concentration(nan_query, calibration)
 
 
 def test_concentration_report_as_dict():
