@@ -333,11 +333,6 @@ class SeqkdPrompts:
         for f in fields(self):
             check_integer(getattr(self, f.name), f.name)
 
-    @property
-    def size(self) -> int:
-        """Tokens in the corpus seqkd_corpus makes: each prompt plus its continuation."""
-        return self.prompts * (self.prompt_len + self.length)
-
     def cut(self, corpus: np.ndarray, context_len: int) -> list[np.ndarray]:
         """Evenly spaced prompts, for a teacher of context_len tokens to continue."""
         if self.prompt_len + self.length > context_len:
@@ -403,7 +398,8 @@ def _parse_profiles(entries) -> tuple[WeightProfile, ...]:
     if not isinstance(entries, list):
         raise DomainError("profiles must be a list")
     profiles = tuple(profile_by_name(e) if isinstance(e, str)
-                     else _build(WeightProfile, e, "profile") for e in entries)
+                     else _build(WeightProfile, e, f"profiles[{i}]")
+                     for i, e in enumerate(entries))
     _check_unique((p.name for p in profiles), "weight profile names")
     return profiles or BUILTIN_PROFILES
 
@@ -485,14 +481,17 @@ def _load_corpus(path, config: ModelConfig) -> np.ndarray:
         raise DomainError(f"corpus {path}: {exc}") from exc
 
 
-def build_student(teacher: TinyLM, spec: StudentSpec, corpus: np.ndarray) -> TinyLM:
-    """Distill one student from the teacher; seqkd trains on the teacher's continuations."""
-    train_corpus = corpus
-    if spec.distill.method == METHOD_SEQKD:
-        train_corpus = seqkd_corpus(teacher, spec.seqkd.cut(corpus, teacher.config.context_len),
-                                    spec.seqkd.length)
-    return train_student(teacher, spec.config, train_corpus, spec.distill,
-                         window=spec.window).student
+def training_tokens(teacher: TinyLM, spec: StudentSpec, corpus: np.ndarray) -> np.ndarray:
+    """The tokens a student trains on: the corpus, or for seqkd the teacher's continuations."""
+    if spec.distill.method != METHOD_SEQKD:
+        return corpus
+    return seqkd_corpus(teacher, spec.seqkd.cut(corpus, teacher.config.context_len),
+                        spec.seqkd.length)
+
+
+def build_student(teacher: TinyLM, spec: StudentSpec, tokens: np.ndarray) -> TinyLM:
+    """Distill one student from the teacher on its training tokens."""
+    return train_student(teacher, spec.config, tokens, spec.distill, window=spec.window).student
 
 
 # ---------------------------------------------------------------------------
@@ -531,8 +530,10 @@ def run_suite(config: SuiteConfig) -> Report:
 
     The corpus is checked against the base model's vocabulary, and every
     student some pipeline distills to (a saved one loaded by its ModelSpec)
-    is checked in id order with its vocabulary, calibration, perplexity
-    window, training window and data before build_student trains any.
+    is checked in id order with its vocabulary, calibration and perplexity
+    window; a trained one also gets its training tokens (for seqkd, the
+    teacher's continuations, decoded here once) and has its training window
+    checked against their count, all before build_student trains any.
     Every pipeline is measured with the base model's perplexity window and
     stride, and one score_report call scores every row, base included,
     against the base row; the report keeps its ScoreTable.  Any failure ends
@@ -554,7 +555,7 @@ def run_suite(config: SuiteConfig) -> Report:
         if p.passes and isinstance(p.passes[0], DistillRef):
             sid = p.passes[0].student
             probed[sid] = probed.get(sid) or any(isinstance(ps, PruneHeads) for ps in p.passes)
-    students = {}
+    students, tokens = {}, {}
     for sid in sorted(probed):
         spec = config.students[sid]
         try:
@@ -566,15 +567,12 @@ def run_suite(config: SuiteConfig) -> Report:
                 config.calibration.cut(corpus, student_config.context_len)
             perplexity_window(student_config.context_len, window, stride)
             if isinstance(spec, StudentSpec):
-                size = corpus.size
-                if spec.distill.method == METHOD_SEQKD:
-                    spec.seqkd.cut(corpus, base.config.context_len)
-                    size = spec.seqkd.size
-                training_window(base.config, spec.config, size, spec.window)
+                tokens[sid] = training_tokens(base, spec, corpus)
+                training_window(base.config, spec.config, tokens[sid].size, spec.window)
         except _RUN_ERRORS as exc:
             raise DomainError(f"student {sid!r}: {exc}") from exc
-    for sid in sorted(probed.keys() - students.keys()):
-        students[sid] = build_student(base, config.students[sid], corpus)
+    for sid, toks in tokens.items():
+        students[sid] = build_student(base, config.students[sid], toks)
 
     source = config.energy_source()
     rows: list[dict] = []
@@ -787,7 +785,8 @@ def _cmd_distill(args):
     student = _parse_student(doc["student"], "student")  # as a suite's students hold it
     corpus = check_string(doc["corpus"], "corpus")
     teacher = _parse_model_spec(doc["teacher"], "teacher").build()
-    save_model(build_student(teacher, student, _load_corpus(corpus, teacher.config)), args.out)
+    tokens = training_tokens(teacher, student, _load_corpus(corpus, teacher.config))
+    save_model(build_student(teacher, student, tokens), args.out)
     print(f"wrote {args.out}")
 
 

@@ -292,21 +292,19 @@ def grad_check(model: TinyLM, tokens, spec: LossSpec, epsilon: float = 1e-4,
 # sequence-level data generation
 
 def seqkd_corpus(teacher: TinyLM, prompts, length: int, mode: str = "greedy",
-                 temperature: float = 1.0, seed: int = 0) -> np.ndarray:
-    """Teacher continuations of each prompt, concatenated into one corpus.
+                 seed: int = 0) -> np.ndarray:
+    """Teacher continuations of each prompt, decoded greedily, concatenated into one corpus.
 
-    Prompt i is continued as generate does with seed + i, so sampled
-    continuations differ between prompts but the corpus is reproducible.
     Each run of consecutive prompts of one length is decoded as one batch.
+    mode accepts only "greedy", and seed is checked but never read: both stay
+    only for perfbench's call, and a change to the benchmark drops them.
     """
+    if mode != "greedy":
+        raise DomainError(f"mode must be 'greedy', got {mode!r}")
+    check_integer(seed, "seed", minimum=0)
     check_integer(length, "length")
-    pieces = []
-    first = 0
-    for _, run in itertools.groupby(map(np.asarray, prompts), key=np.shape):
-        batch = np.stack(list(run))
-        pieces.append(generate(teacher, batch, length, mode=mode,
-                               temperature=temperature, seed=seed + first).ravel())
-        first += len(batch)
+    pieces = [generate(teacher, np.stack(list(run)), length).ravel()
+              for _, run in itertools.groupby(map(np.asarray, prompts), key=np.shape)]
     if not pieces:
         raise DomainError("seqkd_corpus needs at least one prompt")
     return np.concatenate(pieces)

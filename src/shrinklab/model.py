@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, FormatError, check_integer, check_number
+from .errors import DomainError, FormatError, check_integer
 
 LN_EPS = 1e-5
 INIT_STD = 0.02
@@ -492,15 +492,12 @@ def perplexity(model: TinyLM, corpus, window: int | None = None,
 # ---------------------------------------------------------------------------
 # generation
 
-def generate(model: TinyLM, prompt, steps: int, mode: str = "greedy",
-             temperature: float = 1.0, seed: int = 0) -> np.ndarray:
-    """Continue prompt by steps tokens; returns prompt plus continuation.
+def generate(model: TinyLM, prompt, steps: int) -> np.ndarray:
+    """Continue prompt greedily by steps tokens; returns prompt plus continuation.
 
     prompt is one sequence (n,) or a batch of equal-length ones (B, n),
-    giving (n + steps,) or (B, n + steps).  greedy takes the argmax at each
-    step; sample draws from the temperature-scaled softmax, row i with a
-    generator seeded by seed + i, so results are reproducible.  Greedy is
-    the temperature -> 0 limit of sampling.
+    giving (n + steps,) or (B, n + steps).  Each step takes the argmax of
+    the last row's logits.
 
     One forward runs on the prompts, then one per new token against the
     cached keys and values: logits that may differ from the full forward's
@@ -513,14 +510,8 @@ def generate(model: TinyLM, prompt, steps: int, mode: str = "greedy",
         raise DomainError(
             f"prompt of {n} plus {steps} steps exceeds context length {cfg.context_len}"
         )
-    if mode not in ("greedy", "sample"):
-        raise DomainError(f"mode must be 'greedy' or 'sample', got {mode!r}")
-    if check_number(temperature, "temperature") <= 0 and mode == "sample":
-        raise DomainError("temperature must be positive")
-    check_integer(seed, "seed", minimum=0)
 
     seqs = np.pad(np.atleast_2d(toks), ((0, 0), (0, steps)))
-    rngs = [np.random.default_rng(seed + i) for i in range(len(seqs))]
     past = []
     # on the prompts, the row before the last keeps the products at 2 rows (see _forward_full)
     fed, cut = 0, max(n - 2, 0)
@@ -528,15 +519,7 @@ def generate(model: TinyLM, prompt, steps: int, mode: str = "greedy",
         logits, past = _forward_full(model, seqs[:, fed:t], want_cache=False,
                                      first_row=cut, past=past)
         fed, cut = t, 0
-        last = np.asarray(logits[:, -1], dtype=np.float64)
-        if mode == "greedy":
-            seqs[:, t] = np.argmax(last, axis=-1)
-            continue
-        for i, rng in enumerate(rngs):
-            z = (last[i] - last[i].max()) / temperature
-            p = np.exp(z)
-            p /= p.sum()
-            seqs[i, t] = rng.choice(p.size, p=p)
+        seqs[:, t] = np.argmax(logits[:, -1], axis=-1)
     return seqs if toks.ndim == 2 else seqs[0]
 
 

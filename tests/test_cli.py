@@ -860,8 +860,7 @@ def test_cli_run_wrong_typed_values_exit_two(tmp_path, capsys, changes):
                           "--out", str(tmp_path / "out"))
     assert rc == 2
     assert err.startswith("error:")
-    if "carbon_intensity_g_per_kwh" in changes:  # no prefix names the key, so its message must
-        assert "carbon_intensity_g_per_kwh" in err
+    assert next(iter(changes)) in err  # the top-level key changed
 
 
 def test_cli_distill_wrong_typed_steps_exit_two(tmp_path, capsys):
@@ -1123,6 +1122,30 @@ def test_run_rejects_a_seqkd_student_before_any_student_is_built(
     assert rc == 2 and err.startswith("error:")
     assert named in err and "'sk'" in err
     assert built == []
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_checks_a_seqkd_students_window_against_its_decoded_tokens(
+        tmp_path, capsys, monkeypatch):
+    """The pre-flight decodes a seqkd student's tokens and checks the training window
+    against their real count, so too few of them exit 2, naming the student, and no
+    student is trained."""
+    import shrinklab.cli as cli
+    trained = []
+    monkeypatch.setattr(cli, "seqkd_corpus", lambda *a, **k: np.arange(10))
+    monkeypatch.setattr(cli, "train_student", lambda *args, **kwargs: trained.append(args))
+    sk = {"config": TRAINED["config"], "distill": {"method": "seqkd", "steps": 1}}
+    doc = small_suite_doc(tmp_path, students={"sk": sk, "a": TRAINED})
+    doc["pipelines"] += [{"name": n, "passes": [{"op": "distill", "student": n}]}
+                         for n in ("a", "sk")]
+    cfg_path = tmp_path / "suite.json"
+    cfg_path.write_text(json.dumps(doc))
+    rc, out, err = run_main(capsys, "run", "--config", str(cfg_path),
+                            "--out", str(tmp_path / "o"))
+    assert rc == 2 and out == ""
+    assert err == ("error: student 'sk': corpus of 10 tokens is shorter than one window "
+                   "of 32 plus a target\n")
+    assert trained == []
     assert not (tmp_path / "o").exists()
 
 

@@ -234,15 +234,6 @@ def test_seqkd_corpus_shape_and_determinism(small_model):
     assert a[12:14].tolist() == prompts[1].tolist()
 
 
-def test_seqkd_corpus_sampling_seeded(small_model):
-    prompts = [tokenize("ab")]
-    a = seqkd_corpus(small_model, prompts, length=12, mode="sample", seed=5)
-    b = seqkd_corpus(small_model, prompts, length=12, mode="sample", seed=5)
-    c = seqkd_corpus(small_model, prompts, length=12, mode="sample", seed=6)
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
-
-
 def test_seqkd_corpus_validation(small_model):
     with pytest.raises(DomainError):
         seqkd_corpus(small_model, [], length=8)
@@ -251,20 +242,27 @@ def test_seqkd_corpus_validation(small_model):
     # prompt plus continuation must still fit the context window
     with pytest.raises(DomainError):
         seqkd_corpus(small_model, [tokenize("ab")], length=SMALL.context_len - 1)
-    for bad in (dict(temperature=float("nan")), dict(temperature=float("inf")), dict(seed=-1)):
-        with pytest.raises(DomainError):
-            seqkd_corpus(small_model, [tokenize("ab")], length=4, mode="sample", **bad)
+    with pytest.raises(DomainError):
+        seqkd_corpus(small_model, [tokenize("ab")], length=4, seed=-1)
 
 
-@pytest.mark.parametrize("mode", ["greedy", "sample"])
+def test_seqkd_corpus_takes_perfbenchs_keywords_and_rejects_other_modes(small_model, corpus):
+    """perfbench passes mode="greedy" and a seed; the corpus is the greedy one all the same,
+    and any other mode is rejected by name."""
+    prompts = [corpus[s:s + 8] for s in (0, 100, 200)]
+    want = seqkd_corpus(small_model, prompts, 12)
+    assert np.array_equal(seqkd_corpus(small_model, prompts, 12, mode="greedy", seed=3), want)
+    with pytest.raises(DomainError, match="mode"):
+        seqkd_corpus(small_model, prompts, 12, mode="sample")
+
+
 def test_seqkd_corpus_decodes_each_run_of_equal_length_prompts_as_one_batch(
-        small_model, corpus, monkeypatch, mode):
-    """The corpus is the per-prompt generate calls, prompt i seeded by seed + i,
-    made with one forward per new token for each run of equal-length prompts."""
+        small_model, corpus, monkeypatch):
+    """The corpus is the per-prompt generate calls, made with one forward per
+    new token for each run of equal-length prompts."""
     import shrinklab.model as model_mod
     prompts = [corpus[0:2], corpus[10:12], corpus[20:23], corpus[30:32]]
-    want = np.concatenate([generate(small_model, p, 9, mode=mode, seed=3 + i)
-                           for i, p in enumerate(prompts)])
+    want = np.concatenate([generate(small_model, p, 9) for p in prompts])
     batches = []
     real_forward_full = model_mod._forward_full
 
@@ -273,7 +271,7 @@ def test_seqkd_corpus_decodes_each_run_of_equal_length_prompts_as_one_batch(
         return real_forward_full(m, tokens, *args, **kwargs)
 
     monkeypatch.setattr(model_mod, "_forward_full", spy)
-    got = seqkd_corpus(small_model, prompts, 9, mode=mode, seed=3)
+    got = seqkd_corpus(small_model, prompts, 9)
     assert got.tolist() == want.tolist()
     # the runs are prompts 0-1 (length 2), prompt 2 (length 3) and prompt 3 (length 2)
     assert batches == [2] * 9 + [1] * 9 + [1] * 9

@@ -552,22 +552,6 @@ def test_generate_greedy_is_deterministic(small_model):
     assert a[:prompt.size].tolist() == prompt.tolist()
 
 
-def test_generate_sampling_seeded(small_model):
-    prompt = tokenize("ab")
-    a = generate(small_model, prompt, steps=8, mode="sample", seed=3)
-    b = generate(small_model, prompt, steps=8, mode="sample", seed=3)
-    c = generate(small_model, prompt, steps=8, mode="sample", seed=4)
-    assert a.tolist() == b.tolist()
-    assert a.tolist() != c.tolist()  # 8 draws over 256 symbols colliding is ~0
-
-
-def test_generate_cold_sampling_matches_greedy(small_model):
-    prompt = tokenize("abc")
-    greedy = generate(small_model, prompt, steps=5)
-    cold = generate(small_model, prompt, steps=5, mode="sample", temperature=1e-6)
-    assert greedy.tolist() == cold.tolist()
-
-
 def test_generate_bounds_and_modes(small_model):
     prompt = np.zeros(10, dtype=np.int64)
     with pytest.raises(DomainError):
@@ -577,14 +561,6 @@ def test_generate_bounds_and_modes(small_model):
     with pytest.raises(DomainError):
         generate(small_model, prompt, steps=2.5)
     with pytest.raises(DomainError):
-        generate(small_model, prompt, steps=1, mode="beam")
-    with pytest.raises(DomainError):
-        generate(small_model, prompt, steps=1, mode="sample", temperature=0.0)
-    for bad in (dict(temperature=float("nan")), dict(temperature=float("inf")),
-                dict(temperature="1"), dict(seed=-1), dict(seed=1.5)):
-        with pytest.raises(DomainError):
-            generate(small_model, prompt, steps=1, mode="sample", **bad)
-    with pytest.raises(DomainError):
         generate(small_model, np.zeros((0, 3), dtype=np.int64), steps=1)
     with pytest.raises(DomainError):
         generate(small_model, np.zeros((1, 2, 3), dtype=np.int64), steps=1)
@@ -592,40 +568,32 @@ def test_generate_bounds_and_modes(small_model):
     assert same.tolist() == prompt.tolist()
 
 
-def _full_forward_continuation(model, prompt, steps, mode, seed):
-    """generate's contract: each token from the full forward's last row, drawn as generate draws."""
-    rng = np.random.default_rng(seed)
+def _full_forward_continuation(model, prompt, steps):
+    """generate's contract: each token is the argmax of the full forward's last row."""
     seq = list(prompt)
     for _ in range(steps):
         logits, _ = _forward_full(model, np.asarray(seq), want_cache=False)
-        last = logits[-1].astype(np.float64)
-        if mode == "greedy":
-            seq.append(int(np.argmax(last)))
-        else:
-            p = np.exp(last - last.max())
-            seq.append(int(rng.choice(p.size, p=p / p.sum())))
+        seq.append(int(np.argmax(logits[-1].astype(np.float64))))
     return seq
 
 
-@pytest.mark.parametrize("mode", ["greedy", "sample"])
 @pytest.mark.parametrize("config", [TOY, SMALL], ids=["toy", "small"])
-def test_generate_picks_what_the_full_forwards_last_row_picks(config, mode, corpus):
+def test_generate_picks_what_the_full_forwards_last_row_picks(config, corpus):
     """generate computes only its last 2 rows; the tokens are those of the full forward."""
     model = init_model(config, seed=3)
     for length in range(1, 9):
         prompt = corpus[40 * length:41 * length]
-        got = generate(model, prompt, steps=12, mode=mode, seed=length)
-        assert got.tolist() == _full_forward_continuation(model, prompt, 12, mode, length)
+        got = generate(model, prompt, steps=12)
+        assert got.tolist() == _full_forward_continuation(model, prompt, 12)
 
 
-@pytest.mark.parametrize("mode", ["greedy", "sample"])
-def test_generate_on_a_batch_equals_one_call_per_row(toy_model, corpus, mode):
-    """Row i of a (B, n) batch is decoded as a single call seeded by seed + i."""
+def test_generate_on_a_batch_equals_one_call_per_row(toy_model, corpus):
+    """Row i of a (B, n) batch is decoded as a single call on prompt i."""
     prompts = np.stack([corpus[s:s + 6] for s in (0, 50, 90, 300)])
-    got = generate(toy_model, prompts, steps=10, mode=mode, seed=7)
+    got = generate(toy_model, prompts, steps=10)
     assert got.shape == (4, 16)
     for i, prompt in enumerate(prompts):
-        assert got[i].tolist() == generate(toy_model, prompt, 10, mode=mode, seed=7 + i).tolist()
+        assert got[i].tolist() == generate(toy_model, prompt, 10).tolist()
 
 
 # ---------------------------------------------------------------------------
