@@ -531,9 +531,10 @@ def run_suite(config: SuiteConfig) -> Report:
     The corpus is checked against the base model's vocabulary, and every
     student some pipeline distills to (a saved one loaded by its ModelSpec)
     is checked in id order with its vocabulary, calibration and perplexity
-    window; a trained one also gets its training tokens (for seqkd, the
-    teacher's continuations, decoded here once) and has its training window
-    checked against their count, all before build_student trains any.
+    window; a trained one has its training window checked against both
+    contexts, then gets its training tokens (for seqkd, the teacher's
+    continuations, decoded here once) and has the window checked against
+    their count, all before build_student trains any.
     Every pipeline is measured with the base model's perplexity window and
     stride, and one score_report call scores every row, base included,
     against the base row; the report keeps its ScoreTable.  Any failure ends
@@ -567,6 +568,8 @@ def run_suite(config: SuiteConfig) -> Report:
                 config.calibration.cut(corpus, student_config.context_len)
             perplexity_window(student_config.context_len, window, stride)
             if isinstance(spec, StudentSpec):
+                # the window's range needs no tokens, and a seqkd student's cost a decode
+                training_window(base.config, spec.config, None, spec.window)
                 tokens[sid] = training_tokens(base, spec, corpus)
                 training_window(base.config, spec.config, tokens[sid].size, spec.window)
         except _RUN_ERRORS as exc:

@@ -14,12 +14,18 @@ import numpy as np
 
 from .errors import DomainError, check_integer, check_number
 from .model import (ModelConfig, TinyLM, _check_tokens, _forward_full, _nll_rows, astype,
-                    copy_model, gelu_grad, generate,
-                    init_model, log_softmax_rows, param_tensors)
+                    copy_model, from_tensors, gelu_grad, generate, init_model,
+                    log_softmax_rows, param_tensors)
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# training windows per teacher forward call.  Not perplexity's 4
+# (model.PPL_BATCH): 4 windows' float64 temporaries, about 1.9 MB, pass glibc's
+# heap trim threshold, so each call faults them in again (15,000 minor page
+# faults per perfbench distill-train operation against 600 at 2), and the
+# operation ran slower than at 2 with 1 MB more peak RSS.
+TEACHER_BATCH = 2
 
 METHOD_FORWARD_KLD = "forward_kld"
 METHOD_REVERSE_KLD = "reverse_kld"
@@ -36,20 +42,30 @@ class CrossEntropy:
     targets: np.ndarray
 
 
+def _check_temperature(value) -> None:
+    if check_number(value, "temperature") <= 0:
+        raise DomainError("temperature must be positive")
+
+
 @dataclass(frozen=True)
-class ForwardKLD:
+class _KLD:
+    """A KL divergence against the teacher's logits at a positive, finite temperature."""
+
+    teacher_logits: np.ndarray
+    temperature: float = 1.0
+
+    def __post_init__(self):
+        _check_temperature(self.temperature)
+
+
+@dataclass(frozen=True)
+class ForwardKLD(_KLD):
     """KL(teacher || student) at a softmax temperature; mass-covering."""
 
-    teacher_logits: np.ndarray
-    temperature: float = 1.0
-
 
 @dataclass(frozen=True)
-class ReverseKLD:
+class ReverseKLD(_KLD):
     """KL(student || teacher) at a softmax temperature; mode-seeking."""
-
-    teacher_logits: np.ndarray
-    temperature: float = 1.0
 
 
 LossSpec = CrossEntropy | ForwardKLD | ReverseKLD
@@ -79,10 +95,8 @@ def _loss_and_dlogits(logits: np.ndarray, spec: LossSpec) -> tuple[float, np.nda
         d[np.arange(n), t] -= 1.0
         return loss, d / n
 
-    if isinstance(spec, (ForwardKLD, ReverseKLD)):
+    if isinstance(spec, _KLD):
         temp = spec.temperature
-        if temp <= 0:
-            raise DomainError("temperature must be positive")
         zt = _as_logit_rows(spec.teacher_logits, "teacher_logits")
         if zt.shape != logits.shape:
             raise DomainError(
@@ -325,8 +339,7 @@ class DistillConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise DomainError(f"method must be one of {METHODS}, got {self.method!r}")
-        if check_number(self.temperature, "temperature") <= 0:
-            raise DomainError("temperature must be positive")
+        _check_temperature(self.temperature)
         if not 0.0 <= check_number(self.ce_mix_lambda, "ce_mix_lambda") <= 1.0:
             raise DomainError("ce_mix_lambda must lie in [0, 1]")
         if self.method == METHOD_SEQKD and (self.ce_mix_lambda > 0 or self.temperature != 1.0):
@@ -345,29 +358,63 @@ class TrainResult:
 
 
 class _Adam:
-    def __init__(self, params: dict[str, np.ndarray], lr: float):
+    """Adam on a flat float64 parameter vector, updated in place.
+
+    The parameters, the gradient, both moments and a scratch vector are the
+    rows of one array.  Freed as one block, it leaves glibc's heap trim
+    threshold above a training step's temporaries; five arrays let each step
+    fault them in again (22,000 minor page faults per perfbench
+    distill-train operation against 600).  A step reads self.grad, then
+    computes the per-tensor update's elementwise expression, in its order,
+    in that row and the scratch row, with no new array.
+    """
+
+    def __init__(self, size: int, lr: float):
         self.lr = lr
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.params, self.grad, self.m, self.v, self._tmp = np.zeros((5, size))
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
+    def step(self):
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1 ** self.t
         bc2 = 1.0 - ADAM_BETA2 ** self.t
-        for k, p in params.items():
-            g = grads[k]
-            m, v = self.m[k], self.v[k]
-            m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
-            v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * g * g
-            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        g, m, v, tmp = self.grad, self.m, self.v, self._tmp
+        m *= ADAM_BETA1
+        m += np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
+        v *= ADAM_BETA2
+        np.multiply(g, 1.0 - ADAM_BETA2, out=tmp)
+        tmp *= g
+        v += tmp
+        # params -= lr * (m / bc1) / (sqrt(v / bc2) + eps); g is free to hold the numerator
+        np.divide(m, bc1, out=g)
+        g *= self.lr
+        np.divide(v, bc2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += ADAM_EPS
+        g /= tmp
+        self.params -= g
+
+
+def _views_into(model: TinyLM, flat: np.ndarray) -> TinyLM:
+    """model's parameters copied into flat, in param_tensors order, as a model of views of it."""
+    tensors = param_tensors(model)
+    np.concatenate([t.ravel() for _, t in tensors], out=flat)
+    parts = np.split(flat, np.cumsum([t.size for _, t in tensors])[:-1])
+    return from_tensors(model.config, {name: part.reshape(t.shape)
+                                       for (name, t), part in zip(tensors, parts)},
+                        model.head_mask.copy())
 
 
 def forward(teacher: TinyLM, tokens) -> np.ndarray:
-    """The teacher's logits on one training window, without a backprop cache."""
-    logits, _ = _forward_full(teacher, _check_tokens(tokens, teacher.config), want_cache=False)
+    """The teacher's logits on training windows, without a backprop cache.
+
+    tokens is one window (n,) or a batch of equal-length windows (B, n),
+    giving (n, vocab) or (B, n, vocab); each window of a batch gets the
+    logits it gets alone, to the bit.  train_student sends TEACHER_BATCH
+    windows per call.
+    """
+    toks = _check_tokens(tokens, teacher.config, ndim=2 if np.ndim(tokens) == 2 else 1)
+    logits, _ = _forward_full(teacher, toks, want_cache=False)
     return logits
 
 
@@ -378,19 +425,19 @@ def check_shared_vocabulary(teacher_config: ModelConfig, student_config: ModelCo
 
 
 def training_window(teacher_config: ModelConfig, student_config: ModelConfig,
-                    corpus_tokens: int, window: int | None = None) -> int:
+                    corpus_tokens: int | None, window: int | None = None) -> int:
     """The window train_student samples, checked against both models and the corpus size.
 
     The models must share a vocabulary, the window must fit both contexts (by
     default the shorter context, capped at 32), and the corpus must hold one
-    window plus a target.
+    window plus a target; with corpus_tokens None only the models are checked.
     """
     check_shared_vocabulary(teacher_config, student_config)
     limit = min(student_config.context_len, teacher_config.context_len)
     wnd = min(limit, 32) if window is None else check_integer(window, "window")
     if wnd > limit:
         raise DomainError(f"window must lie in [1, {limit}]")
-    if corpus_tokens < wnd + 1:
+    if corpus_tokens is not None and corpus_tokens < wnd + 1:
         raise DomainError(f"corpus of {corpus_tokens} tokens is shorter than one "
                           f"window of {wnd} plus a target")
     return wnd
@@ -403,28 +450,45 @@ def train_student(teacher: TinyLM, student_config: ModelConfig, corpus,
     Each step samples one window and takes one Adam step on one loss: the
     method's KL against the teacher's logits on that window, mixed with
     ce_mix_lambda of data cross-entropy, or for seqkd, whose corpus the
-    teacher generated, plain cross-entropy.  Training state lives in float64
-    throughout; with a fixed seed the run is reproducible to the bit.
+    teacher generated, plain cross-entropy.  Every step's window is drawn
+    before the first step, and the teacher runs on TEACHER_BATCH of them per
+    distill.forward call, so one batch of its logits is held at a time.  The
+    student's parameters (its tensors are views of them), its gradient and
+    the Adam moments are each one flat vector.  Training state lives in
+    float64 throughout; with a fixed seed the run is reproducible to the
+    bit, and gives the bits of a teacher pass per window and an Adam step
+    per tensor.
     """
     toks = _check_tokens(corpus, teacher.config)
     wnd = training_window(teacher.config, student_config, toks.size, window)
 
     rng = np.random.default_rng(config.seed)
-    student = astype(init_model(student_config, seed=config.seed), np.float64)
+    starts = [int(rng.integers(0, toks.size - wnd)) for _ in range(config.steps)]
+    init = init_model(student_config, seed=config.seed)
+    tensors = param_tensors(init)
+    names = [name for name, _ in tensors]
+    opt = _Adam(sum(t.size for _, t in tensors), config.learning_rate)
+    student = _views_into(init, opt.params)
     teacher64 = astype(teacher, np.float64)
-    params = dict(param_tensors(student))
-    opt = _Adam(params, config.learning_rate)
     losses: list[float] = []
     kl = _KL_LOSSES.get(config.method)
     lam = config.ce_mix_lambda
 
-    for _ in range(config.steps):
-        start = int(rng.integers(0, toks.size - wnd))
-        inp = toks[start:start + wnd]
-        tgt = toks[start + 1:start + wnd + 1]
-        spec = CrossEntropy(tgt) if kl is None else kl(forward(teacher64, inp), config.temperature)
+    def train_step(inp, tgt, teacher_logits) -> float:
+        spec = CrossEntropy(tgt) if kl is None else kl(teacher_logits, config.temperature)
         loss, grads = backward(student, inp, spec, ce_mix=(lam, tgt) if lam > 0 else None)
-        opt.step(params, grads)
-        losses.append(float(loss))
+        np.concatenate([grads[name].ravel() for name in names], out=opt.grad)
+        opt.step()
+        return float(loss)
+
+    def train_batch(batch) -> list[float]:
+        # its locals go on return, so a teacher call holds no earlier batch's logits
+        inputs = np.stack([toks[s:s + wnd] for s in batch])
+        logits = [None] * len(batch) if kl is None else forward(teacher64, inputs)
+        return [train_step(inp, toks[s + 1:s + wnd + 1], z)
+                for s, inp, z in zip(batch, inputs, logits)]
+
+    for b in range(0, len(starts), TEACHER_BATCH):
+        losses += train_batch(starts[b:b + TEACHER_BATCH])
 
     return TrainResult(student=astype(student, np.float32), losses=losses)

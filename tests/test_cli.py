@@ -1149,6 +1149,27 @@ def test_run_checks_a_seqkd_students_window_against_its_decoded_tokens(
     assert not (tmp_path / "o").exists()
 
 
+def test_run_checks_a_seqkd_students_window_range_before_decoding(
+        tmp_path, capsys, monkeypatch):
+    """A window that fits neither context needs no tokens to reject, so a seqkd
+    student's continuations are never decoded for it."""
+    import shrinklab.cli as cli
+    decoded = []
+    monkeypatch.setattr(cli, "seqkd_corpus", lambda *a, **k: decoded.append(a))
+    sk = {"config": TRAINED["config"], "distill": {"method": "seqkd", "steps": 1},
+          "window": 100}
+    doc = small_suite_doc(tmp_path, students={"sk": sk})
+    doc["pipelines"].append({"name": "sk", "passes": [{"op": "distill", "student": "sk"}]})
+    cfg_path = tmp_path / "suite.json"
+    cfg_path.write_text(json.dumps(doc))
+    rc, out, err = run_main(capsys, "run", "--config", str(cfg_path),
+                            "--out", str(tmp_path / "o"))
+    assert rc == 2 and out == ""
+    assert err == "error: student 'sk': window must lie in [1, 64]\n"
+    assert decoded == []
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("change, named", [
     ({"window": 100}, "window must lie in [1, 64]"),
     ({"config": dict(TRAINED["config"], vocab_size=128)}, "share a vocabulary"),

@@ -8,6 +8,7 @@ from shrinklab.distill import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
+    TEACHER_BATCH,
     CrossEntropy,
     DistillConfig,
     ForwardKLD,
@@ -104,6 +105,22 @@ def test_kld_validation():
         forward_kld_loss(t[None], t[None])
     with pytest.raises(DomainError, match="at least 2 classes"):
         forward_kld_loss([[0.0]], [[0.0]])
+
+
+@pytest.mark.parametrize("temperature", [math.nan, math.inf, -1, "2", True])
+def test_kld_temperature_must_be_a_positive_finite_number(small_model, corpus, temperature):
+    """The KL specs check their temperature once, so the loss functions and
+    backward reject the same values with a DomainError."""
+    t = _logits(0.9, 0.1)
+    toks = corpus[:8]
+    teacher_logits = forward(small_model, toks)[0]
+    with pytest.raises(DomainError, match="temperature"):
+        forward_kld_loss(t, t, temperature=temperature)
+    with pytest.raises(DomainError, match="temperature"):
+        reverse_kld_loss(t, t, temperature=temperature)
+    for kind in (ForwardKLD, ReverseKLD):
+        with pytest.raises(DomainError, match="temperature"):
+            backward(small_model, toks, kind(teacher_logits, temperature))
 
 
 def test_kld_reads_1d_logits_as_one_row():
@@ -308,25 +325,37 @@ def test_distill_config_rejects_a_temperature_on_seqkd():
         DistillConfig(method="seqkd", temperature=5.0)
 
 
-@pytest.mark.parametrize("method, calls", [("forward_kld", 5), ("reverse_kld", 5),
-                                           ("seqkd", 0)])
+@pytest.mark.parametrize("method, steps", [("forward_kld", 5), ("reverse_kld", 5),
+                                           ("forward_kld", 1), ("forward_kld", 8),
+                                           ("seqkd", 5)])
 def test_train_student_runs_the_teacher_through_distill_forward(
-        small_model, corpus, monkeypatch, method, calls):
-    """The teacher pass is distill.forward, once a step, so it can be timed on its
-    own; seqkd reads no teacher logits."""
+        small_model, corpus, monkeypatch, method, steps):
+    """The teacher pass is distill.forward, once per TEACHER_BATCH steps, so it can be
+    timed on its own; each call gets a (<= TEACHER_BATCH, window) batch whose rows are,
+    in order, the windows the steps train on.  seqkd reads no teacher logits."""
     import shrinklab.distill as distill
-    seen = []
-    real_forward = distill.forward
+    batches, trained = [], []
+    real_forward, real_backward = distill.forward, distill.backward
 
-    def spy(teacher, tokens):
-        seen.append(len(tokens))
+    def spy_forward(teacher, tokens):
+        batches.append(np.array(tokens))
         return real_forward(teacher, tokens)
 
-    monkeypatch.setattr(distill, "forward", spy)
-    cfg = DistillConfig(method=method, steps=5, seed=1)
+    def spy_backward(student, tokens, *args, **kwargs):
+        trained.append(np.array(tokens))
+        return real_backward(student, tokens, *args, **kwargs)
+
+    monkeypatch.setattr(distill, "forward", spy_forward)
+    monkeypatch.setattr(distill, "backward", spy_backward)
+    cfg = DistillConfig(method=method, steps=steps, seed=1)
     result = train_student(small_model, SMALL, corpus[:300], cfg, window=16)
-    assert seen == [16] * calls
-    assert len(result.losses) == 5
+    assert len(result.losses) == len(trained) == steps
+    if method == "seqkd":
+        assert batches == []
+        return
+    assert len(batches) == math.ceil(steps / TEACHER_BATCH)
+    assert all(b.ndim == 2 and 1 <= len(b) <= TEACHER_BATCH and b.shape[1] == 16 for b in batches)
+    assert np.array_equal(np.concatenate(batches), np.stack(trained))
 
 
 def test_train_student_zero_steps_returns_init(small_model, corpus):
@@ -441,10 +470,18 @@ def _train_by_two_backwards(teacher, student_config, corpus, config, window):
     DistillConfig("forward_kld", temperature=2.0, steps=6, seed=1),
     DistillConfig("reverse_kld", ce_mix_lambda=0.5, steps=6, seed=2),
     DistillConfig("seqkd", steps=6, seed=3),
-], ids=["forward_kld", "reverse_kld-ce_mix", "seqkd"])
+    DistillConfig("forward_kld", temperature=2.0, steps=1, seed=1),
+    DistillConfig("forward_kld", temperature=2.0, steps=5, seed=1),
+    DistillConfig("reverse_kld", ce_mix_lambda=0.5, steps=1, seed=2),
+    DistillConfig("reverse_kld", ce_mix_lambda=0.5, steps=5, seed=2),
+], ids=["forward_kld", "reverse_kld-ce_mix", "seqkd", "forward_kld-1_step",
+        "forward_kld-5_steps", "reverse_kld-ce_mix-1_step", "reverse_kld-ce_mix-5_steps"])
 def test_train_student_keeps_the_bits_of_the_reference_loop(small_model, corpus, config):
-    """One student forward per step, swept back once per loss, gives the loss
-    stream and final weights of a forward and backward per loss."""
+    """Teacher logits from a batch of windows, one student forward per step swept
+    back once per loss, and Adam on flat buffers give the loss stream and final
+    weights of a one-window teacher pass, a forward and backward per loss and a
+    tensor-by-tensor Adam.  1 step fills less than one teacher batch; 5 leave a
+    partial last batch."""
     data = corpus[:300]
     if config.method == "seqkd":
         data = seqkd_corpus(small_model, [corpus[i * 40:i * 40 + 6] for i in range(4)], 20)

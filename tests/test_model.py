@@ -471,9 +471,12 @@ def test_perplexity_batches_equal_a_window_by_window_oracle(config, corpus, monk
     assert {b for b, _ in batches} == set(range(1, PPL_BATCH + 1))
     assert any(length < 5 for _, length in batches)
 
-    # a (B, n) stack gives the stacked 1-D results, with and without a row cut
+    # a (B, n) stack gives the stacked 1-D results, with and without a row cut; the
+    # float64 model is the one distillation's teacher pass runs
     rng = np.random.default_rng(1)
-    for kind, m in _ppl_models(config).items():
+    models = _ppl_models(config)
+    models["fp64"] = astype(models["fp32"], np.float64)
+    for kind, m in models.items():
         for n in (17, 64):
             stack = rng.integers(0, config.vocab_size, size=(PPL_BATCH, n))
             for k in (0, n - 9):
