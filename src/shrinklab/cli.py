@@ -575,7 +575,10 @@ def run_suite(config: SuiteConfig) -> Report:
         except _RUN_ERRORS as exc:
             raise DomainError(f"student {sid!r}: {exc}") from exc
     for sid, toks in tokens.items():
-        students[sid] = build_student(base, config.students[sid], toks)
+        try:
+            students[sid] = build_student(base, config.students[sid], toks)
+        except DomainError as exc:  # a diverged run
+            raise DomainError(f"student {sid!r}: {exc}") from exc
 
     source = config.energy_source()
     rows: list[dict] = []

@@ -152,9 +152,9 @@ def backward(model: TinyLM, tokens, spec: LossSpec,
     """Loss and its gradient for every trainable tensor.
 
     The model is run in float64 regardless of its stored dtype, so gradients
-    are suitable for finite-difference verification.  Keys of the returned
-    dict match param_tensors names.  Quantized weights cannot be trained and
-    raise DomainError.
+    are suitable for finite-difference verification; a float64 model is read
+    in place.  Keys of the returned dict match param_tensors names, in order.
+    Quantized weights cannot be trained and raise DomainError.
 
     ce_mix, a pair (lam, targets), makes the loss and each gradient (1 - lam)
     times spec's plus lam times cross-entropy's, swept back from one forward.
@@ -182,14 +182,15 @@ def _sweep(m64: TinyLM, toks, cache: dict, dlogits) -> dict[str, np.ndarray]:
     W = m64.weights
     n = toks.size
     n_heads, h_dim = cfg.n_heads, cfg.d_head
-    grads = {name: np.zeros_like(t) for name, t in param_tensors(m64)}
+    # each gradient is assigned once, in param_tensors order; pos_emb's rows past n stay 0
+    grads = dict.fromkeys(name for name, _ in param_tensors(m64))
+    grads["pos_emb"] = np.zeros_like(W.pos_emb)
 
     xf = cache["xf"]
-    grads["tok_emb"] += dlogits.T @ xf
+    grads["tok_emb"] = dlogits.T @ xf
     dxf = dlogits @ W.tok_emb
-    dx, dg, db = _ln_backward(dxf, cache["xhatf"], cache["invf"], W.ln_f_g)
-    grads["ln_f.g"] += dg
-    grads["ln_f.b"] += db
+    dx, grads["ln_f.g"], grads["ln_f.b"] = _ln_backward(dxf, cache["xhatf"], cache["invf"],
+                                                        W.ln_f_g)
 
     scale = 1.0 / math.sqrt(h_dim)
     for li in reversed(range(cfg.n_layers)):
@@ -198,18 +199,17 @@ def _sweep(m64: TinyLM, toks, cache: dict, dlogits) -> dict[str, np.ndarray]:
         pre = f"layers.{li}."
 
         # feed-forward half: x_out = x_mid + gelu(ln2(x_mid) @ w_in) @ w_out
-        grads[pre + "w_out"] += c["act"].T @ dx
+        grads[pre + "w_out"] = c["act"].T @ dx
         dact = dx @ lw.w_out.T
         du = dact * gelu_grad(c["u"])
-        grads[pre + "w_in"] += c["h"].T @ du
+        grads[pre + "w_in"] = c["h"].T @ du
         dh = du @ lw.w_in.T
-        dmid_ln, dg2, db2 = _ln_backward(dh, c["xhat2"], c["inv2"], lw.ln2_g)
-        grads[pre + "ln2_g"] += dg2
-        grads[pre + "ln2_b"] += db2
+        dmid_ln, grads[pre + "ln2_g"], grads[pre + "ln2_b"] = _ln_backward(
+            dh, c["xhat2"], c["inv2"], lw.ln2_g)
         dx_mid = dx + dmid_ln
 
         # attention half: x_mid = x_in + (heads(ln1(x_in)) merged) @ wo
-        grads[pre + "wo"] += c["merged"].T @ dx_mid
+        grads[pre + "wo"] = c["merged"].T @ dx_mid
         dmerged = dx_mid @ lw.wo.T
         dctx_m = dmerged.reshape(n, n_heads, h_dim).transpose(1, 0, 2)
         head_keep = m64.head_mask[li].astype(np.float64)[:, None, None]
@@ -224,13 +224,12 @@ def _sweep(m64: TinyLM, toks, cache: dict, dlogits) -> dict[str, np.ndarray]:
         dk = dkh.transpose(1, 0, 2).reshape(n, cfg.d_model)
         dv = dvh.transpose(1, 0, 2).reshape(n, cfg.d_model)
         a = c["a"]
-        grads[pre + "wq"] += a.T @ dq
-        grads[pre + "wk"] += a.T @ dk
-        grads[pre + "wv"] += a.T @ dv
+        grads[pre + "wq"] = a.T @ dq
+        grads[pre + "wk"] = a.T @ dk
+        grads[pre + "wv"] = a.T @ dv
         da = dq @ lw.wq.T + dk @ lw.wk.T + dv @ lw.wv.T
-        din_ln, dg1, db1 = _ln_backward(da, c["xhat1"], c["inv1"], lw.ln1_g)
-        grads[pre + "ln1_g"] += dg1
-        grads[pre + "ln1_b"] += db1
+        din_ln, grads[pre + "ln1_g"], grads[pre + "ln1_b"] = _ln_backward(
+            da, c["xhat1"], c["inv1"], lw.ln1_g)
         dx = dx_mid + din_ln
 
     np.add.at(grads["tok_emb"], toks, dx)
@@ -358,23 +357,32 @@ class TrainResult:
 
 
 class _Adam:
-    """Adam on a flat float64 parameter vector, updated in place.
+    """Adam on a model's parameters, copied into one flat float64 vector and updated in place.
 
+    self.model's tensors are views of self.params, in param_tensors order.
     The parameters, the gradient, both moments and a scratch vector are the
     rows of one array.  Freed as one block, it leaves glibc's heap trim
     threshold above a training step's temporaries; five arrays let each step
     fault them in again (22,000 minor page faults per perfbench
-    distill-train operation against 600).  A step reads self.grad, then
-    computes the per-tensor update's elementwise expression, in its order,
-    in that row and the scratch row, with no new array.
+    distill-train operation against 600).  A step concatenates its gradient
+    dict into self.grad, then computes the per-tensor update's elementwise
+    expression, in its order, in that row and the scratch row, with no new array.
     """
 
-    def __init__(self, size: int, lr: float):
-        self.lr = lr
-        self.t = 0
-        self.params, self.grad, self.m, self.v, self._tmp = np.zeros((5, size))
+    def __init__(self, model: TinyLM, lr: float):
+        tensors = param_tensors(model)
+        self.names = [name for name, _ in tensors]
+        self.lr, self.t = lr, 0
+        self.params, self.grad, self.m, self.v, self._tmp = np.zeros(
+            (5, sum(t.size for _, t in tensors)))
+        np.concatenate([t.ravel() for _, t in tensors], out=self.params)
+        parts = np.split(self.params, np.cumsum([t.size for _, t in tensors])[:-1])
+        self.model = from_tensors(model.config, {name: part.reshape(t.shape)
+                                                 for (name, t), part in zip(tensors, parts)},
+                                  model.head_mask.copy())
 
-    def step(self):
+    def step(self, grads: dict[str, np.ndarray]):
+        np.concatenate([grads[name].ravel() for name in self.names], out=self.grad)
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1 ** self.t
         bc2 = 1.0 - ADAM_BETA2 ** self.t
@@ -393,16 +401,6 @@ class _Adam:
         tmp += ADAM_EPS
         g /= tmp
         self.params -= g
-
-
-def _views_into(model: TinyLM, flat: np.ndarray) -> TinyLM:
-    """model's parameters copied into flat, in param_tensors order, as a model of views of it."""
-    tensors = param_tensors(model)
-    np.concatenate([t.ravel() for _, t in tensors], out=flat)
-    parts = np.split(flat, np.cumsum([t.size for _, t in tensors])[:-1])
-    return from_tensors(model.config, {name: part.reshape(t.shape)
-                                       for (name, t), part in zip(tensors, parts)},
-                        model.head_mask.copy())
 
 
 def forward(teacher: TinyLM, tokens) -> np.ndarray:
@@ -452,43 +450,41 @@ def train_student(teacher: TinyLM, student_config: ModelConfig, corpus,
     ce_mix_lambda of data cross-entropy, or for seqkd, whose corpus the
     teacher generated, plain cross-entropy.  Every step's window is drawn
     before the first step, and the teacher runs on TEACHER_BATCH of them per
-    distill.forward call, so one batch of its logits is held at a time.  The
-    student's parameters (its tensors are views of them), its gradient and
-    the Adam moments are each one flat vector.  Training state lives in
-    float64 throughout; with a fixed seed the run is reproducible to the
-    bit, and gives the bits of a teacher pass per window and an Adam step
-    per tensor.
+    distill.forward call, so one batch of its logits is held at a time (seqkd
+    copies no teacher: it never runs one).  The student is _Adam's model, read
+    in place by backward.  Training state lives in float64 throughout; with a
+    fixed seed the run is reproducible to the bit, and gives the bits of a
+    teacher pass per window and an Adam step per tensor.  A run that diverges,
+    to a non-finite loss or float32 student, raises DomainError.
     """
     toks = _check_tokens(corpus, teacher.config)
     wnd = training_window(teacher.config, student_config, toks.size, window)
 
     rng = np.random.default_rng(config.seed)
     starts = [int(rng.integers(0, toks.size - wnd)) for _ in range(config.steps)]
-    init = init_model(student_config, seed=config.seed)
-    tensors = param_tensors(init)
-    names = [name for name, _ in tensors]
-    opt = _Adam(sum(t.size for _, t in tensors), config.learning_rate)
-    student = _views_into(init, opt.params)
-    teacher64 = astype(teacher, np.float64)
-    losses: list[float] = []
+    opt = _Adam(init_model(student_config, seed=config.seed), config.learning_rate)
     kl = _KL_LOSSES.get(config.method)
+    teacher64 = None if kl is None else astype(teacher, np.float64)
     lam = config.ce_mix_lambda
+    losses: list[float] = []
 
-    def train_step(inp, tgt, teacher_logits) -> float:
-        spec = CrossEntropy(tgt) if kl is None else kl(teacher_logits, config.temperature)
-        loss, grads = backward(student, inp, spec, ce_mix=(lam, tgt) if lam > 0 else None)
-        np.concatenate([grads[name].ravel() for name in names], out=opt.grad)
-        opt.step()
-        return float(loss)
-
-    def train_batch(batch) -> list[float]:
+    def train_batch(batch) -> None:
         # its locals go on return, so a teacher call holds no earlier batch's logits
         inputs = np.stack([toks[s:s + wnd] for s in batch])
-        logits = [None] * len(batch) if kl is None else forward(teacher64, inputs)
-        return [train_step(inp, toks[s + 1:s + wnd + 1], z)
-                for s, inp, z in zip(batch, inputs, logits)]
+        targets = np.stack([toks[s + 1:s + wnd + 1] for s in batch])
+        specs = (map(CrossEntropy, targets) if kl is None
+                 else [kl(z, config.temperature) for z in forward(teacher64, inputs)])
+        for inp, tgt, spec in zip(inputs, targets, specs):
+            loss, grads = backward(opt.model, inp, spec, ce_mix=(lam, tgt) if lam > 0 else None)
+            if not math.isfinite(loss):
+                raise DomainError(f"training diverged: loss {loss} at step {len(losses) + 1}")
+            opt.step(grads)
+            losses.append(float(loss))
 
-    for b in range(0, len(starts), TEACHER_BATCH):
-        losses += train_batch(starts[b:b + TEACHER_BATCH])
-
-    return TrainResult(student=astype(student, np.float32), losses=losses)
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverged run raises DomainError
+        for b in range(0, len(starts), TEACHER_BATCH):
+            train_batch(starts[b:b + TEACHER_BATCH])
+        student = astype(opt.model, np.float32)
+    if not all(np.isfinite(t).all() for _, t in param_tensors(student)):
+        raise DomainError("training diverged: the float32 student is not finite")
+    return TrainResult(student=student, losses=losses)

@@ -154,11 +154,13 @@ def _map_params(model: TinyLM, fn) -> TinyLM:
 
 
 def astype(model: TinyLM, dtype) -> TinyLM:
-    """Model with all dense parameters cast to dtype.
+    """Model with all dense parameters cast to dtype; returns the model itself when nothing changes.
 
     Arrays already in the target dtype are shared, so the result may alias
     the input; use copy_model for an independent model.
     """
+    if all(t.dtype == dtype for _, t in param_tensors(model) if isinstance(t, np.ndarray)):
+        return model
     return _map_params(model, lambda a: a.astype(dtype, copy=False))
 
 
@@ -557,7 +559,11 @@ def save_model(model: TinyLM, path) -> None:
 
 
 def load_model(path) -> TinyLM:
-    """Read a model written by save_model; malformed files raise FormatError."""
+    """Read a model written by save_model; malformed files raise FormatError.
+
+    A non-finite weight is malformed too: the error names its tensor and
+    gives the entry's byte offset.
+    """
     data = Path(path).read_bytes()
     newline = data.find(b"\n")
     if newline < 0:
@@ -621,6 +627,11 @@ def load_model(path) -> TinyLM:
 
     arrays = {name: np.frombuffer(payload[off:off + size], dtype="<f4").reshape(shape).copy()
               for name, shape, off, size in parsed}
+    for name, _, off, _ in parsed[:-1]:  # the head mask, last, has its own rule
+        bad = np.flatnonzero(~np.isfinite(arrays[name]))
+        if bad.size:
+            raise FormatError(f"{name} entries must be finite",
+                              offset=payload_start + off + 4 * int(bad[0]))
     mask = arrays[_HEAD_MASK_NAME]
     if not ((mask == 0) | (mask == 1)).all():
         raise FormatError(f"{_HEAD_MASK_NAME} entries must be 0 or 1",

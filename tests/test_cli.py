@@ -592,12 +592,13 @@ def test_cli_prune_heads_checks_the_threshold_before_writing(tmp_path, capsys):
     assert not report_path.exists() and not out.exists()
 
 
-def test_cli_prune_heads_rejects_a_non_finite_concentration(tmp_path, capsys):
-    """NaN attention is an error: a NaN score is below no threshold, so it would mask its head."""
+def test_cli_prune_heads_rejects_a_non_finite_concentration(tmp_path, capsys, monkeypatch):
+    """NaN attention is an error: a NaN score is below no threshold, so it would mask its head.
+    load_model rejects a NaN weight, so the command gets its NaN model in memory."""
     model = init_model(ModelConfig(2, 4, 64, 256), seed=0)
     model.weights.layers[0].wq[0, 0] = np.nan
+    monkeypatch.setattr(cli, "load_model", lambda path: model)
     path, report_path, out = tmp_path / "nan.lmz", tmp_path / "r.json", tmp_path / "m.lmz"
-    save_model(model, path)
     rc, printed, err = run_main(capsys, "prune-heads", "--model", str(path),
                                 "--corpus", str(bundled.path("toy_corpus.txt")),
                                 "--threshold", "0.9", "--report", str(report_path),
@@ -652,6 +653,27 @@ def test_cli_distill_trains_and_saves(tmp_path, capsys):
     rc, _, _ = run_main(capsys, "distill", "--config", str(cfg_path), "--out", str(out_path))
     assert rc == 0
     load_model(out_path)
+
+
+def test_cli_distill_a_diverged_run_exits_two_and_writes_nothing(tmp_path, capsys):
+    cfg = {
+        "teacher": {"config": {"n_layers": 2, "n_heads": 4, "d_model": 64, "d_ff": 256},
+                    "seed": 0},
+        "corpus": str(bundled.path("toy_corpus.txt")),
+        "student": {
+            "config": {"n_layers": 1, "n_heads": 2, "d_model": 32, "d_ff": 128},
+            "distill": {"method": "reverse_kld", "steps": 5, "learning_rate": 1e300},
+            "window": 16,
+        },
+    }
+    cfg_path = tmp_path / "distill.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out_path = tmp_path / "student.lmz"
+    rc, printed, err = run_main(capsys, "distill", "--config", str(cfg_path),
+                                "--out", str(out_path))
+    assert rc == 2 and printed == ""
+    assert err == "error: training diverged: loss nan at step 2\n"
+    assert not out_path.exists()
 
 
 def test_cli_score_and_rank(tmp_path, capsys):
@@ -1189,6 +1211,27 @@ def test_run_rejects_a_student_that_cannot_train_before_any_student_is_built(
     assert not (tmp_path / "o").exists()
 
 
+def test_run_names_a_student_whose_training_diverged_before_measuring(
+        tmp_path, capsys, monkeypatch):
+    """A student whose training diverges ends the run with exit 2 as soon as it
+    is trained, named like the pre-flight names it; no pipeline is measured."""
+    import shrinklab.cli as cli
+    measured = []
+    monkeypatch.setattr(cli, "measure", lambda *a, **k: measured.append(a))
+    kd = dict(TRAINED, distill={"method": "forward_kld", "steps": 5, "learning_rate": 1e300})
+    doc = small_suite_doc(tmp_path, students={"a": TRAINED, "kd": kd})
+    doc["pipelines"] += [{"name": n, "passes": [{"op": "distill", "student": n}]}
+                         for n in ("a", "kd")]
+    cfg_path = tmp_path / "suite.json"
+    cfg_path.write_text(json.dumps(doc))
+    rc, out, err = run_main(capsys, "run", "--config", str(cfg_path),
+                            "--out", str(tmp_path / "o"))
+    assert rc == 2 and out == ""
+    assert err == "error: student 'kd': training diverged: loss nan at step 2\n"
+    assert measured == []
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("saved_bytes, named", [
     (None, "No such file"), (b"not a model", "missing header line"),
 ], ids=["missing", "malformed"])
@@ -1249,9 +1292,11 @@ def test_run_rejects_a_corpus_outside_the_base_vocabulary_before_any_student_is_
     assert not (tmp_path / "o").exists()
 
 
-def test_cli_run_nan_student_exits_two(tmp_path, capsys):
+def test_cli_run_nan_student_exits_two(tmp_path, capsys, monkeypatch):
     """A pipeline whose result cannot be scored, here a NaN perplexity from a NaN
-    weight, ends the run: no non-finite score reaches a report or a ranking."""
+    weight, ends the run: no non-finite score reaches a report or a ranking.
+    A saved NaN weight is rejected on load, so the scoring check gets its NaN
+    model in memory."""
     nan_model = init_model(ModelConfig(1, 2, 32, 128), seed=1)
     nan_model.weights.ln_f_g[0] = np.nan
     saved = tmp_path / "nan.lmz"
@@ -1261,6 +1306,12 @@ def test_cli_run_nan_student_exits_two(tmp_path, capsys):
     cfg_path = tmp_path / "suite.json"
     cfg_path.write_text(json.dumps(doc))
     out_dir = tmp_path / "out"
+    rc, out, err = run_main(capsys, "run", "--config", str(cfg_path), "--out", str(out_dir))
+    assert rc == 2 and out == ""
+    assert err.startswith("error: student 'nan': ln_f.g entries must be finite (byte ")
+    assert not out_dir.exists()
+
+    monkeypatch.setattr(cli, "load_model", lambda path: nan_model)
     rc, out, err = run_main(capsys, "run", "--config", str(cfg_path), "--out", str(out_dir))
     assert rc == 2 and out == ""
     assert err.startswith("error: nan pipeline cannot be scored:")

@@ -358,6 +358,71 @@ def test_train_student_runs_the_teacher_through_distill_forward(
     assert np.array_equal(np.concatenate(batches), np.stack(trained))
 
 
+_METHOD_CONFIGS = {"forward_kld": dict(method="forward_kld", temperature=2.0),
+                   "reverse_kld-ce_mix": dict(method="reverse_kld", ce_mix_lambda=0.5),
+                   "seqkd": dict(method="seqkd")}
+
+
+@pytest.mark.parametrize("kind", _METHOD_CONFIGS)
+def test_train_student_builds_no_model_per_step(small_model, corpus, monkeypatch, kind):
+    """backward reads the float64 student in place: 8 steps build as many models as 1."""
+    import shrinklab.distill as distill
+    import shrinklab.model as model
+    built = []
+    real = model.from_tensors
+
+    def spy(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(model, "from_tensors", spy)
+    monkeypatch.setattr(distill, "from_tensors", spy)
+    counts = []
+    for steps in (1, 8):
+        built.clear()
+        cfg = DistillConfig(steps=steps, seed=1, **_METHOD_CONFIGS[kind])
+        train_student(small_model, SMALL, corpus[:300], cfg, window=16)
+        counts.append(len(built))
+    assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("kind", _METHOD_CONFIGS)
+def test_train_student_copies_the_teacher_only_to_run_it(small_model, corpus, monkeypatch, kind):
+    """A KL method runs a float64 copy of a float32 teacher; seqkd never runs the
+    teacher, so makes no copy, and a float64 teacher is read in place."""
+    import shrinklab.model as model
+    copied = []
+    real = model._map_params
+
+    def spy(m, fn):
+        copied.append(m)
+        return real(m, fn)
+
+    monkeypatch.setattr(model, "_map_params", spy)
+    cfg = DistillConfig(steps=3, seed=1, **_METHOD_CONFIGS[kind])
+    train_student(small_model, SMALL, corpus[:300], cfg, window=16)
+    assert sum(m is small_model for m in copied) == (kind != "seqkd")
+    teacher64 = astype(small_model, np.float64)
+    copied.clear()
+    train_student(teacher64, SMALL, corpus[:300], cfg, window=16)
+    assert not any(m is teacher64 for m in copied)
+
+
+@pytest.mark.parametrize("kind", _METHOD_CONFIGS)
+def test_train_student_raises_at_the_first_non_finite_loss(small_model, corpus, kind):
+    cfg = DistillConfig(steps=5, seed=3, learning_rate=1e300, **_METHOD_CONFIGS[kind])
+    with pytest.raises(DomainError, match="training diverged: loss nan at step 2$"):
+        train_student(small_model, SMALL, corpus[:300], cfg, window=16)
+
+
+def test_train_student_raises_on_a_non_finite_float32_student(small_model, corpus):
+    """One step at a learning rate past float32's range leaves a finite loss and
+    float64 student, but no float32 one."""
+    cfg = DistillConfig("forward_kld", steps=1, seed=3, learning_rate=1e39)
+    with pytest.raises(DomainError, match="the float32 student is not finite"):
+        train_student(small_model, SMALL, corpus[:300], cfg, window=16)
+
+
 def test_train_student_zero_steps_returns_init(small_model, corpus):
     cfg = DistillConfig(method="forward_kld", steps=0, seed=9)
     result = train_student(small_model, SMALL, corpus[:200], cfg)

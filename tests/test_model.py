@@ -17,6 +17,7 @@ from shrinklab.model import (
     ModelConfig,
     _forward_full,
     astype,
+    copy_model,
     detokenize,
     forward,
     gelu,
@@ -27,6 +28,7 @@ from shrinklab.model import (
     load_model,
     log_softmax_rows,
     mean_nll,
+    param_tensors,
     perplexity,
     save_model,
     softmax_rows,
@@ -691,6 +693,24 @@ def test_load_rejects_a_head_mask_entry_other_than_0_or_1(small_model, tmp_path,
     assert exc.value.offset == path.stat().st_size - mask.size * 4
 
 
+@pytest.mark.parametrize("name, index, value", [
+    ("layers.0.wq", (0, 0), np.nan), ("layers.0.wq", (3, 5), np.inf),
+    ("tok_emb", (5, 5), np.inf), ("tok_emb", (7, 2), np.nan),
+], ids=["projection-nan", "projection-inf", "embedding-inf", "embedding-nan"])
+def test_load_rejects_a_non_finite_weight_at_its_byte(small_model, tmp_path, name, index, value):
+    model = copy_model(small_model)
+    dict(param_tensors(model))[name][index] = value
+    path = _saved(tmp_path, model)
+    with pytest.raises(FormatError, match=f"{name} entries must be finite") as exc:
+        load_model(path)
+    data = path.read_bytes()
+    newline = data.index(b"\n")
+    entry = next(e for e in json.loads(data[:newline])["tensors"] if e["name"] == name)
+    at = newline + 1 + entry["offset"] + 4 * int(np.ravel_multi_index(index, entry["shape"]))
+    assert exc.value.offset == at
+    assert not np.isfinite(np.frombuffer(data[at:at + 4], dtype="<f4")[0])
+
+
 def test_load_rejects_truncated_payload(small_model, tmp_path):
     path = _saved(tmp_path, small_model)
     data = path.read_bytes()
@@ -833,6 +853,17 @@ def test_load_mutated_file_loads_or_raises_format_error(tiny_file_bytes, tmp_pat
         return
     assert isinstance(model.config, ModelConfig)
     assert np.isin(model.head_mask, (0.0, 1.0)).all()
+    assert all(np.isfinite(t).all() for _, t in param_tensors(model))
+
+
+def test_astype_returns_the_model_itself_when_no_dtype_changes(small_model):
+    m64 = astype(small_model, np.float64)
+    assert m64 is not small_model
+    for (name, got), (_, src) in zip(param_tensors(m64), param_tensors(small_model)):
+        assert got.dtype == np.float64 and not np.shares_memory(got, src), name
+    assert not np.shares_memory(m64.head_mask, small_model.head_mask)
+    assert astype(m64, np.float64) is m64
+    assert astype(small_model, np.float32) is small_model
 
 
 def test_init_is_seed_deterministic():
