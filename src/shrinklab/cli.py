@@ -32,7 +32,7 @@ from .compress import (SUPPORTED_BITS, Calibration, CompressionPass, DistillRef,
 from .distill import (METHOD_SEQKD, DistillConfig, check_shared_vocabulary, seqkd_corpus,
                       train_student, training_window)
 from .errors import (DomainError, FormatError, ParseError, SourceError, StateError,
-                     check_integer, check_string)
+                     check_integer, check_number, check_string)
 from .meter import (DEFAULT_CARBON_INTENSITY, DEFAULT_REPETITIONS, CounterFile,
                     EnergySource, PowerModel, SyntheticClock, carbon_estimate, measure)
 from .model import (MIN_PPL_WINDOW, ModelConfig, TinyLM, _check_tokens, init_model, load_model,
@@ -670,34 +670,17 @@ def _model_from_args(args) -> TinyLM:
     return _parse_model_spec(spec, "model").build()
 
 
-def _profile_entries(args) -> list:
-    """The --profile flags as the profile entries a config file would hold."""
-    entries = []
-    for text in args.profile or ():
-        if "," not in text:
-            entries.append(text)
-            continue
-        parts = text.split(",")
-        if len(parts) != 2:
-            raise DomainError("custom profile must be alpha,beta")
-        try:
-            alpha, beta = float(parts[0]), float(parts[1])
-        except ValueError:
-            raise DomainError("custom profile weights must be numbers") from None
-        entries.append({"name": text, "alpha": alpha, "beta": beta})
-    return entries
-
-
 def _score_table(args) -> ScoreTable:
-    """The --metrics table scored under the --profile flags and the --config exponent."""
+    """The --metrics table scored under the --config file's profiles and quality_exponent.
+
+    Each of a suite config's two scoring keys is read as parse_suite_config reads
+    it; a key left out, or no file, means all built-in profiles or QUALITY_EXPONENT.
+    """
     measurements = ingest_metrics(args.metrics)
-    profiles = _parse_profiles(_profile_entries(args))
-    exponent = QUALITY_EXPONENT
-    if args.config:
-        doc = _load_json(args.config)
-        _require_keys(doc, "score config", set(), {"quality_exponent"})
-        exponent = check_quality_exponent(doc.get("quality_exponent", exponent))
-    return score_report(measurements, profiles=profiles, exponent=exponent)
+    doc = _load_json(args.config) if args.config else {}
+    _require_keys(doc, "score config", set(), {"profiles", "quality_exponent"})
+    return score_report(measurements, _parse_profiles(doc.get("profiles", [])),
+                        check_quality_exponent(doc.get("quality_exponent", QUALITY_EXPONENT)))
 
 
 def _cmd_run(args):
@@ -750,7 +733,8 @@ def _cmd_rank(args):
 def _cmd_perplexity(args):
     model = _model_from_args(args)
     corpus = _load_corpus(args.corpus, model.config)
-    ppl = perplexity(model, corpus, window=args.window, stride=args.stride)
+    ppl = check_number(perplexity(model, corpus, window=args.window, stride=args.stride),
+                       "perplexity")  # nan when the float32 forward overflows
     print(f"perplexity {ppl!r} over {corpus.size} tokens")
 
 
@@ -820,10 +804,8 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--metrics", required=True, help="metrics CSV path")
-        sp.add_argument("--profile", action="append",
-                        help="weight profile name or alpha,beta; repeatable")
         sp.add_argument("--config", default=None,
-                        help="optional JSON with quality_exponent override")
+                        help="optional JSON with a suite config's profiles and quality_exponent")
         if name == "score":
             sp.add_argument("--out", default=None, help="write JSON here instead of stdout")
         elif name == "plot-data":

@@ -43,8 +43,9 @@ class CrossEntropy:
 
 
 def _check_temperature(value) -> None:
-    if check_number(value, "temperature") <= 0:
-        raise DomainError("temperature must be positive")
+    temp = check_number(value, "temperature")
+    if temp <= 0 or not math.isfinite(temp * temp):  # T^2 scales the KL losses
+        raise DomainError(f"temperature must be positive, with a finite square, got {value!r}")
 
 
 @dataclass(frozen=True)

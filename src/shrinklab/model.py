@@ -304,6 +304,7 @@ def log_softmax_rows(x):
 # ---------------------------------------------------------------------------
 # forward pass
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow's nan is its callers' to report
 def _forward_full(model: TinyLM, tokens: np.ndarray, want_cache: bool, first_row: int = 0,
                   past: list | None = None):
     """Single forward implementation behind inference, head scoring and backprop.

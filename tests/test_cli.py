@@ -419,6 +419,13 @@ def run_main(capsys, *argv):
     return rc, out.out, out.err
 
 
+def score_config(tmp_path, **keys) -> str:
+    """The path of a score config holding keys: a suite config's profiles and quality_exponent."""
+    path = tmp_path / "score.json"
+    path.write_text(json.dumps(keys))
+    return str(path)
+
+
 def test_cli_run_writes_artifacts(tmp_path, capsys):
     doc = small_suite_doc(tmp_path)
     cfg_path = tmp_path / "suite.json"
@@ -460,14 +467,31 @@ def test_cli_run_plot_matches_plot_data_on_its_metrics(tmp_path, capsys):
     out_dir = tmp_path / "o"
     rc, _, _ = run_main(capsys, "run", "--config", str(cfg_path), "--out", str(out_dir))
     assert rc == 0
-    exp_path = tmp_path / "exp.json"
-    exp_path.write_text(json.dumps({"quality_exponent": 2.0}))
     again = tmp_path / "again.csv"
     rc, _, _ = run_main(capsys, "plot-data", "--metrics", str(out_dir / "metrics.csv"),
-                        "--profile", "energy", "--profile", "balanced",
-                        "--config", str(exp_path), "--out", str(again))
+                        "--config", score_config(tmp_path, profiles=["energy", "balanced"],
+                                                 quality_exponent=2.0),
+                        "--out", str(again))
     assert rc == 0
     assert (out_dir / "plot.csv").read_bytes() == again.read_bytes()
+
+
+def test_cli_plot_data_reproduces_a_suites_custom_profile_from_its_scoring_keys(
+        tmp_path, capsys):
+    """A custom {name, alpha, beta} profile is spelled in a score config as in the suite,
+    so plot-data on run's metrics.csv under the suite's two scoring keys writes plot.csv."""
+    doc = small_suite_doc(tmp_path, profiles=[{"name": "green", "alpha": 0.2, "beta": 0.8}],
+                          quality_exponent=2.0)
+    out_dir = tmp_path / "o"
+    rc, _, _ = run_suite_doc(capsys, tmp_path, doc)
+    assert rc == 0
+    again = tmp_path / "again.csv"
+    keys = {k: doc[k] for k in ("profiles", "quality_exponent")}
+    rc, _, _ = run_main(capsys, "plot-data", "--metrics", str(out_dir / "metrics.csv"),
+                        "--config", score_config(tmp_path, **keys), "--out", str(again))
+    assert rc == 0
+    assert again.read_bytes() == (out_dir / "plot.csv").read_bytes()
+    assert {row[1] for row in csv.reader(again.read_text().splitlines()[1:])} == {"green"}
 
 
 def test_cli_run_reports_failures_in_exit_code(tmp_path, capsys, monkeypatch):
@@ -676,6 +700,25 @@ def test_cli_distill_a_diverged_run_exits_two_and_writes_nothing(tmp_path, capsy
     assert not out_path.exists()
 
 
+def test_cli_distill_a_temperature_whose_square_overflows_exits_two_before_training(
+        tmp_path, capsys, monkeypatch):
+    trained = []
+    monkeypatch.setattr(cli, "train_student", lambda *args, **kw: trained.append(args))
+    cfg_path = tmp_path / "distill.json"
+    cfg_path.write_text(json.dumps({
+        "teacher": {"config": BAD_STEPS_STUDENT["config"], "seed": 0},
+        "corpus": str(bundled.path("toy_corpus.txt")),
+        "student": {"config": BAD_STEPS_STUDENT["config"], "window": 16,
+                    "distill": {"method": "forward_kld", "steps": 5, "temperature": 1e300}}}))
+    out_path = tmp_path / "student.lmz"
+    rc, printed, err = run_main(capsys, "distill", "--config", str(cfg_path),
+                                "--out", str(out_path))
+    assert rc == 2 and printed == ""
+    assert err == ("error: student.distill: temperature must be positive, with a finite "
+                   "square, got 1e+300\n")
+    assert trained == [] and not out_path.exists()
+
+
 def test_cli_score_and_rank(tmp_path, capsys):
     metrics = str(bundled.path("gpt2_standalone.csv"))
     out_path = tmp_path / "scores.json"
@@ -686,7 +729,7 @@ def test_cli_score_and_rank(tmp_path, capsys):
     assert doc["rankings"]["balanced"][0] == "4bit"
 
     rc, out, _ = run_main(capsys, "rank", "--metrics", metrics,
-                          "--profile", "energy")
+                          "--config", score_config(tmp_path, profiles=["energy"]))
     assert rc == 0
     assert "[energy]" in out
     assert "1. 4bit" in out and "2. 8bit" in out
@@ -704,14 +747,16 @@ def test_cli_rank_rejects_non_positive_quality_exponent(tmp_path, capsys, expone
 
 def test_cli_plot_data_and_custom_profile(tmp_path, capsys):
     out_path = tmp_path / "plot.csv"
+    green = {"name": "green", "alpha": 0.3, "beta": 0.7}
     rc, _, _ = run_main(capsys, "plot-data",
                         "--metrics", str(bundled.path("gpt2_standalone.csv")),
-                        "--out", str(out_path), "--profile", "0.3,0.7")
+                        "--out", str(out_path),
+                        "--config", score_config(tmp_path, profiles=[green]))
     assert rc == 0
     with open(out_path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert len(rows) == 1 + 5
-    assert all(r[1] == "0.3,0.7" for r in rows[1:])
+    assert all(r[1] == "green" for r in rows[1:])
 
 
 def test_cli_errors_exit_two(tmp_path, capsys):
@@ -721,8 +766,8 @@ def test_cli_errors_exit_two(tmp_path, capsys):
 
     rc, _, err = run_main(capsys, "rank", "--metrics",
                           str(bundled.path("gpt2_standalone.csv")),
-                          "--profile", "speed")
-    assert rc == 2
+                          "--config", score_config(tmp_path, profiles=["speed"]))
+    assert rc == 2 and "unknown weight profile 'speed'" in err
 
     rc, _, err = run_main(capsys, "perplexity", "--seed", "1", "--arch", "1,2,30,128",
                           "--corpus", str(bundled.path("toy_corpus.txt")))
@@ -740,8 +785,6 @@ METRICS_FLAG = ["--metrics", str(bundled.path("gpt2_standalone.csv"))]
      "--arch needs 4 or 6 comma-separated integers"),
     (["quantize", "--bits", "8", "--seed", "1", "--arch", "1,2,a,b", "--out", "q.lmz"],
      "--arch fields must be integers"),
-    (["rank", *METRICS_FLAG, "--profile", "1,2,3"], "custom profile must be alpha,beta"),
-    (["rank", *METRICS_FLAG, "--profile", "a,b"], "custom profile weights must be numbers"),
     (["perplexity", "--seed", "1", "--corpus", "1.txt"],
      "corpus {tmp}/1.txt holds fewer than 2 tokens"),
     (["prune-heads", "--seed", "1", "--corpus", "10.txt", "--threshold", "0.9",
@@ -751,8 +794,8 @@ METRICS_FLAG = ["--metrics", str(bundled.path("gpt2_standalone.csv"))]
     (["prune-heads", "--seed", "1", "--arch", "1,2,32,128,100,64", "--corpus", "10.txt",
       "--threshold", "0.9", "--out", "q.lmz"],
      "corpus {tmp}/10.txt: token ids must lie in [0, 100)"),
-], ids=["model-and-seed", "neither", "arch-3", "arch-letters", "profile-3", "profile-letters",
-        "corpus-1", "calibration-corpus-10", "perplexity-vocab-100", "prune-heads-vocab-100"])
+], ids=["model-and-seed", "neither", "arch-3", "arch-letters", "corpus-1",
+        "calibration-corpus-10", "perplexity-vocab-100", "prune-heads-vocab-100"])
 def test_cli_flag_and_corpus_errors_exit_two(tmp_path, capsys, argv, named):
     (tmp_path / "1.txt").write_bytes(b"a")
     (tmp_path / "10.txt").write_bytes(b"abcdefghij")
@@ -761,6 +804,48 @@ def test_cli_flag_and_corpus_errors_exit_two(tmp_path, capsys, argv, named):
     assert rc == 2 and out == ""
     assert err == f"error: {named.format(tmp=tmp_path)}\n"
     assert not (tmp_path / "q.lmz").exists()
+
+
+@pytest.mark.parametrize("keys, named", [
+    ({"profiles": [{"name": "g", "alpha": "a", "beta": 0.5}]},
+     "profiles[0]: alpha must be a finite number, got 'a'"),
+    ({"profiles": [{"name": "g", "alpha": 0.3, "beta": 0.3}]},
+     "profiles[0]: profile 'g': alpha + beta must equal 1, got 0.6"),
+    ({"profiles": "energy"}, "profiles must be a list"),
+    ({"profiles": ["energy", "energy"]},
+     "weight profile names must be unique: 'energy' is repeated"),
+    ({"quality_exponent": 2.0, "repetitions": 1}, "score config: unknown keys ['repetitions']"),
+], ids=["alpha-string", "weights-sum", "profiles-string", "profiles-repeated", "unknown-key"])
+@pytest.mark.parametrize("command", ["score", "rank", "plot-data"])
+def test_cli_score_config_errors_exit_two(tmp_path, capsys, command, keys, named):
+    """The three scoring commands read a score config's profiles as a suite's are read."""
+    out = tmp_path / "plot.csv"
+    extra = ["--out", str(out)] if command == "plot-data" else []
+    rc, printed, err = run_main(capsys, command, *METRICS_FLAG,
+                                "--config", score_config(tmp_path, **keys), *extra)
+    assert rc == 2 and printed == ""
+    assert err == f"error: {named}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, options", [
+    ("score", {"--metrics", "--config", "--out"}), ("rank", {"--metrics", "--config"}),
+    ("plot-data", {"--metrics", "--config", "--out"}),
+], ids=["score", "rank", "plot-data"])
+def test_cli_scoring_commands_read_profiles_only_from_config(tmp_path, capsys, command,
+                                                             options):
+    """score, rank and plot-data take their weighting from --config alone, as run does."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) == {"--help", *options}
+    out = tmp_path / "plot.csv"
+    extra = ["--out", str(out)] if "--out" in options else []
+    with pytest.raises(SystemExit) as exc:
+        main([command, *METRICS_FLAG, *extra, "--profile", "energy"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --profile energy" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def run_suite_doc(capsys, tmp_path, doc, out="o"):
@@ -1289,6 +1374,29 @@ def test_run_rejects_a_corpus_outside_the_base_vocabulary_before_any_student_is_
     assert rc == 2 and err.startswith("error:")
     assert f"corpus {doc['corpus']}: token ids must lie in [0, 100)" in err
     assert built == []
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_an_overflowing_forward_exits_two_with_a_typed_error(tmp_path, capsys):
+    """Finite weights whose float32 forward overflows give nan, not a warning: perplexity
+    rejects it, as prune-heads and run already do (numpy's RuntimeWarnings are errors here)."""
+    model = init_model(ModelConfig(2, 4, 64, 256), seed=0)
+    model.weights.layers[0].wq[:] = 3e38
+    model.weights.layers[0].wk[:] = 3e38
+    saved = tmp_path / "big.lmz"
+    save_model(model, saved)
+    corpus = str(bundled.path("toy_corpus.txt"))
+    rc, printed, err = run_main(capsys, "perplexity", "--model", str(saved), "--corpus", corpus)
+    assert rc == 2 and printed == ""
+    assert err == "error: perplexity must be a finite number, got nan\n"
+    rc, printed, err = run_main(capsys, "prune-heads", "--model", str(saved), "--corpus", corpus,
+                                "--threshold", "0.9")
+    assert rc == 2 and printed == ""
+    assert err == "error: head concentration of layer 0, head 0 is not finite: nan\n"
+    rc, printed, err = run_suite_doc(capsys, tmp_path,
+                                     small_suite_doc(tmp_path, model={"path": str(saved)}))
+    assert rc == 2 and printed == ""
+    assert err.startswith("error: base pipeline cannot be scored:")
     assert not (tmp_path / "o").exists()
 
 

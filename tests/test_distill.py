@@ -310,6 +310,25 @@ def test_distill_config_validation():
             DistillConfig(**bad)
 
 
+@pytest.mark.parametrize("method", ["forward_kld", "reverse_kld"])
+def test_a_temperature_whose_square_overflows_is_rejected_as_a_temperature(
+        small_model, corpus, method):
+    """T^2 scales the KL losses, so a temperature past float64's square root is a
+    configuration error, not a diverged run; one just inside it trains."""
+    with pytest.raises(DomainError, match=r"temperature must be positive, with a finite "
+                                          r"square, got 1e\+300"):
+        DistillConfig(method, temperature=1e300)
+    z = _logits(0.9, 0.1)
+    with pytest.raises(DomainError, match="temperature"):
+        forward_kld_loss(z, z, 1e300)
+    with pytest.raises(DomainError, match="temperature"):
+        reverse_kld_loss(z, z, 1e300)
+    for temperature in (1e154, 1e-300):
+        cfg = DistillConfig(method, temperature=temperature, steps=3, seed=1)
+        losses = train_student(small_model, SMALL, corpus[:300], cfg, window=16).losses
+        assert all(math.isfinite(loss) for loss in losses)
+
+
 def test_distill_config_rejects_ce_mix_on_seqkd():
     """seqkd trains on cross-entropy alone, so a mixing weight would be ignored."""
     DistillConfig(method="seqkd", ce_mix_lambda=0.0)
