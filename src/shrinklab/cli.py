@@ -482,11 +482,16 @@ def _load_corpus(path, config: ModelConfig) -> np.ndarray:
 
 
 def training_tokens(teacher: TinyLM, spec: StudentSpec, corpus: np.ndarray) -> np.ndarray:
-    """The tokens a student trains on: the corpus, or for seqkd the teacher's continuations."""
-    if spec.distill.method != METHOD_SEQKD:
-        return corpus
-    return seqkd_corpus(teacher, spec.seqkd.cut(corpus, teacher.config.context_len),
-                        spec.seqkd.length)
+    """The tokens a student trains on: the corpus, or for seqkd the teacher's continuations.
+
+    The training window's range is checked before a seqkd decode, which it
+    needs no tokens for, and against the tokens' count after it.
+    """
+    training_window(teacher.config, spec.config, None, spec.window)
+    tokens = corpus if spec.distill.method != METHOD_SEQKD else seqkd_corpus(
+        teacher, spec.seqkd.cut(corpus, teacher.config.context_len), spec.seqkd.length)
+    training_window(teacher.config, spec.config, tokens.size, spec.window)
+    return tokens
 
 
 def build_student(teacher: TinyLM, spec: StudentSpec, tokens: np.ndarray) -> TinyLM:
@@ -568,10 +573,7 @@ def run_suite(config: SuiteConfig) -> Report:
                 config.calibration.cut(corpus, student_config.context_len)
             perplexity_window(student_config.context_len, window, stride)
             if isinstance(spec, StudentSpec):
-                # the window's range needs no tokens, and a seqkd student's cost a decode
-                training_window(base.config, spec.config, None, spec.window)
                 tokens[sid] = training_tokens(base, spec, corpus)
-                training_window(base.config, spec.config, tokens[sid].size, spec.window)
         except _RUN_ERRORS as exc:
             raise DomainError(f"student {sid!r}: {exc}") from exc
     for sid, toks in tokens.items():

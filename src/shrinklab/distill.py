@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, check_integer, check_number
-from .model import (ModelConfig, TinyLM, _check_tokens, _forward_full, _nll_rows, astype,
-                    copy_model, from_tensors, gelu_grad, generate, init_model,
-                    log_softmax_rows, param_tensors)
+from .model import (ModelConfig, TinyLM, _check_tokens, _forward_full, astype, copy_model,
+                    from_tensors, gelu_grad, generate, init_model, log_softmax_rows,
+                    param_tensors)
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -90,7 +90,13 @@ def _loss_and_dlogits(logits: np.ndarray, spec: LossSpec) -> tuple[float, np.nda
     """Loss value and its gradient with respect to the student logits."""
     n = len(logits)
     if isinstance(spec, CrossEntropy):
-        ls, t = _nll_rows(logits, spec.targets)
+        # logits are the forward's (n, vocab) rows, n >= 1; the caller's targets are checked
+        t = np.asarray(spec.targets)
+        if t.ndim != 1 or t.size != n:
+            raise DomainError("need exactly one target per logit row")
+        if not np.issubdtype(t.dtype, np.integer) or t.min() < 0 or t.max() >= logits.shape[1]:
+            raise DomainError("targets must be valid class indices")
+        ls = log_softmax_rows(logits)
         loss = float(-ls[np.arange(n), t].mean())
         d = np.exp(ls)
         d[np.arange(n), t] -= 1.0

@@ -408,30 +408,6 @@ def forward(model: TinyLM, tokens) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 # likelihoods
 
-def _nll_rows(logits, targets) -> tuple[np.ndarray, np.ndarray]:
-    """Float64 log-softmax rows of logits, and targets checked as one class index per row."""
-    z = np.asarray(logits)  # log_softmax_rows makes the one float64 copy
-    t = np.asarray(targets)
-    if z.ndim != 2:
-        raise DomainError("logits must be 2-D (positions, vocab)")
-    if t.ndim != 1 or t.size != z.shape[0]:
-        raise DomainError("need exactly one target per logit row")
-    if t.size == 0:
-        raise DomainError("need at least one position")
-    if not np.issubdtype(t.dtype, np.integer) or t.min() < 0 or t.max() >= z.shape[1]:
-        raise DomainError("targets must be valid class indices")
-    return log_softmax_rows(z), t
-
-
-def mean_nll(logits, targets) -> float:
-    """Mean negative log-likelihood of targets under row-wise softmax, in nats.
-
-    Accumulates in float64 regardless of the logits dtype.
-    """
-    ls, t = _nll_rows(logits, targets)
-    return float(-ls[np.arange(t.size), t].mean())
-
-
 def perplexity_window(context_len: int, window=None, stride=None) -> tuple[int, int]:
     """Checked (window, stride) for perplexity on a model of context_len tokens.
 
@@ -447,6 +423,7 @@ def perplexity_window(context_len: int, window=None, stride=None) -> tuple[int, 
     return window, stride
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing NLL's inf is its callers' to report
 def perplexity(model: TinyLM, corpus, window: int | None = None,
                stride: int | None = None) -> float:
     """exp(mean NLL per token) of the corpus, scored in windows.
@@ -483,12 +460,14 @@ def perplexity(model: TinyLM, corpus, window: int | None = None,
     count = 0
     for (n, row), run in itertools.groupby(plan, key=lambda w: w[1:]):
         starts = [s for s, _, _ in run]
+        k = n - row - 1  # each window scores rows 0..k-1 of z[:-1] against chunk[row + 1:]
+        rows = np.arange(k)
         for b in range(0, len(starts), PPL_BATCH):
             chunks = np.stack([toks[s:s + n] for s in starts[b:b + PPL_BATCH]])
             logits, _ = _forward_full(model, chunks, want_cache=False, first_row=row)
             for chunk, z in zip(chunks, logits):
-                total += mean_nll(z[:-1], chunk[row + 1:]) * (n - row - 1)
-                count += n - row - 1
+                total += float(-log_softmax_rows(z[:-1])[rows, chunk[row + 1:]].mean()) * k
+                count += k
     return float(np.exp(total / count))
 
 
@@ -500,7 +479,7 @@ def generate(model: TinyLM, prompt, steps: int) -> np.ndarray:
 
     prompt is one sequence (n,) or a batch of equal-length ones (B, n),
     giving (n + steps,) or (B, n + steps).  Each step takes the argmax of
-    the last row's logits.
+    the last row's logits; a step whose logits are not finite raises DomainError.
 
     One forward runs on the prompts, then one per new token against the
     cached keys and values: logits that may differ from the full forward's
@@ -522,6 +501,8 @@ def generate(model: TinyLM, prompt, steps: int) -> np.ndarray:
         logits, past = _forward_full(model, seqs[:, fed:t], want_cache=False,
                                      first_row=cut, past=past)
         fed, cut = t, 0
+        if not np.isfinite(logits[:, -1]).all():  # an overflowing forward's argmax is byte 0
+            raise DomainError(f"generate: the logits of step {t - n + 1} are not finite")
         seqs[:, t] = np.argmax(logits[:, -1], axis=-1)
     return seqs if toks.ndim == 2 else seqs[0]
 

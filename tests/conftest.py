@@ -51,6 +51,14 @@ def concentration_pair_model() -> tuple[TinyLM, np.ndarray]:
     return m, probe
 
 
+def overflowing_model() -> TinyLM:
+    """Finite weights whose float32 forward overflows: layer 0's wq and wk at 3e38."""
+    model = init_model(TOY, seed=0)
+    model.weights.layers[0].wq[:] = 3e38
+    model.weights.layers[0].wk[:] = 3e38
+    return model
+
+
 def uniform_head_expected(eligible_queries) -> float:
     """Mean max attention of an exactly uniform causal head at those queries."""
     return float(np.mean([1.0 / (q + 1) for q in eligible_queries]))

@@ -42,6 +42,8 @@ from shrinklab.model import (LINEAR_NAMES, ModelConfig, dense_weight, init_model
                              param_tensors, save_model, tokenize)
 from shrinklab.scoring import BUILTIN_PROFILES, WeightProfile, opt_score
 
+from conftest import overflowing_model
+
 HEADER = ",".join(METRICS_HEADER)
 
 
@@ -1377,14 +1379,17 @@ def test_run_rejects_a_corpus_outside_the_base_vocabulary_before_any_student_is_
     assert not (tmp_path / "o").exists()
 
 
+def _saved_overflowing_model(tmp_path) -> str:
+    """The path of a saved model with finite weights whose float32 forward overflows."""
+    saved = tmp_path / "big.lmz"
+    save_model(overflowing_model(), saved)
+    return str(saved)
+
+
 def test_cli_an_overflowing_forward_exits_two_with_a_typed_error(tmp_path, capsys):
     """Finite weights whose float32 forward overflows give nan, not a warning: perplexity
     rejects it, as prune-heads and run already do (numpy's RuntimeWarnings are errors here)."""
-    model = init_model(ModelConfig(2, 4, 64, 256), seed=0)
-    model.weights.layers[0].wq[:] = 3e38
-    model.weights.layers[0].wk[:] = 3e38
-    saved = tmp_path / "big.lmz"
-    save_model(model, saved)
+    saved = _saved_overflowing_model(tmp_path)
     corpus = str(bundled.path("toy_corpus.txt"))
     rc, printed, err = run_main(capsys, "perplexity", "--model", str(saved), "--corpus", corpus)
     assert rc == 2 and printed == ""
@@ -1398,6 +1403,78 @@ def test_cli_an_overflowing_forward_exits_two_with_a_typed_error(tmp_path, capsy
     assert rc == 2 and printed == ""
     assert err.startswith("error: base pipeline cannot be scored:")
     assert not (tmp_path / "o").exists()
+
+
+def test_cli_an_overflowing_mean_nll_exits_two_with_a_typed_error(tmp_path, capsys):
+    """Finite logits whose mean NLL overflows exp give an infinite perplexity, not a
+    warning, which the perplexity command and a suite's base row both reject."""
+    model = init_model(ModelConfig(2, 4, 64, 256), seed=0)
+    model.weights.ln_f_g[:] = 1e30
+    saved = tmp_path / "lnf.lmz"
+    save_model(model, saved)
+    rc, printed, err = run_main(capsys, "perplexity", "--model", str(saved),
+                                "--corpus", str(bundled.path("toy_corpus.txt")))
+    assert rc == 2 and printed == ""
+    assert err == "error: perplexity must be a finite number, got inf\n"
+    rc, printed, err = run_suite_doc(capsys, tmp_path,
+                                     small_suite_doc(tmp_path, model={"path": str(saved)}))
+    assert rc == 2 and printed == ""
+    assert err.startswith("error: base pipeline cannot be scored:")
+    assert not (tmp_path / "o").exists()
+
+
+SEQKD_STUDENT = {"config": {"n_layers": 1, "n_heads": 2, "d_model": 32, "d_ff": 128},
+                 "distill": {"method": "seqkd", "steps": 3}, "window": 16,
+                 "seqkd": {"prompts": 4, "prompt_len": 8, "length": 16}}
+
+
+def test_cli_distill_a_seqkd_teacher_whose_forward_overflows_exits_two(
+        tmp_path, capsys, monkeypatch):
+    """Its nan logits would decode to zero bytes; generate rejects the step instead."""
+    trained = []
+    monkeypatch.setattr(cli, "train_student", lambda *args, **kw: trained.append(args))
+    cfg_path = tmp_path / "distill.json"
+    cfg_path.write_text(json.dumps({"teacher": {"path": _saved_overflowing_model(tmp_path)},
+                                    "corpus": str(bundled.path("toy_corpus.txt")),
+                                    "student": SEQKD_STUDENT}))
+    out_path = tmp_path / "student.lmz"
+    rc, printed, err = run_main(capsys, "distill", "--config", str(cfg_path),
+                                "--out", str(out_path))
+    assert rc == 2 and printed == ""
+    assert err == "error: generate: the logits of step 1 are not finite\n"
+    assert trained == [] and not out_path.exists()
+
+
+def test_run_rejects_a_seqkd_student_of_a_base_whose_forward_overflows(
+        tmp_path, capsys, monkeypatch):
+    trained = []
+    monkeypatch.setattr(cli, "train_student", lambda *args, **kw: trained.append(args))
+    doc = small_suite_doc(tmp_path, model={"path": _saved_overflowing_model(tmp_path)},
+                          students={"sk": SEQKD_STUDENT})
+    doc["pipelines"].append({"name": "sk", "passes": [{"op": "distill", "student": "sk"}]})
+    rc, printed, err = run_suite_doc(capsys, tmp_path, doc)
+    assert rc == 2 and printed == ""
+    assert err == "error: student 'sk': generate: the logits of step 1 are not finite\n"
+    assert trained == []
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_distill_checks_a_seqkd_students_window_range_before_decoding(
+        tmp_path, capsys, monkeypatch):
+    """As in a suite's pre-flight, a window that fits neither context costs no decode."""
+    decoded = []
+    monkeypatch.setattr(cli, "seqkd_corpus", lambda *a, **k: decoded.append(a))
+    cfg_path = tmp_path / "distill.json"
+    cfg_path.write_text(json.dumps({
+        "teacher": {"config": SEQKD_STUDENT["config"], "seed": 0},
+        "corpus": str(bundled.path("toy_corpus.txt")),
+        "student": dict(SEQKD_STUDENT, window=100)}))
+    out_path = tmp_path / "student.lmz"
+    rc, printed, err = run_main(capsys, "distill", "--config", str(cfg_path),
+                                "--out", str(out_path))
+    assert rc == 2 and printed == ""
+    assert err == "error: window must lie in [1, 64]\n"
+    assert decoded == [] and not out_path.exists()
 
 
 def test_cli_run_nan_student_exits_two(tmp_path, capsys, monkeypatch):

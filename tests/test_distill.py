@@ -224,6 +224,18 @@ def test_grad_check_validation(small_model, corpus):
         loss_value(small_model, tokens, "spec")
 
 
+def test_cross_entropy_checks_its_targets(small_model, corpus):
+    """The loss holds the only target checks: one integer id in [0, vocab) per logit row."""
+    tokens = corpus[:2]
+    for bad, named in [(np.array([0]), "need exactly one target per logit row"),
+                       (np.array([[0, 1]]), "need exactly one target per logit row"),
+                       (np.array([0, SMALL.vocab_size]), "targets must be valid class indices"),
+                       (np.array([0, -1]), "targets must be valid class indices"),
+                       (np.array([0.0, 1.0]), "targets must be valid class indices")]:
+        with pytest.raises(DomainError, match=named):
+            backward(small_model, tokens, CrossEntropy(bad))
+
+
 def test_backward_rejects_quantized_weights(small_model, corpus):
     spec = CrossEntropy(corpus[1:13].copy())
     with pytest.raises(DomainError, match="quantized"):

@@ -27,7 +27,6 @@ from shrinklab.model import (
     ln_detail,
     load_model,
     log_softmax_rows,
-    mean_nll,
     param_tensors,
     perplexity,
     save_model,
@@ -36,7 +35,7 @@ from shrinklab.model import (
     zero_model,
 )
 
-from conftest import SMALL, TOY
+from conftest import SMALL, TOY, overflowing_model
 
 
 # ---------------------------------------------------------------------------
@@ -331,40 +330,34 @@ def test_gelu_and_grad_match_float64_power_reference(dtype):
 # ---------------------------------------------------------------------------
 # likelihoods
 
-def test_mean_nll_hand_value():
+def _nll(logits, targets) -> float:
+    """Mean NLL of targets, read from log_softmax_rows as perplexity and cross-entropy do."""
+    return float(-log_softmax_rows(logits)[np.arange(len(targets)), targets].mean())
+
+
+def test_log_softmax_rows_nll_hand_value():
     # log(e^1 + e^2 + e^3) = 3 + log(1 + 1/e + 1/e^2)
     lse = 3.0 + np.log1p(np.exp(-1.0) + np.exp(-2.0))
-    got = mean_nll(np.array([[1.0, 2.0, 3.0]]), np.array([2]))
+    got = _nll(np.array([[1.0, 2.0, 3.0]]), np.array([2]))
     assert got == pytest.approx(float(lse - 3.0), abs=1e-12)
     assert got == pytest.approx(0.40760596444438013, abs=1e-12)
-    worse = mean_nll(np.array([[1.0, 2.0, 3.0]]), np.array([1]))
+    worse = _nll(np.array([[1.0, 2.0, 3.0]]), np.array([1]))
     assert worse == pytest.approx(float(lse - 2.0), abs=1e-12)
 
 
-def test_mean_nll_shift_invariance():
+def test_log_softmax_rows_nll_shift_invariance():
     rng = np.random.default_rng(0)
     logits = rng.normal(size=(5, 7))
     targets = rng.integers(0, 7, size=5)
-    a = mean_nll(logits, targets)
-    b = mean_nll(logits + 123.456, targets)
+    a = _nll(logits, targets)
+    b = _nll(logits + 123.456, targets)
     assert a == pytest.approx(b, abs=1e-12)
 
 
-def test_mean_nll_extreme_logits_stay_finite():
+def test_log_softmax_rows_nll_extreme_logits_stay_finite():
     logits = np.array([[1000.0, 0.0], [0.0, 1000.0]])
-    assert mean_nll(logits, np.array([0, 1])) == pytest.approx(0.0, abs=1e-12)
-    assert mean_nll(logits, np.array([1, 0])) == pytest.approx(1000.0, rel=1e-12)
-
-
-def test_mean_nll_validation():
-    with pytest.raises(DomainError):
-        mean_nll(np.zeros((2, 4)), np.array([0]))
-    with pytest.raises(DomainError):
-        mean_nll(np.zeros((2, 4)), np.array([0, 4]))
-    with pytest.raises(DomainError):
-        mean_nll(np.zeros(4), np.array([0]))
-    with pytest.raises(DomainError, match="need at least one position"):
-        mean_nll(np.zeros((0, 4)), np.zeros(0, int))
+    assert _nll(logits, np.array([0, 1])) == pytest.approx(0.0, abs=1e-12)
+    assert _nll(logits, np.array([1, 0])) == pytest.approx(1000.0, rel=1e-12)
 
 
 def test_uniform_model_perplexity_is_vocab_size(corpus):
@@ -373,6 +366,13 @@ def test_uniform_model_perplexity_is_vocab_size(corpus):
     tiny = ModelConfig(1, 2, 16, 16, vocab_size=16, context_len=8)
     ppl16 = perplexity(zero_model(tiny), np.arange(40) % 16)
     assert ppl16 == pytest.approx(16.0, rel=1e-6)
+
+
+def test_an_overflowing_mean_nll_gives_an_infinite_perplexity_without_a_warning(corpus):
+    """Finite logits whose mean NLL passes exp's range: inf, for the callers to reject."""
+    model = init_model(TOY, seed=0)
+    model.weights.ln_f_g[:] = 1e30
+    assert perplexity(model, corpus) == np.inf
 
 
 def test_memorizer_drives_perplexity_to_one():
@@ -391,7 +391,7 @@ def test_perplexity_chunked_equals_manual(small_model, corpus):
         chunk = toks[start:start + 4]
         logits, _ = forward(small_model, chunk)
         for i in range(1, len(chunk)):
-            total += mean_nll(logits[i - 1:i], chunk[i:i + 1])
+            total += -log_softmax_rows(logits[i - 1:i])[0, chunk[i]]
             count += 1
     assert count == 8  # positions 4 and 8 start fresh chunks, never scored
     assert got == pytest.approx(float(np.exp(total / count)), rel=1e-12)
@@ -412,7 +412,7 @@ def test_perplexity_sliding_scores_each_token_once(small_model, corpus):
                 continue  # t opens its window with no predecessor inside
             chunk = toks[start:min(start + window, n)]
             logits, _ = forward(small_model, chunk)
-            total += mean_nll(logits[t - 1 - start:t - start], toks[t:t + 1])
+            total += -log_softmax_rows(logits[t - 1 - start:t - start])[0, toks[t]]
             seen.append(t)
         if stride < window:
             assert seen == list(range(1, n))
@@ -435,11 +435,12 @@ def _windows(n, window, stride):
 
 
 def _perplexity_by_window(model, toks, window, stride):
-    """Oracle: each window alone through the 1-D forward, then mean_nll."""
+    """Oracle: each window alone through the 1-D forward, then its log-softmax rows."""
     total, count = 0.0, 0
     for start, end, first in _windows(toks.size, window, stride):
         logits, _ = _forward_full(model, toks[start:end], False, first_row=first - 1 - start)
-        total += mean_nll(logits[:-1], toks[first:end]) * (end - first)
+        ls = log_softmax_rows(logits[:-1])
+        total += float(-ls[np.arange(end - first), toks[first:end]].mean()) * (end - first)
         count += end - first
     return float(np.exp(total / count))
 
@@ -580,6 +581,14 @@ def _full_forward_continuation(model, prompt, steps):
         logits, _ = _forward_full(model, np.asarray(seq), want_cache=False)
         seq.append(int(np.argmax(logits[-1].astype(np.float64))))
     return seq
+
+
+def test_generate_rejects_a_step_whose_logits_are_not_finite(corpus):
+    """An argmax over nan logits would pick byte 0 at every step."""
+    with pytest.raises(DomainError, match="logits of step 1 are not finite"):
+        generate(overflowing_model(), corpus[:8], steps=4)
+    with pytest.raises(DomainError, match="logits of step 1 are not finite"):
+        generate(overflowing_model(), np.stack([corpus[:8], corpus[8:16]]), steps=4)
 
 
 @pytest.mark.parametrize("config", [TOY, SMALL], ids=["toy", "small"])
