@@ -13,25 +13,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import shrinklab
-from shrinklab import cli
+from shrinklab import cli, suite, tables
 from shrinklab import data as bundled
-from shrinklab.cli import (
-    _load_json,
-    BASE_PIPELINE,
-    METRICS_HEADER,
-    Report,
-    ScoreTable,
-    SeqkdPrompts,
-    config_digest,
-    emit_plot_data,
-    ingest_metrics,
-    main,
-    parse_suite_config,
-    report_metric_rows,
-    run_suite,
-    score_report,
-    write_metrics_csv,
-)
+from shrinklab.cli import main, run_suite, score_report
+from shrinklab.suite import _load_json, Report, SeqkdPrompts, config_digest, parse_suite_config
+from shrinklab.tables import (BASE_PIPELINE, METRICS_HEADER, ScoreTable, emit_plot_data,
+                              ingest_metrics, report_metric_rows, write_metrics_csv)
 from shrinklab.compress import (Calibration, DistillRef, Prune24, PruneHeads, Quantize,
                                 head_concentration, prune_heads, prune_model_2_4,
                                 quantize_model)
@@ -352,12 +339,10 @@ def test_run_suite_is_reproducible(tmp_path):
 
 
 def test_parse_rejects_a_pipeline_naming_an_undefined_student(tmp_path, monkeypatch):
-    import shrinklab.cli as cli
-
     def no_model(*args, **kwargs):
         raise AssertionError("a model was built while parsing")
 
-    monkeypatch.setattr(cli, "init_model", no_model)
+    monkeypatch.setattr(suite, "init_model", no_model)
     doc = small_suite_doc(tmp_path)
     doc["pipelines"].append(
         {"name": "broken", "passes": [{"op": "distill", "student": "ghost"}]})
@@ -623,7 +608,7 @@ def test_cli_prune_heads_rejects_a_non_finite_concentration(tmp_path, capsys, mo
     load_model rejects a NaN weight, so the command gets its NaN model in memory."""
     model = init_model(ModelConfig(2, 4, 64, 256), seed=0)
     model.weights.layers[0].wq[0, 0] = np.nan
-    monkeypatch.setattr(cli, "load_model", lambda path: model)
+    monkeypatch.setattr(suite, "load_model", lambda path: model)
     path, report_path, out = tmp_path / "nan.lmz", tmp_path / "r.json", tmp_path / "m.lmz"
     rc, printed, err = run_main(capsys, "prune-heads", "--model", str(path),
                                 "--corpus", str(bundled.path("toy_corpus.txt")),
@@ -719,6 +704,39 @@ def test_cli_distill_a_temperature_whose_square_overflows_exits_two_before_train
     assert err == ("error: student.distill: temperature must be positive, with a finite "
                    "square, got 1e+300\n")
     assert trained == [] and not out_path.exists()
+
+
+def test_cli_run_rejects_an_out_that_is_not_a_directory_before_any_work(
+        tmp_path, capsys, monkeypatch):
+    ran = []
+    monkeypatch.setattr(cli, "run_suite", lambda *args: ran.append(args))
+    monkeypatch.setattr(cli, "build_student", lambda *args: ran.append(args))
+    cfg_path = tmp_path / "suite.json"
+    cfg_path.write_text(json.dumps(small_suite_doc(tmp_path)))
+    out_path = tmp_path / "taken"
+    out_path.write_text("kept\n")
+    rc, printed, err = run_main(capsys, "run", "--config", str(cfg_path), "--out", str(out_path))
+    assert rc == 2 and printed == ""
+    assert err == f"error: --out {out_path} exists and is not a directory\n"
+    assert ran == [] and out_path.read_text() == "kept\n"
+
+
+def test_cli_distill_rejects_an_out_that_is_a_directory_before_training(
+        tmp_path, capsys, monkeypatch):
+    ran = []
+    monkeypatch.setattr(cli, "run_suite", lambda *args: ran.append(args))
+    monkeypatch.setattr(cli, "build_student", lambda *args: ran.append(args))
+    cfg_path = tmp_path / "distill.json"
+    cfg_path.write_text(json.dumps({
+        "teacher": {"config": BAD_STEPS_STUDENT["config"], "seed": 0},
+        "corpus": str(bundled.path("toy_corpus.txt")),
+        "student": {"config": BAD_STEPS_STUDENT["config"], "window": 16,
+                    "distill": {"method": "forward_kld", "steps": 5}}}))
+    rc, printed, err = run_main(capsys, "distill", "--config", str(cfg_path),
+                                "--out", str(tmp_path))
+    assert rc == 2 and printed == ""
+    assert err == f"error: --out {tmp_path} is a directory\n"
+    assert ran == []
 
 
 def test_cli_score_and_rank(tmp_path, capsys):
@@ -1091,8 +1109,9 @@ def test_run_suite_builds_only_referenced_students(tmp_path, capsys, monkeypatch
 ], ids=["calibration-length", "window", "stride"])
 def test_run_checks_the_base_context_before_any_student_is_trained(
         tmp_path, capsys, monkeypatch, changes, named):
-    """Calibration and perplexity windows longer than the base model's context are
-    fatal, even with no prune_heads pipeline, and no student is trained first."""
+    """Perplexity windows longer than the base model's context are fatal, even with no
+    prune_heads pipeline, and so is a calibration longer than it once a pipeline prunes
+    the base model's heads; no student is trained first."""
     import shrinklab.cli as cli
     built = []
     monkeypatch.setattr(cli, "build_student", lambda *args: built.append(args))
@@ -1100,6 +1119,8 @@ def test_run_checks_the_base_context_before_any_student_is_trained(
     doc["students"] = {"kd": {"config": {"n_layers": 1, "n_heads": 2, "d_model": 32, "d_ff": 128},
                               "distill": {"method": "forward_kld", "steps": 1}}}
     doc["pipelines"].append({"name": "kd", "passes": [{"op": "distill", "student": "kd"}]})
+    if "calibration" in changes:  # only a head-pruning pipeline cuts the calibration
+        doc["pipelines"].append({"name": "ah", "passes": [{"op": "prune_heads", "threshold": 0.9}]})
     cfg_path = tmp_path / "suite.json"
     cfg_path.write_text(json.dumps(doc))
     with pytest.raises(DomainError, match=named):
@@ -1188,6 +1209,44 @@ def test_run_checks_calibration_against_a_saved_students_context(tmp_path, capsy
     assert "calibration length 14 exceeds context length 12" in err and "'kd'" in err
     assert built == []
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("context_len, corpus_bytes, error", [
+    (16, 600, "calibration length 32 exceeds context length 16"),
+    (64, 200, "corpus of 200 tokens cannot supply 256 calibration tokens"),
+], ids=["base-context-16", "corpus-200"])
+def test_run_cuts_the_calibration_only_for_a_suite_that_prunes_heads(
+        tmp_path, capsys, context_len, corpus_bytes, error):
+    """A calibration the base model cannot supply is no error until a pipeline prunes heads."""
+    (tmp_path / "corpus.txt").write_bytes(
+        bundled.path("toy_corpus.txt").read_bytes()[:corpus_bytes])
+    doc = small_suite_doc(
+        tmp_path, model={"config": dict(TRAINED["config"], context_len=context_len), "seed": 5},
+        perplexity={"window": 16})
+    cfg_path = tmp_path / "suite.json"
+    cfg_path.write_text(json.dumps(doc))
+    rc, _, err = run_main(capsys, "run", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
+    assert rc == 0 and err == ""
+    rows = json.loads((tmp_path / "o" / "report.json").read_text())["rows"]
+    assert [r["pipeline"] for r in rows] == ["base", "8bit", "sparse"]
+
+    doc["pipelines"].append({"name": "ah", "passes": [{"op": "prune_heads", "threshold": 0.9}]})
+    cfg_path.write_text(json.dumps(doc))
+    rc, _, err = run_main(capsys, "run", "--config", str(cfg_path), "--out", str(tmp_path / "p"))
+    assert rc == 2 and err == f"error: {error}\n"
+    assert not (tmp_path / "p").exists()
+
+
+def test_run_checks_the_calibration_only_against_models_whose_heads_are_pruned(tmp_path):
+    """A base model shorter than the calibration is no error when only a student's
+    heads are pruned: the calibration is checked against that student's context."""
+    doc = small_suite_doc(
+        tmp_path, model={"config": dict(TRAINED["config"], context_len=16), "seed": 5},
+        perplexity={"window": 16}, students={"kd": TRAINED})
+    doc["pipelines"].append({"name": "kd+ah", "passes": [{"op": "distill", "student": "kd"},
+                                                         {"op": "prune_heads", "threshold": 0.9}]})
+    report = run_suite(parse_suite_config(doc))
+    assert [r["pipeline"] for r in report.rows] == ["base", "8bit", "sparse", "kd+ah"]
 
 
 def test_run_suite_measures_every_pipeline_with_the_base_window(tmp_path, capsys, monkeypatch):
@@ -1496,7 +1555,7 @@ def test_cli_run_nan_student_exits_two(tmp_path, capsys, monkeypatch):
     assert err.startswith("error: student 'nan': ln_f.g entries must be finite (byte ")
     assert not out_dir.exists()
 
-    monkeypatch.setattr(cli, "load_model", lambda path: nan_model)
+    monkeypatch.setattr(suite, "load_model", lambda path: nan_model)
     rc, out, err = run_main(capsys, "run", "--config", str(cfg_path), "--out", str(out_dir))
     assert rc == 2 and out == ""
     assert err.startswith("error: nan pipeline cannot be scored:")
@@ -1564,13 +1623,11 @@ def test_constructors_reject_wrong_types(build):
 ], ids=["watts", "no-energy-deltas", "time-delta", "wrap", "clock", "carbon", "window",
         "seqkd-prompts", "exponent-negative", "exponent-zero"])
 def test_parse_rejects_bad_values_before_any_model_is_built(tmp_path, monkeypatch, changes):
-    import shrinklab.cli as cli
-
     def no_model(*args, **kwargs):
         raise AssertionError("a model was built while parsing")
 
-    monkeypatch.setattr(cli, "init_model", no_model)
-    monkeypatch.setattr(cli, "load_model", no_model)
+    monkeypatch.setattr(suite, "init_model", no_model)
+    monkeypatch.setattr(suite, "load_model", no_model)
     with pytest.raises(DomainError, match=next(iter(changes))):
         parse_suite_config(small_suite_doc(tmp_path, **changes))
 
@@ -1721,6 +1778,25 @@ def test_package_import_leaves_the_cli_to_its_entry_point():
     run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "shrinklab.cli",
                           "--help"], env=env, capture_output=True, text=True)
     assert run.returncode == 0 and not run.stderr
+
+
+def test_tables_and_suite_import_no_module_above_them():
+    """tables imports neither suite nor cli, and suite does not import cli."""
+    env = dict(os.environ, PYTHONPATH=str(Path(shrinklab.__file__).parents[1]))
+    probe = ("import sys\n"
+             "import shrinklab.tables\n"
+             "assert 'shrinklab.suite' not in sys.modules, 'tables loaded suite'\n"
+             "assert 'shrinklab.cli' not in sys.modules, 'tables loaded cli'\n"
+             "import shrinklab.suite\n"
+             "assert 'shrinklab.cli' not in sys.modules, 'suite loaded cli'\n")
+    run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
+def test_cli_reexports_the_moved_names_it_calls():
+    assert cli.ingest_metrics is tables.ingest_metrics
+    assert cli.parse_suite_config is suite.parse_suite_config
+    assert cli.config_digest is suite.config_digest
 
 
 def test_cli_perplexity_window_one_exits_two(tmp_path, capsys):
