@@ -20,7 +20,8 @@ from .distill import (METHOD_SEQKD, check_shared_vocabulary, seqkd_corpus, train
 from .errors import (DomainError, FormatError, ParseError, SourceError, StateError, check_number,
                      check_string)
 from .meter import measure
-from .model import ModelConfig, TinyLM, perplexity, perplexity_window, save_model
+from .model import (ModelConfig, TinyLM, perplexity, perplexity_plan, perplexity_window,
+                    save_model)
 from .scoring import (BUILTIN_PROFILES, QUALITY_EXPONENT, Direction, MetricRecord, OptResult,
                       ResourceRatios, check_quality_exponent, opt_score, rank_methods)
 from .suite import (ModelSpec, Report, StudentSpec, SuiteConfig, _build, _load_corpus, _load_json,
@@ -202,6 +203,22 @@ def _model_from_args(args) -> TinyLM:
     return _parse_model_spec(spec, "model").build()
 
 
+def _check_out(flag: str, path: str | None, directory: bool = False) -> None:
+    """Fail, naming flag and path, unless path can be written: as a file, or as a directory
+    to make.  Each command checks every path it writes before any other work."""
+    if path is None:
+        return
+    out = Path(path)
+    if directory and out.exists() and not out.is_dir():
+        raise DomainError(f"{flag} {path} exists and is not a directory")
+    if not directory and out.is_dir():
+        raise DomainError(f"{flag} {path} is a directory")
+    # a file needs its parent; a directory, its nearest existing ancestor
+    nearest = next(p for p in (out, *out.parents) if p.exists()) if directory else out.parent
+    if not nearest.is_dir():
+        raise DomainError(f"{flag} {path}: {nearest} is not a directory")
+
+
 def _score_table(args) -> ScoreTable:
     """The --metrics table scored under the --config file's profiles and quality_exponent.
 
@@ -216,9 +233,8 @@ def _score_table(args) -> ScoreTable:
 
 
 def _cmd_run(args):
+    _check_out("--out", args.out, directory=True)
     out_dir = Path(args.out)
-    if out_dir.exists() and not out_dir.is_dir():
-        raise DomainError(f"--out {args.out} exists and is not a directory")
     report = run_suite(parse_suite_config(_load_json(args.config)))
     out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / "report.json"
@@ -245,6 +261,7 @@ def _cmd_run(args):
 
 
 def _cmd_score(args):
+    _check_out("--out", args.out)
     table = _score_table(args)
     text = json.dumps(table.as_dict(), indent=2, sort_keys=True)
     if args.out:
@@ -267,18 +284,22 @@ def _cmd_rank(args):
 def _cmd_perplexity(args):
     model = _model_from_args(args)
     corpus = _load_corpus(args.corpus, model.config)
-    ppl = check_number(perplexity(model, corpus, window=args.window, stride=args.stride),
+    window, stride = perplexity_window(model.config.context_len, args.window, args.stride)
+    ppl = check_number(perplexity(model, corpus, window=window, stride=stride),
                        "perplexity")  # nan when the float32 forward overflows
-    print(f"perplexity {ppl!r} over {corpus.size} tokens")
+    scored = sum(n - row - 1 for _, n, row in perplexity_plan(corpus.size, window, stride))
+    print(f"perplexity {ppl!r} over {scored} tokens")
 
 
 def _cmd_quantize(args):
+    _check_out("--out", args.out)
     report = apply_pass(_model_from_args(args), Quantize(args.bits))
     save_model(report.after, args.out)
     print(f"wrote {args.out} ({args.bits}-bit, max reconstruction error {report.max_error:.3e})")
 
 
 def _cmd_prune24(args):
+    _check_out("--out", args.out)
     report = apply_pass(_model_from_args(args), Prune24())
     save_model(report.after, args.out)
     print(f"wrote {args.out} (projection sparsity {report.sparsity:.3f})")
@@ -286,6 +307,8 @@ def _cmd_prune24(args):
 
 def _cmd_prune_heads(args):
     pruning = PruneHeads(args.threshold)  # checked before any file is written
+    _check_out("--report", args.report)
+    _check_out("--out", args.out)
     model = _model_from_args(args)
     corpus = _load_corpus(args.corpus, model.config)
     calibration = _build(Calibration, {"sequences": args.calib_sequences,
@@ -304,8 +327,7 @@ def _cmd_prune_heads(args):
 
 
 def _cmd_distill(args):
-    if Path(args.out).is_dir():
-        raise DomainError(f"--out {args.out} is a directory")
+    _check_out("--out", args.out)
     doc = _load_json(args.config)
     _require_keys(doc, "distill config", {"teacher", "corpus", "student"})
     student = _parse_student(doc["student"], "student")  # as a suite's students hold it
@@ -317,6 +339,7 @@ def _cmd_distill(args):
 
 
 def _cmd_plot_data(args):
+    _check_out("--out", args.out)
     emit_plot_data(_score_table(args), args.out)
     print(f"wrote {args.out}")
 

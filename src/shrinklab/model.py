@@ -423,6 +423,29 @@ def perplexity_window(context_len: int, window=None, stride=None) -> tuple[int, 
     return window, stride
 
 
+def perplexity_plan(size: int, window: int, stride: int) -> list[tuple[int, int, int]]:
+    """Each window perplexity forwards over size corpus tokens, as (start, length, first_row).
+
+    A window forwards tokens start .. start + length - 1 and scores the
+    length - first_row - 1 tokens after row first_row; the plan's scored
+    tokens are the sum of those counts.  window and stride are as
+    perplexity_window returns them.
+    """
+    plan = []
+    start = 0
+    scored_upto = 1  # corpus position 0 has no predecessor anywhere
+    while scored_upto < size:
+        end = min(start + window, size)
+        first = max(scored_upto, start + 1)
+        if first < end:
+            # rows first-1-start .. end-1-start: the scored ones plus the last,
+            # which keeps every product at 2 or more rows (see _forward_full)
+            plan.append((start, end - start, first - 1 - start))
+        scored_upto = end
+        start += stride
+    return plan
+
+
 @np.errstate(over="ignore", invalid="ignore")  # an overflowing NLL's inf is its callers' to report
 def perplexity(model: TinyLM, corpus, window: int | None = None,
                stride: int | None = None) -> float:
@@ -441,24 +464,11 @@ def perplexity(model: TinyLM, corpus, window: int | None = None,
     if toks.size < 2:
         raise DomainError("perplexity needs a corpus of at least 2 tokens")
 
-    # each window as (start, length, first_row); it scores its rows after first_row
-    plan = []
-    start = 0
-    scored_upto = 1  # corpus position 0 has no predecessor anywhere
-    while scored_upto < toks.size:
-        end = min(start + window, toks.size)
-        first = max(scored_upto, start + 1)
-        if first < end:
-            # rows first-1-start .. end-1-start: the scored ones plus the last,
-            # which keeps every product at 2 or more rows (see _forward_full)
-            plan.append((start, end - start, first - 1 - start))
-        scored_upto = end
-        start += stride
-
     # consecutive windows of one length and row cut share a forward call
     total = 0.0
     count = 0
-    for (n, row), run in itertools.groupby(plan, key=lambda w: w[1:]):
+    for (n, row), run in itertools.groupby(perplexity_plan(toks.size, window, stride),
+                                           key=lambda w: w[1:]):
         starts = [s for s, _, _ in run]
         k = n - row - 1  # each window scores rows 0..k-1 of z[:-1] against chunk[row + 1:]
         rows = np.arange(k)

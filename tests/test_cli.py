@@ -26,7 +26,7 @@ from shrinklab.distill import DistillConfig
 from shrinklab.errors import BelowRandomFloor, DomainError, ParseError
 from shrinklab.meter import CounterFile, PowerModel, SyntheticClock
 from shrinklab.model import (LINEAR_NAMES, ModelConfig, dense_weight, init_model, load_model,
-                             param_tensors, save_model, tokenize)
+                             param_tensors, perplexity, save_model, tokenize)
 from shrinklab.scoring import BUILTIN_PROFILES, WeightProfile, opt_score
 
 from conftest import overflowing_model
@@ -60,6 +60,11 @@ def small_suite_doc(tmp_path, **overrides):
     }
     doc.update(overrides)
     return doc
+
+
+SEQKD_STUDENT = {"config": {"n_layers": 1, "n_heads": 2, "d_model": 32, "d_ff": 128},
+                 "distill": {"method": "seqkd", "steps": 3}, "window": 16,
+                 "seqkd": {"prompts": 4, "prompt_len": 8, "length": 16}}
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +418,19 @@ def score_config(tmp_path, **keys) -> str:
     return str(path)
 
 
-def test_cli_run_writes_artifacts(tmp_path, capsys):
-    doc = small_suite_doc(tmp_path)
+@pytest.mark.parametrize("students, pipeline", [
+    ({}, None),
+    ({}, {"name": "4b+24", "passes": [{"op": "quantize", "bits": 4}, {"op": "prune_2_4"}]}),
+    ({"sk": SEQKD_STUDENT}, {"name": "sk", "passes": [{"op": "distill", "student": "sk"}]}),
+    ({"s": {"path": "saved.lmz"}},
+     {"name": "s+8bit", "passes": [{"op": "distill", "student": "s"},
+                                   {"op": "quantize", "bits": 8}]}),
+], ids=["small", "4b+24", "seqkd-student", "saved-student+8bit"])
+def test_cli_run_writes_artifacts(tmp_path, capsys, monkeypatch, students, pipeline):
+    monkeypatch.chdir(tmp_path)  # where a saved student's relative path points
+    save_model(init_model(ModelConfig(1, 2, 32, 128), seed=3), "saved.lmz")
+    doc = small_suite_doc(tmp_path, students=students)
+    doc["pipelines"] += [pipeline] if pipeline else []
     cfg_path = tmp_path / "suite.json"
     cfg_path.write_text(json.dumps(doc))
     out_dir = tmp_path / "out"
@@ -422,7 +438,7 @@ def test_cli_run_writes_artifacts(tmp_path, capsys):
                           "--out", str(out_dir))
     assert rc == 0
     report = json.loads((out_dir / "report.json").read_text())
-    assert len(report["rows"]) == 3
+    assert [r["pipeline"] for r in report["rows"]] == [p["name"] for p in doc["pipelines"]]
     assert (out_dir / "metrics.csv").exists()
     assert (out_dir / "plot.csv").exists()
     assert "config digest" in out
@@ -646,7 +662,13 @@ def test_cli_prune_heads_checks_calibration_like_the_suite(tmp_path, capsys, fla
     assert not out_path.exists()
 
 
-def test_cli_distill_trains_and_saves(tmp_path, capsys):
+@pytest.mark.parametrize("training", [
+    {"distill": {"method": "forward_kld", "steps": 5, "seed": 7}},
+    # a KL student with a cross-entropy mix runs the batched teacher pass, which seqkd does not
+    {"distill": {"method": "reverse_kld", "ce_mix_lambda": 0.5, "steps": 5}, "window": 16},
+    {key: SEQKD_STUDENT[key] for key in ("distill", "window", "seqkd")},
+], ids=["forward_kld", "reverse_kld-ce-mix", "seqkd"])
+def test_cli_distill_trains_and_saves(tmp_path, capsys, training):
     corpus = tmp_path / "c.txt"
     corpus.write_bytes(bundled.path("toy_corpus.txt").read_bytes()[:400])
     cfg = {
@@ -655,7 +677,7 @@ def test_cli_distill_trains_and_saves(tmp_path, capsys):
         "corpus": str(corpus),
         "student": {
             "config": {"n_layers": 1, "n_heads": 2, "d_model": 32, "d_ff": 128},
-            "distill": {"method": "forward_kld", "steps": 5, "seed": 7},
+            **training,
         },
     }
     cfg_path = tmp_path / "distill.json"
@@ -663,7 +685,7 @@ def test_cli_distill_trains_and_saves(tmp_path, capsys):
     out_path = tmp_path / "student.lmz"
     rc, _, _ = run_main(capsys, "distill", "--config", str(cfg_path), "--out", str(out_path))
     assert rc == 0
-    load_model(out_path)
+    assert load_model(out_path).config == ModelConfig(1, 2, 32, 128)
 
 
 def test_cli_distill_a_diverged_run_exits_two_and_writes_nothing(tmp_path, capsys):
@@ -739,6 +761,51 @@ def test_cli_distill_rejects_an_out_that_is_a_directory_before_training(
     assert ran == []
 
 
+TOY_CORPUS = str(bundled.path("toy_corpus.txt"))
+PRUNE_HEADS = ["prune-heads", "--seed", "0", "--corpus", TOY_CORPUS, "--threshold", "0.9"]
+
+
+@pytest.mark.parametrize("argv, flag, path, named", [
+    (["quantize", "--seed", "0", "--bits", "8"], "--out", "d", "--out d is a directory"),
+    (["quantize", "--seed", "0", "--bits", "8"], "--out", "nodir/q.lmz",
+     "--out nodir/q.lmz: nodir is not a directory"),
+    (["prune-24", "--seed", "0"], "--out", "d", "--out d is a directory"),
+    (PRUNE_HEADS, "--report", "d", "--report d is a directory"),
+    (PRUNE_HEADS, "--out", "f/m.lmz", "--out f/m.lmz: f is not a directory"),
+    (["score", "--metrics", str(bundled.path("gpt2_standalone.csv"))], "--out", "d",
+     "--out d is a directory"),
+    (["plot-data", "--metrics", str(bundled.path("gpt2_standalone.csv"))], "--out", "d",
+     "--out d is a directory"),
+    (["distill", "--config", "distill.json"], "--out", "nodir/s.lmz",
+     "--out nodir/s.lmz: nodir is not a directory"),
+    (["run", "--config", "suite.json"], "--out", "f/sub", "--out f/sub: f is not a directory"),
+], ids=["quantize-dir", "quantize-no-parent", "prune-24-dir", "prune-heads-report-dir",
+        "prune-heads-file-parent", "score-dir", "plot-data-dir", "distill-no-parent",
+        "run-file-ancestor"])
+def test_cli_checks_each_output_path_before_any_work(tmp_path, capsys, monkeypatch, argv, flag,
+                                                     path, named):
+    """A path a command cannot write ends it with exit 2 before it loads, builds, trains or
+    scores anything, and nothing is written."""
+    def work(*args, **kwargs):
+        raise AssertionError("work began before the output path was checked")
+
+    for name in ("_load_json", "_model_from_args", "ingest_metrics", "build_student",
+                 "run_suite"):
+        monkeypatch.setattr(cli, name, work)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    (tmp_path / "f").write_text("kept\n")
+    (tmp_path / "suite.json").write_text(json.dumps(small_suite_doc(tmp_path)))
+    (tmp_path / "distill.json").write_text(json.dumps({
+        "teacher": {"config": TRAINED["config"], "seed": 0}, "corpus": TOY_CORPUS,
+        "student": TRAINED}))
+    before = sorted(tmp_path.rglob("*"))
+    rc, printed, err = run_main(capsys, *argv, flag, path)
+    assert rc == 2 and printed == ""
+    assert err == f"error: {named}\n"
+    assert sorted(tmp_path.rglob("*")) == before and (tmp_path / "f").read_text() == "kept\n"
+
+
 def test_cli_score_and_rank(tmp_path, capsys):
     metrics = str(bundled.path("gpt2_standalone.csv"))
     out_path = tmp_path / "scores.json"
@@ -747,11 +814,15 @@ def test_cli_score_and_rank(tmp_path, capsys):
     assert rc == 0
     doc = json.loads(out_path.read_text())
     assert doc["rankings"]["balanced"][0] == "4bit"
+    rc, out, _ = run_main(capsys, "score", "--metrics", metrics)
+    assert rc == 0 and out == out_path.read_text()
 
+    green = {"name": "green", "alpha": 0.2, "beta": 0.8}
     rc, out, _ = run_main(capsys, "rank", "--metrics", metrics,
-                          "--config", score_config(tmp_path, profiles=["energy"]))
+                          "--config", score_config(tmp_path, profiles=["energy", green],
+                                                   quality_exponent=2.0))
     assert rc == 0
-    assert "[energy]" in out
+    assert out.splitlines()[0] == "[energy]" and "[green]" in out.splitlines()
     assert "1. 4bit" in out and "2. 8bit" in out
 
 
@@ -1482,11 +1553,6 @@ def test_cli_an_overflowing_mean_nll_exits_two_with_a_typed_error(tmp_path, caps
     assert not (tmp_path / "o").exists()
 
 
-SEQKD_STUDENT = {"config": {"n_layers": 1, "n_heads": 2, "d_model": 32, "d_ff": 128},
-                 "distill": {"method": "seqkd", "steps": 3}, "window": 16,
-                 "seqkd": {"prompts": 4, "prompt_len": 8, "length": 16}}
-
-
 def test_cli_distill_a_seqkd_teacher_whose_forward_overflows_exits_two(
         tmp_path, capsys, monkeypatch):
     """Its nan logits would decode to zero bytes; generate rejects the step instead."""
@@ -1780,6 +1846,20 @@ def test_package_import_leaves_the_cli_to_its_entry_point():
     assert run.returncode == 0 and not run.stderr
 
 
+def test_cli_runs_as_a_module_with_warnings_as_errors(tmp_path):
+    """python -W error -m shrinklab.cli reaches main(): a command that succeeds exits 0 with
+    no warning, and one that fails exits 2 with an error: line."""
+    env = dict(os.environ, PYTHONPATH=str(Path(shrinklab.__file__).parents[1]))
+    rank = [sys.executable, "-W", "error", "-m", "shrinklab.cli", "rank", "--metrics"]
+    run = subprocess.run(rank + [str(bundled.path("gpt2_standalone.csv"))], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0 and not run.stderr
+    assert "[balanced]" in run.stdout.splitlines()
+    run = subprocess.run(rank + [str(tmp_path / "absent.csv")], env=env, capture_output=True,
+                         text=True)
+    assert run.returncode == 2 and run.stdout == "" and run.stderr.startswith("error:")
+
+
 def test_tables_and_suite_import_no_module_above_them():
     """tables imports neither suite nor cli, and suite does not import cli."""
     env = dict(os.environ, PYTHONPATH=str(Path(shrinklab.__file__).parents[1]))
@@ -1803,6 +1883,21 @@ def test_cli_perplexity_window_one_exits_two(tmp_path, capsys):
     rc, _, err = run_main(capsys, "perplexity", "--seed", "1", "--arch", "1,2,32,128",
                           "--corpus", str(bundled.path("toy_corpus.txt")), "--window", "1")
     assert rc == 2 and "window" in err
+
+
+@pytest.mark.parametrize("flags, stride, scored", [
+    ([], 64, 4691),  # 75 chunks of 64 tokens, each chunk's first token unscored
+    (["--stride", "8"], 8, 4765),  # every token but the corpus's first
+], ids=["chunks", "stride-8"])
+def test_cli_perplexity_prints_the_tokens_it_scored(capsys, flags, stride, scored):
+    corpus = tokenize(bundled.path("toy_corpus.txt").read_bytes())
+    assert corpus.size == 4766
+    ppl = perplexity(init_model(ModelConfig(2, 4, 64, 256), seed=0), corpus,
+                     window=64, stride=stride)
+    rc, printed, _ = run_main(capsys, "perplexity", "--seed", "0", "--arch", "2,4,64,256",
+                              "--corpus", str(bundled.path("toy_corpus.txt")), *flags)
+    assert rc == 0
+    assert printed == f"perplexity {ppl!r} over {scored} tokens\n"
 
 
 def test_non_utf8_inputs_are_parse_errors(tmp_path, capsys):

@@ -29,6 +29,7 @@ from shrinklab.model import (
     log_softmax_rows,
     param_tensors,
     perplexity,
+    perplexity_plan,
     save_model,
     softmax_rows,
     tokenize,
@@ -419,6 +420,22 @@ def test_perplexity_sliding_scores_each_token_once(small_model, corpus):
         else:
             assert seen == [t for t in range(1, n) if t % stride != 0]
         assert got == pytest.approx(float(np.exp(total / len(seen))), rel=1e-10)
+
+
+def test_perplexity_plan_counts_its_windows_and_scored_tokens_by_hand(corpus):
+    def counts(size, window, stride):
+        plan = perplexity_plan(size, window, stride)
+        return len(plan), sum(n - row - 1 for _, n, row in plan)
+
+    assert corpus.size == 4766
+    # 74 chunks of 64 tokens score 63 each, and the last chunk's 30 tokens score 29
+    assert counts(corpus.size, 64, 64) == (75, 74 * 63 + 29) == (75, 4691)
+    # windows start at 0, 8, ..., 4704: the first scores 63 tokens, the next 587 score the
+    # 8 each adds, and the last, ending at 4766 where the one before ended at 4760, 6
+    assert counts(corpus.size, 64, 8) == (589, 63 + 587 * 8 + 6) == (589, 4765)
+    # a 65th token opens a 1-token chunk with no predecessor in it, so no window
+    assert perplexity_plan(65, 64, 64) == [(0, 64, 0)]
+    assert counts(65, 64, 64) == (1, 63)
 
 
 def _windows(n, window, stride):
