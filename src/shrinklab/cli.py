@@ -1,32 +1,35 @@
-"""Command-line harness: run compression suites, score metric tables, emit plot data.
+"""Command-line harness: run compression suites, compress or evaluate one model, score
+metric tables, emit plot data.
 
-Argument parsing and the suite runner live here; a suite file's grammar is in
-suite.py, and the metrics CSV and score tables are in tables.py.
+Each command reads its settings from a --config file holding some of a suite file's
+keys, parsed by the functions that parse a suite (suite.py): run a whole suite,
+perplexity its model, corpus and perplexity, compress its model, passes, corpus and
+calibration, and score, rank and plot-data its profiles and quality_exponent.
+Argument parsing and the suite runner live here; the metrics CSV and score tables are
+in tables.py.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .compress import (SUPPORTED_BITS, Calibration, DistillRef, Prune24, PruneHeads, Quantize,
-                       apply_pass, compose)
+from .compress import Calibration, DistillRef, PruneHeads, apply_pass, compose
 from .distill import (METHOD_SEQKD, check_shared_vocabulary, seqkd_corpus, train_student,
                       training_window)
 from .errors import (DomainError, FormatError, ParseError, SourceError, StateError, check_number,
                      check_string)
 from .meter import measure
-from .model import (ModelConfig, TinyLM, perplexity, perplexity_plan, perplexity_window,
-                    save_model)
+from .model import TinyLM, perplexity, perplexity_plan, perplexity_window, save_model
 from .scoring import (BUILTIN_PROFILES, QUALITY_EXPONENT, Direction, MetricRecord, OptResult,
                       ResourceRatios, check_quality_exponent, opt_score, rank_methods)
 from .suite import (ModelSpec, Report, StudentSpec, SuiteConfig, _build, _load_corpus, _load_json,
-                    _parse_model_spec, _parse_profiles, _parse_student, _require_keys,
-                    config_digest, parse_suite_config)
+                    _parse_model_spec, _parse_passes, _parse_perplexity, _parse_profiles,
+                    _parse_student, _require_keys, config_digest, parse_suite_config)
 from .tables import (BASE_PIPELINE, MethodMeasurements, ScoreTable, _check_unique, _result_fields,
                      emit_plot_data, ingest_metrics, report_metric_rows, write_metrics_csv)
 
@@ -176,33 +179,6 @@ def score_report(measurements, profiles=BUILTIN_PROFILES,
 # ---------------------------------------------------------------------------
 # command-line interface
 
-def _add_model_source_args(sp):
-    sp.add_argument("--model", help="model file to load")
-    sp.add_argument("--seed", type=int, default=None,
-                    help="init a fresh model from this seed instead of loading one")
-    sp.add_argument("--arch", default="2,4,64,256",
-                    help="fresh-model shape: layers,heads,d_model,d_ff[,vocab,context]")
-
-
-def _model_from_args(args) -> TinyLM:
-    """The model --model or --seed/--arch name, built from the spec a config file would hold."""
-    if (args.model is None) == (args.seed is None):
-        raise DomainError("give either --model FILE or --seed N")
-    if args.model is not None:
-        spec = {"path": args.model}
-    else:
-        parts = [p.strip() for p in args.arch.split(",")]
-        if len(parts) not in (4, 6):
-            raise DomainError("--arch needs 4 or 6 comma-separated integers")
-        try:
-            nums = [int(p) for p in parts]
-        except ValueError:
-            raise DomainError("--arch fields must be integers") from None
-        spec = {"config": dict(zip([f.name for f in fields(ModelConfig)], nums)),
-                "seed": args.seed}
-    return _parse_model_spec(spec, "model").build()
-
-
 def _check_out(flag: str, path: str | None, directory: bool = False) -> None:
     """Fail, naming flag and path, unless path can be written: as a file, or as a directory
     to make.  Each command checks every path it writes before any other work."""
@@ -282,48 +258,60 @@ def _cmd_rank(args):
 
 
 def _cmd_perplexity(args):
-    model = _model_from_args(args)
-    corpus = _load_corpus(args.corpus, model.config)
-    window, stride = perplexity_window(model.config.context_len, args.window, args.stride)
+    doc = _load_json(args.config)
+    _require_keys(doc, "perplexity config", {"model", "corpus"}, {"perplexity"})
+    spec = _parse_model_spec(doc["model"], "model")
+    corpus_path = check_string(doc["corpus"], "corpus")
+    window, stride = _parse_perplexity(doc.get("perplexity", {}))
+    model = spec.build()
+    corpus = _load_corpus(corpus_path, model.config)
+    window, stride = perplexity_window(model.config.context_len, window, stride)
     ppl = check_number(perplexity(model, corpus, window=window, stride=stride),
                        "perplexity")  # nan when the float32 forward overflows
     scored = sum(n - row - 1 for _, n, row in perplexity_plan(corpus.size, window, stride))
     print(f"perplexity {ppl!r} over {scored} tokens")
 
 
-def _cmd_quantize(args):
-    _check_out("--out", args.out)
-    report = apply_pass(_model_from_args(args), Quantize(args.bits))
-    save_model(report.after, args.out)
-    print(f"wrote {args.out} ({args.bits}-bit, max reconstruction error {report.max_error:.3e})")
-
-
-def _cmd_prune24(args):
-    _check_out("--out", args.out)
-    report = apply_pass(_model_from_args(args), Prune24())
-    save_model(report.after, args.out)
-    print(f"wrote {args.out} (projection sparsity {report.sparsity:.3f})")
-
-
-def _cmd_prune_heads(args):
-    pruning = PruneHeads(args.threshold)  # checked before any file is written
+def _cmd_compress(args):
     _check_out("--report", args.report)
     _check_out("--out", args.out)
-    model = _model_from_args(args)
-    corpus = _load_corpus(args.corpus, model.config)
-    calibration = _build(Calibration, {"sequences": args.calib_sequences,
-                                       "length": args.calib_length}, "calibration")
-    report = apply_pass(model, pruning,
-                        calibration=calibration.cut(corpus, model.config.context_len))
+    if args.report and args.out and Path(args.report).resolve() == Path(args.out).resolve():
+        raise DomainError(f"--report {args.report} and --out {args.out} name the same file")
+    doc = _load_json(args.config)
+    _require_keys(doc, "compress config", {"model", "passes"}, {"corpus", "calibration"})
+    spec = _parse_model_spec(doc["model"], "model")
+    corpus_path = check_string(doc["corpus"], "corpus") if "corpus" in doc else None
+    passes = _parse_passes(doc["passes"])
+    for j, p in enumerate(passes):
+        if isinstance(p, DistillRef):
+            raise DomainError(f"passes[{j}]: compress has no students to distill to; "
+                              "train one with the distill command")
+    calibration = _build(Calibration, doc.get("calibration", {}), "calibration")
+    probed = any(isinstance(p, PruneHeads) for p in passes)
+    if probed and corpus_path is None:
+        raise DomainError("compress config: a prune_heads pass needs a corpus")
+
+    model = spec.build()
+    corpus = None if corpus_path is None else _load_corpus(corpus_path, model.config)
+    probes = calibration.cut(corpus, model.config.context_len) if probed else None
+    rows = []
+    for entry, p in zip(doc["passes"], passes):
+        report = apply_pass(model, p, calibration=probes)
+        model = report.after
+        rows.append({"pass": entry, "heads_masked": report.heads_masked,
+                     "max_error": report.max_error, "sparsity": report.sparsity})
+        if report.concentration is not None:
+            rows[-1]["concentration"] = report.concentration.as_dict()
     if args.report:
-        Path(args.report).write_text(json.dumps(report.concentration.as_dict(), indent=2,
-                                                sort_keys=True) + "\n")
+        Path(args.report).write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n")
         print(f"wrote {args.report}")
     if args.out:
-        save_model(report.after, args.out)
+        save_model(model, args.out)
         print(f"wrote {args.out}")
-    print(f"pruned {report.heads_masked} of {int(model.head_mask.sum())} live heads "
-          f"at threshold {args.threshold}")
+    for j, row in enumerate(rows):
+        print(f"passes[{j}] {row['pass']['op']}: {row['heads_masked']} heads masked, "
+              f"max reconstruction error {row['max_error']:.3e}, "
+              f"projection sparsity {row['sparsity']:.3f}")
 
 
 def _cmd_distill(args):
@@ -372,32 +360,16 @@ def build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(func=func)
 
     sp = sub.add_parser("perplexity", help="perplexity of a model over a corpus")
-    _add_model_source_args(sp)
-    sp.add_argument("--corpus", required=True)
-    sp.add_argument("--window", type=int, default=None)
-    sp.add_argument("--stride", type=int, default=None)
+    sp.add_argument("--config", required=True,
+                    help="JSON with a suite config's model, corpus and perplexity")
     sp.set_defaults(func=_cmd_perplexity)
 
-    sp = sub.add_parser("quantize", help="quantize a model's linear projections")
-    _add_model_source_args(sp)
-    sp.add_argument("--bits", type=int, required=True, help=f"one of {SUPPORTED_BITS}")
-    sp.add_argument("--out", required=True, help="output model file")
-    sp.set_defaults(func=_cmd_quantize)
-
-    sp = sub.add_parser("prune-24", help="apply 2:4 sparsity to linear projections")
-    _add_model_source_args(sp)
-    sp.add_argument("--out", required=True, help="output model file")
-    sp.set_defaults(func=_cmd_prune24)
-
-    sp = sub.add_parser("prune-heads", help="mask over-concentrated attention heads")
-    _add_model_source_args(sp)
-    sp.add_argument("--corpus", required=True, help="calibration text")
-    sp.add_argument("--threshold", type=float, required=True)
-    sp.add_argument("--calib-sequences", type=int, default=Calibration.sequences)
-    sp.add_argument("--calib-length", type=int, default=Calibration.length)
-    sp.add_argument("--report", default=None, help="write concentration scores here")
-    sp.add_argument("--out", default=None, help="write the masked model here")
-    sp.set_defaults(func=_cmd_prune_heads)
+    sp = sub.add_parser("compress", help="run a pipeline's passes on a model and report each")
+    sp.add_argument("--config", required=True,
+                    help="JSON with a suite config's model, passes, corpus and calibration")
+    sp.add_argument("--out", default=None, help="write the compressed model here")
+    sp.add_argument("--report", default=None, help="write each pass's numbers here as JSON")
+    sp.set_defaults(func=_cmd_compress)
 
     sp = sub.add_parser("distill", help="train a student model from a teacher")
     sp.add_argument("--config", required=True, help="distillation config JSON")

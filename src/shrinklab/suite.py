@@ -192,6 +192,23 @@ def _parse_profiles(entries) -> tuple[WeightProfile, ...]:
     return profiles or BUILTIN_PROFILES
 
 
+def _parse_passes(obj, where: str = "") -> list[CompressionPass]:
+    """The passes list of the object at where ('' for a document's top level), op by op."""
+    if not isinstance(obj, list):
+        raise DomainError(f"{where}: passes must be a list" if where else "passes must be a list")
+    path = f"{where}.passes" if where else "passes"
+    return [_build(*_tagged(ps, "op", _PASS_OPS, f"{path}[{j}]"), f"{path}[{j}]")
+            for j, ps in enumerate(obj)]
+
+
+def _parse_perplexity(obj) -> tuple[int | None, int | None]:
+    """The perplexity block's window and stride, None where left out."""
+    _require_keys(obj, "perplexity", set(), {"window", "stride"})
+    for key, value in obj.items():
+        check_integer(value, f"perplexity.{key}", MIN_PPL_WINDOW if key == "window" else 1)
+    return obj.get("window"), obj.get("stride")
+
+
 def parse_suite_config(doc: dict) -> SuiteConfig:
     """Build and check every part of a suite, rejecting unknown keys, before any model is built."""
     _require_keys(doc, "config", {"model", "corpus", "pipelines"},
@@ -216,10 +233,7 @@ def parse_suite_config(doc: dict) -> SuiteConfig:
         what = f"pipelines[{i}]"
         _require_keys(p, what, {"name", "passes"})
         check_string(p["name"], f"{what}.name")
-        if not isinstance(p["passes"], list):
-            raise DomainError(f"{what}: passes must be a list")
-        passes = [_build(*_tagged(ps, "op", _PASS_OPS, f"{what}.passes[{j}]"),
-                         f"{what}.passes[{j}]") for j, ps in enumerate(p["passes"])]
+        passes = _parse_passes(p["passes"], what)
         try:
             compose(passes)  # a distill pass must come first
             if passes and isinstance(passes[0], DistillRef) and passes[0].student not in students:
@@ -238,10 +252,7 @@ def parse_suite_config(doc: dict) -> SuiteConfig:
                                       "kind", _ENERGY_SOURCES, "energy_source")
     _build(source_cls, source_args, "energy_source")  # each run builds its own
 
-    ppl = doc.get("perplexity", {})
-    _require_keys(ppl, "perplexity", set(), {"window", "stride"})
-    for key, value in ppl.items():
-        check_integer(value, f"perplexity.{key}", MIN_PPL_WINDOW if key == "window" else 1)
+    ppl_window, ppl_stride = _parse_perplexity(doc.get("perplexity", {}))
     carbon = doc.get("carbon_intensity_g_per_kwh", DEFAULT_CARBON_INTENSITY)
     carbon_estimate(0.0, carbon)  # rejects a bad intensity before any measurement
 
@@ -251,7 +262,7 @@ def parse_suite_config(doc: dict) -> SuiteConfig:
         repetitions=check_integer(doc.get("repetitions", DEFAULT_REPETITIONS), "repetitions"),
         energy_source=functools.partial(source_cls, **source_args),
         profiles=_parse_profiles(doc.get("profiles", [])),
-        ppl_window=ppl.get("window"), ppl_stride=ppl.get("stride"),
+        ppl_window=ppl_window, ppl_stride=ppl_stride,
         calibration=_build(Calibration, doc.get("calibration", {}), "calibration"),
         carbon_intensity=carbon,
         quality_exponent=check_quality_exponent(doc.get("quality_exponent", QUALITY_EXPONENT)),

@@ -20,8 +20,8 @@ from shrinklab.suite import _load_json, Report, SeqkdPrompts, config_digest, par
 from shrinklab.tables import (BASE_PIPELINE, METRICS_HEADER, ScoreTable, emit_plot_data,
                               ingest_metrics, report_metric_rows, write_metrics_csv)
 from shrinklab.compress import (Calibration, DistillRef, Prune24, PruneHeads, Quantize,
-                                head_concentration, prune_heads, prune_model_2_4,
-                                quantize_model)
+                                apply_pass, compose, head_concentration, prune_heads,
+                                prune_model_2_4, quantize_model)
 from shrinklab.distill import DistillConfig
 from shrinklab.errors import BelowRandomFloor, DomainError, ParseError
 from shrinklab.meter import CounterFile, PowerModel, SyntheticClock
@@ -411,9 +411,9 @@ def run_main(capsys, *argv):
     return rc, out.out, out.err
 
 
-def score_config(tmp_path, **keys) -> str:
-    """The path of a score config holding keys: a suite config's profiles and quality_exponent."""
-    path = tmp_path / "score.json"
+def write_config(tmp_path, **keys) -> str:
+    """The path of a command's config file holding keys, some of a suite config's."""
+    path = tmp_path / "config.json"
     path.write_text(json.dumps(keys))
     return str(path)
 
@@ -472,7 +472,7 @@ def test_cli_run_plot_matches_plot_data_on_its_metrics(tmp_path, capsys):
     assert rc == 0
     again = tmp_path / "again.csv"
     rc, _, _ = run_main(capsys, "plot-data", "--metrics", str(out_dir / "metrics.csv"),
-                        "--config", score_config(tmp_path, profiles=["energy", "balanced"],
+                        "--config", write_config(tmp_path, profiles=["energy", "balanced"],
                                                  quality_exponent=2.0),
                         "--out", str(again))
     assert rc == 0
@@ -491,7 +491,7 @@ def test_cli_plot_data_reproduces_a_suites_custom_profile_from_its_scoring_keys(
     again = tmp_path / "again.csv"
     keys = {k: doc[k] for k in ("profiles", "quality_exponent")}
     rc, _, _ = run_main(capsys, "plot-data", "--metrics", str(out_dir / "metrics.csv"),
-                        "--config", score_config(tmp_path, **keys), "--out", str(again))
+                        "--config", write_config(tmp_path, **keys), "--out", str(again))
     assert rc == 0
     assert again.read_bytes() == (out_dir / "plot.csv").read_bytes()
     assert {row[1] for row in csv.reader(again.read_text().splitlines()[1:])} == {"green"}
@@ -512,25 +512,44 @@ def test_cli_run_reports_failures_in_exit_code(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
+TOY_CORPUS = str(bundled.path("toy_corpus.txt"))
+FRESH = {"config": {"n_layers": 1, "n_heads": 2, "d_model": 32, "d_ff": 128}, "seed": 1}
+Q8 = {"op": "quantize", "bits": 8}
+PRUNE_HEADS_09 = {"op": "prune_heads", "threshold": 0.9}
+
+
+def _fresh():
+    return init_model(ModelConfig(1, 2, 32, 128), seed=1)
+
+
+def compress_main(capsys, tmp_path, *options, **keys):
+    """main's exit code, stdout and stderr for compress on a config file holding keys."""
+    return run_main(capsys, "compress", "--config", write_config(tmp_path, **keys), *options)
+
+
+def perplexity_main(capsys, tmp_path, **keys):
+    """main's exit code, stdout and stderr for perplexity on a config file holding keys."""
+    return run_main(capsys, "perplexity", "--config", write_config(tmp_path, **keys))
+
+
 def test_cli_quantize_prune_perplexity_round_trip(tmp_path, capsys):
     corpus = tmp_path / "c.txt"
     corpus.write_bytes(bundled.path("toy_corpus.txt").read_bytes()[:400])
     q_path = tmp_path / "q8.lmz"
-    rc, _, _ = run_main(capsys, "quantize", "--seed", "1", "--arch", "1,2,32,128",
-                        "--bits", "8", "--out", str(q_path))
+    rc, _, _ = compress_main(capsys, tmp_path, "--out", str(q_path), model=FRESH, passes=[Q8])
     assert rc == 0
     load_model(q_path)
 
     s_path = tmp_path / "s24.lmz"
-    rc, out, _ = run_main(capsys, "prune-24", "--seed", "1", "--arch", "1,2,32,128",
-                          "--out", str(s_path))
+    rc, out, _ = compress_main(capsys, tmp_path, "--out", str(s_path), model=FRESH,
+                               passes=[{"op": "prune_2_4"}])
     assert rc == 0
-    assert "sparsity 0.500" in out
+    assert "projection sparsity 0.500" in out
 
-    rc, out, _ = run_main(capsys, "perplexity", "--model", str(q_path),
-                          "--corpus", str(corpus))
+    rc, out, _ = perplexity_main(capsys, tmp_path, model={"path": str(q_path)},
+                                 corpus=str(corpus))
     assert rc == 0
-    assert "perplexity" in out
+    assert out.startswith("perplexity ")
 
 
 def test_cli_prune_heads_writes_report(tmp_path, capsys):
@@ -538,51 +557,59 @@ def test_cli_prune_heads_writes_report(tmp_path, capsys):
     corpus.write_bytes(bundled.path("toy_corpus.txt").read_bytes()[:600])
     report_path = tmp_path / "heads.json"
     out_path = tmp_path / "pruned.lmz"
-    rc, out, _ = run_main(capsys, "prune-heads", "--seed", "2",
-                          "--arch", "1,2,32,128", "--corpus", str(corpus),
-                          "--threshold", "0.9", "--report", str(report_path),
-                          "--out", str(out_path))
+    rc, out, _ = compress_main(capsys, tmp_path, "--report", str(report_path),
+                               "--out", str(out_path), model=dict(FRESH, seed=2),
+                               corpus=str(corpus), passes=[PRUNE_HEADS_09])
     assert rc == 0
-    doc = json.loads(report_path.read_text())
-    assert {e["head"] for e in doc["scores"]} == {0, 1}
+    [entry] = json.loads(report_path.read_text())
+    assert {e["head"] for e in entry["concentration"]["scores"]} == {0, 1}
     load_model(out_path)
-    assert "pruned" in out
+    assert "heads masked" in out
 
 
-# the subcommands' printed numbers, worked out here tensor by tensor
+# the numbers compress prints, worked out here tensor by tensor
 
-ARCH = ["--seed", "1", "--arch", "1,2,32,128"]
+def _max_error(before, after) -> float:
+    worst = 0.0
+    for (name, a), (_, b) in zip(param_tensors(before), param_tensors(after)):
+        if name.split(".")[-1] in LINEAR_NAMES:
+            err = np.abs(dense_weight(a, np.float64) - dense_weight(b, np.float64)).max()
+            worst = max(worst, float(err))
+    return worst
 
 
-def _fresh():
-    return init_model(ModelConfig(1, 2, 32, 128), seed=1)
+def _sparsity(model) -> float:
+    zeros = total = 0
+    for name, t in param_tensors(model):
+        if name.split(".")[-1] in LINEAR_NAMES:
+            arr = dense_weight(t)
+            zeros += int((arr == 0).sum())
+            total += arr.size
+    return zeros / total
+
+
+def _pass_line(index, op, masked, before, after) -> str:
+    return (f"passes[{index}] {op}: {masked} heads masked, max reconstruction error "
+            f"{_max_error(before, after):.3e}, projection sparsity {_sparsity(after):.3f}\n")
 
 
 @pytest.mark.parametrize("bits", [4, 8])
 def test_cli_quantize_prints_the_largest_reconstruction_error(tmp_path, capsys, bits):
     model, out = _fresh(), tmp_path / "q.lmz"
-    quantized = quantize_model(model, bits)
-    worst = 0.0
-    for (_, orig), (_, q) in zip(param_tensors(model), param_tensors(quantized)):
-        if not isinstance(q, np.ndarray):
-            err = np.abs(dense_weight(orig, np.float64) - q.dense(np.float64)).max()
-            worst = max(worst, float(err))
-    rc, printed, _ = run_main(capsys, "quantize", *ARCH, "--bits", str(bits), "--out", str(out))
+    rc, printed, _ = compress_main(capsys, tmp_path, "--out", str(out), model=FRESH,
+                                   passes=[{"op": "quantize", "bits": bits}])
     assert rc == 0
-    assert printed == f"wrote {out} ({bits}-bit, max reconstruction error {worst:.3e})\n"
+    assert printed == f"wrote {out}\n" + _pass_line(0, "quantize", 0, model,
+                                                    quantize_model(model, bits))
 
 
 def test_cli_prune24_prints_the_projection_sparsity(tmp_path, capsys):
-    zeros = total = 0
-    for name, t in param_tensors(prune_model_2_4(_fresh())):
-        if name.split(".")[-1] in LINEAR_NAMES:
-            arr = dense_weight(t)
-            zeros += int((arr == 0).sum())
-            total += arr.size
     out = tmp_path / "s.lmz"
-    rc, printed, _ = run_main(capsys, "prune-24", *ARCH, "--out", str(out))
+    rc, printed, _ = compress_main(capsys, tmp_path, "--out", str(out), model=FRESH,
+                                   passes=[{"op": "prune_2_4"}])
     assert rc == 0
-    assert printed == f"wrote {out} (projection sparsity {zeros / total:.3f})\n"
+    assert printed == f"wrote {out}\n" + _pass_line(0, "prune_2_4", 0, _fresh(),
+                                                    prune_model_2_4(_fresh()))
 
 
 def test_cli_prune_heads_prints_the_heads_it_masked(tmp_path, capsys):
@@ -596,27 +623,29 @@ def test_cli_prune_heads_prints_the_heads_it_masked(tmp_path, capsys):
     dropped = int(model.head_mask.sum() - pruned.head_mask.sum())
     assert dropped >= 1
     report_path, out = tmp_path / "heads.json", tmp_path / "m.lmz"
-    rc, printed, _ = run_main(capsys, "prune-heads", *ARCH, "--corpus", str(corpus),
-                              "--threshold", repr(threshold), "--report", str(report_path),
-                              "--out", str(out))
+    entry = {"op": "prune_heads", "threshold": threshold}
+    rc, printed, _ = compress_main(capsys, tmp_path, "--report", str(report_path),
+                                   "--out", str(out), model=FRESH, corpus=str(corpus),
+                                   passes=[entry])
     assert rc == 0
     assert printed == (f"wrote {report_path}\nwrote {out}\n"
-                       f"pruned {dropped} of {int(model.head_mask.sum())} live heads "
-                       f"at threshold {threshold}\n")
-    assert report_path.read_text() == json.dumps(report.as_dict(), indent=2,
-                                                 sort_keys=True) + "\n"
+                       + _pass_line(0, "prune_heads", dropped, model, pruned))
+    assert report_path.read_text() == json.dumps([{
+        "pass": entry, "heads_masked": dropped, "max_error": 0.0, "sparsity": _sparsity(pruned),
+        "concentration": report.as_dict()}], indent=2, sort_keys=True) + "\n"
     assert np.array_equal(load_model(out).head_mask, pruned.head_mask)
 
 
-def test_cli_prune_heads_checks_the_threshold_before_writing(tmp_path, capsys):
+def test_cli_prune_heads_checks_the_threshold_before_writing(tmp_path, capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(suite.ModelSpec, "build", lambda spec: built.append(spec))
     report_path, out = tmp_path / "r.json", tmp_path / "m.lmz"
-    rc, printed, err = run_main(capsys, "prune-heads", "--seed", "0",
-                                "--corpus", str(bundled.path("toy_corpus.txt")),
-                                "--threshold", "1.5", "--report", str(report_path),
-                                "--out", str(out))
-    assert rc == 2 and err.startswith("error:") and "threshold" in err
-    assert printed == ""
-    assert not report_path.exists() and not out.exists()
+    rc, printed, err = compress_main(capsys, tmp_path, "--report", str(report_path),
+                                     "--out", str(out), model=FRESH, corpus=TOY_CORPUS,
+                                     passes=[{"op": "prune_heads", "threshold": 1.5}])
+    assert rc == 2 and printed == ""
+    assert err.startswith("error: passes[0]: threshold must")
+    assert built == [] and not report_path.exists() and not out.exists()
 
 
 def test_cli_prune_heads_rejects_a_non_finite_concentration(tmp_path, capsys, monkeypatch):
@@ -626,10 +655,9 @@ def test_cli_prune_heads_rejects_a_non_finite_concentration(tmp_path, capsys, mo
     model.weights.layers[0].wq[0, 0] = np.nan
     monkeypatch.setattr(suite, "load_model", lambda path: model)
     path, report_path, out = tmp_path / "nan.lmz", tmp_path / "r.json", tmp_path / "m.lmz"
-    rc, printed, err = run_main(capsys, "prune-heads", "--model", str(path),
-                                "--corpus", str(bundled.path("toy_corpus.txt")),
-                                "--threshold", "0.9", "--report", str(report_path),
-                                "--out", str(out))
+    rc, printed, err = compress_main(capsys, tmp_path, "--report", str(report_path),
+                                     "--out", str(out), model={"path": str(path)},
+                                     corpus=TOY_CORPUS, passes=[PRUNE_HEADS_09])
     assert rc == 2 and printed == ""
     assert err == "error: head concentration of layer 0, head 0 is not finite: nan\n"
     assert not report_path.exists() and not out.exists()
@@ -641,25 +669,81 @@ def test_cli_prune_heads_rejects_a_head_mask_entry_other_than_0_or_1(tmp_path, c
     model.head_mask[0, 0] = entry
     path, out = tmp_path / "m.lmz", tmp_path / "pruned.lmz"
     save_model(model, path)
-    rc, printed, err = run_main(capsys, "prune-heads", "--model", str(path),
-                                "--corpus", str(bundled.path("toy_corpus.txt")),
-                                "--threshold", "0.9", "--out", str(out))
+    rc, printed, err = compress_main(capsys, tmp_path, "--out", str(out),
+                                     model={"path": str(path)}, corpus=TOY_CORPUS,
+                                     passes=[PRUNE_HEADS_09])
     assert rc == 2 and printed == ""
     assert err.startswith("error: head_mask entries must be 0 or 1 (byte ")
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag,value", [
-    ("--calib-length", "-1"), ("--calib-length", "0"), ("--calib-length", "4"),
-    ("--calib-length", "100"), ("--calib-sequences", "-1"), ("--calib-sequences", "0"),
-])
-def test_cli_prune_heads_checks_calibration_like_the_suite(tmp_path, capsys, flag, value):
+CALIBRATIONS = [("length", -1), ("length", 0), ("length", 4), ("length", 100),
+                ("sequences", -1), ("sequences", 0)]
+
+
+# the ids keep the names these cases had as --calib-length and --calib-sequences flags
+@pytest.mark.parametrize("key, value", CALIBRATIONS,
+                         ids=[f"--calib-{key}-{value}" for key, value in CALIBRATIONS])
+def test_cli_prune_heads_checks_calibration_like_the_suite(tmp_path, capsys, key, value):
     out_path = tmp_path / "pruned.lmz"
-    rc, _, err = run_main(capsys, "prune-heads", "--seed", "0",
-                          "--corpus", str(bundled.path("toy_corpus.txt")),
-                          "--threshold", "0.9", flag, value, "--out", str(out_path))
-    assert rc == 2 and "calibration" in err
+    rc, _, err = compress_main(capsys, tmp_path, "--out", str(out_path),
+                               model=dict(FRESH, seed=0), corpus=TOY_CORPUS,
+                               passes=[PRUNE_HEADS_09], calibration={key: value})
+    assert rc == 2 and err.startswith("error: calibration")
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("passes, masked", [
+    ([{"op": "quantize", "bits": 4}, {"op": "prune_2_4"}], False),
+    ([{"op": "prune_heads", "threshold": 0.05}, Q8], True),
+], ids=["q4-then-2:4", "heads-then-q8"])
+def test_cli_compress_is_a_suite_pipeline_written_to_a_file(tmp_path, capsys, passes, masked):
+    """The model compress writes is the model a suite pipeline of the same passes measures,
+    and each --report entry holds what apply_pass reports for its pass."""
+    config = parse_suite_config(small_suite_doc(
+        tmp_path, model=FRESH, corpus=TOY_CORPUS,
+        pipelines=[{"name": "base", "passes": []}, {"name": "p", "passes": passes}]))
+    model, corpus = _fresh(), tokenize(bundled.path("toy_corpus.txt").read_bytes())
+    probes = config.calibration.cut(corpus, model.config.context_len)
+    reports, after = [], model
+    for p in config.pipelines[1].passes:
+        reports.append(apply_pass(after, p, calibration=probes))
+        after = reports[-1].after
+    assert (after.head_mask.sum() < model.head_mask.sum()) == masked
+
+    out, report_path = tmp_path / "m.lmz", tmp_path / "r.json"
+    rc, _, _ = compress_main(capsys, tmp_path, "--out", str(out), "--report", str(report_path),
+                             model=FRESH, corpus=TOY_CORPUS, passes=passes)
+    assert rc == 0
+    rc, printed, _ = perplexity_main(capsys, tmp_path, model={"path": str(out)},
+                                     corpus=TOY_CORPUS)
+    assert rc == 0
+    composed = compose(config.pipelines[1].passes, calibration=probes)(model)
+    assert printed == f"perplexity {perplexity(composed, corpus)!r} over 4691 tokens\n"
+    entries = json.loads(report_path.read_text())
+    assert [entry.pop("pass") for entry in entries] == passes
+    assert entries == [
+        {"heads_masked": r.heads_masked, "max_error": r.max_error, "sparsity": r.sparsity,
+         **({"concentration": r.concentration.as_dict()} if r.concentration else {})}
+        for r in reports]
+
+
+@pytest.mark.parametrize("passes", [
+    [{"op": "distill", "student": "kd"}],
+    [Q8, {"op": "distill", "student": "kd"}],
+], ids=["first", "after-quantize"])
+def test_cli_compress_rejects_a_distill_pass_before_building_the_model(
+        tmp_path, capsys, monkeypatch, passes):
+    """A compress config has no students: a student is trained by the distill command."""
+    built = []
+    monkeypatch.setattr(suite.ModelSpec, "build", lambda spec: built.append(spec))
+    out = tmp_path / "m.lmz"
+    rc, printed, err = compress_main(capsys, tmp_path, "--out", str(out), model=FRESH,
+                                     passes=passes)
+    assert rc == 2 and printed == ""
+    assert err == (f"error: passes[{len(passes) - 1}]: compress has no students to distill "
+                   "to; train one with the distill command\n")
+    assert built == [] and not out.exists()
 
 
 @pytest.mark.parametrize("training", [
@@ -761,17 +845,19 @@ def test_cli_distill_rejects_an_out_that_is_a_directory_before_training(
     assert ran == []
 
 
-TOY_CORPUS = str(bundled.path("toy_corpus.txt"))
-PRUNE_HEADS = ["prune-heads", "--seed", "0", "--corpus", TOY_CORPUS, "--threshold", "0.9"]
+COMPRESS_HEADS = ["compress", "--config", "prune-heads.json"]
 
 
 @pytest.mark.parametrize("argv, flag, path, named", [
-    (["quantize", "--seed", "0", "--bits", "8"], "--out", "d", "--out d is a directory"),
-    (["quantize", "--seed", "0", "--bits", "8"], "--out", "nodir/q.lmz",
+    (["compress", "--config", "quantize.json"], "--out", "d", "--out d is a directory"),
+    (["compress", "--config", "quantize.json"], "--out", "nodir/q.lmz",
      "--out nodir/q.lmz: nodir is not a directory"),
-    (["prune-24", "--seed", "0"], "--out", "d", "--out d is a directory"),
-    (PRUNE_HEADS, "--report", "d", "--report d is a directory"),
-    (PRUNE_HEADS, "--out", "f/m.lmz", "--out f/m.lmz: f is not a directory"),
+    (["compress", "--config", "prune-24.json", "--out", "m.lmz"], "--report", "d",
+     "--report d is a directory"),
+    (COMPRESS_HEADS, "--report", "d", "--report d is a directory"),
+    (COMPRESS_HEADS, "--out", "f/m.lmz", "--out f/m.lmz: f is not a directory"),
+    (COMPRESS_HEADS + ["--out", "m.lmz"], "--report", "./m.lmz",
+     "--report ./m.lmz and --out m.lmz name the same file"),
     (["score", "--metrics", str(bundled.path("gpt2_standalone.csv"))], "--out", "d",
      "--out d is a directory"),
     (["plot-data", "--metrics", str(bundled.path("gpt2_standalone.csv"))], "--out", "d",
@@ -780,8 +866,8 @@ PRUNE_HEADS = ["prune-heads", "--seed", "0", "--corpus", TOY_CORPUS, "--threshol
      "--out nodir/s.lmz: nodir is not a directory"),
     (["run", "--config", "suite.json"], "--out", "f/sub", "--out f/sub: f is not a directory"),
 ], ids=["quantize-dir", "quantize-no-parent", "prune-24-dir", "prune-heads-report-dir",
-        "prune-heads-file-parent", "score-dir", "plot-data-dir", "distill-no-parent",
-        "run-file-ancestor"])
+        "prune-heads-file-parent", "compress-report-is-out", "score-dir", "plot-data-dir",
+        "distill-no-parent", "run-file-ancestor"])
 def test_cli_checks_each_output_path_before_any_work(tmp_path, capsys, monkeypatch, argv, flag,
                                                      path, named):
     """A path a command cannot write ends it with exit 2 before it loads, builds, trains or
@@ -789,9 +875,9 @@ def test_cli_checks_each_output_path_before_any_work(tmp_path, capsys, monkeypat
     def work(*args, **kwargs):
         raise AssertionError("work began before the output path was checked")
 
-    for name in ("_load_json", "_model_from_args", "ingest_metrics", "build_student",
-                 "run_suite"):
+    for name in ("_load_json", "ingest_metrics", "build_student", "run_suite"):
         monkeypatch.setattr(cli, name, work)
+    monkeypatch.setattr(suite.ModelSpec, "build", work)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "d").mkdir()
     (tmp_path / "f").write_text("kept\n")
@@ -799,6 +885,10 @@ def test_cli_checks_each_output_path_before_any_work(tmp_path, capsys, monkeypat
     (tmp_path / "distill.json").write_text(json.dumps({
         "teacher": {"config": TRAINED["config"], "seed": 0}, "corpus": TOY_CORPUS,
         "student": TRAINED}))
+    for name, passes in (("quantize", [Q8]), ("prune-24", [{"op": "prune_2_4"}]),
+                         ("prune-heads", [PRUNE_HEADS_09])):
+        (tmp_path / f"{name}.json").write_text(json.dumps(
+            {"model": FRESH, "corpus": TOY_CORPUS, "passes": passes}))
     before = sorted(tmp_path.rglob("*"))
     rc, printed, err = run_main(capsys, *argv, flag, path)
     assert rc == 2 and printed == ""
@@ -819,7 +909,7 @@ def test_cli_score_and_rank(tmp_path, capsys):
 
     green = {"name": "green", "alpha": 0.2, "beta": 0.8}
     rc, out, _ = run_main(capsys, "rank", "--metrics", metrics,
-                          "--config", score_config(tmp_path, profiles=["energy", green],
+                          "--config", write_config(tmp_path, profiles=["energy", green],
                                                    quality_exponent=2.0))
     assert rc == 0
     assert out.splitlines()[0] == "[energy]" and "[green]" in out.splitlines()
@@ -842,7 +932,7 @@ def test_cli_plot_data_and_custom_profile(tmp_path, capsys):
     rc, _, _ = run_main(capsys, "plot-data",
                         "--metrics", str(bundled.path("gpt2_standalone.csv")),
                         "--out", str(out_path),
-                        "--config", score_config(tmp_path, profiles=[green]))
+                        "--config", write_config(tmp_path, profiles=[green]))
     assert rc == 0
     with open(out_path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -857,43 +947,58 @@ def test_cli_errors_exit_two(tmp_path, capsys):
 
     rc, _, err = run_main(capsys, "rank", "--metrics",
                           str(bundled.path("gpt2_standalone.csv")),
-                          "--config", score_config(tmp_path, profiles=["speed"]))
+                          "--config", write_config(tmp_path, profiles=["speed"]))
     assert rc == 2 and "unknown weight profile 'speed'" in err
 
-    rc, _, err = run_main(capsys, "perplexity", "--seed", "1", "--arch", "1,2,30,128",
-                          "--corpus", str(bundled.path("toy_corpus.txt")))
-    assert rc == 2
+    rc, _, err = perplexity_main(capsys, tmp_path, corpus=TOY_CORPUS, model={
+        "config": {"n_layers": 1, "n_heads": 2, "d_model": 30, "d_ff": 128}, "seed": 1})
+    assert rc == 2 and err == "error: model.config: d_model and d_ff must be divisible by 4\n"
 
 
 METRICS_FLAG = ["--metrics", str(bundled.path("gpt2_standalone.csv"))]
 
 
-@pytest.mark.parametrize("argv, named", [
-    (["quantize", "--bits", "8", "--model", "m.lmz", "--seed", "1", "--out", "q.lmz"],
-     "give either --model FILE or --seed N"),
-    (["quantize", "--bits", "8", "--out", "q.lmz"], "give either --model FILE or --seed N"),
-    (["quantize", "--bits", "8", "--seed", "1", "--arch", "1,2,3", "--out", "q.lmz"],
-     "--arch needs 4 or 6 comma-separated integers"),
-    (["quantize", "--bits", "8", "--seed", "1", "--arch", "1,2,a,b", "--out", "q.lmz"],
-     "--arch fields must be integers"),
-    (["perplexity", "--seed", "1", "--corpus", "1.txt"],
-     "corpus {tmp}/1.txt holds fewer than 2 tokens"),
-    (["prune-heads", "--seed", "1", "--corpus", "10.txt", "--threshold", "0.9",
-      "--out", "q.lmz"], "corpus of 10 tokens cannot supply 256 calibration tokens"),
-    (["perplexity", "--seed", "1", "--arch", "1,2,32,128,100,64", "--corpus", "10.txt"],
-     "corpus {tmp}/10.txt: token ids must lie in [0, 100)"),
-    (["prune-heads", "--seed", "1", "--arch", "1,2,32,128,100,64", "--corpus", "10.txt",
-      "--threshold", "0.9", "--out", "q.lmz"],
-     "corpus {tmp}/10.txt: token ids must lie in [0, 100)"),
+VOCAB_100 = {"config": {"n_layers": 1, "n_heads": 2, "d_model": 32, "d_ff": 128,
+                        "vocab_size": 100, "context_len": 64}, "seed": 1}
+
+
+@pytest.mark.parametrize("command, keys, named", [
+    ("compress", {"model": {"path": "m.lmz", "config": FRESH["config"]}, "passes": [Q8]},
+     "model must carry either 'path' or 'config' (with optional 'seed')"),
+    ("compress", {"model": {"seed": 1}, "passes": [Q8]},
+     "model must carry either 'path' or 'config' (with optional 'seed')"),
+    ("compress", {"model": {"config": {"n_layers": 1, "n_heads": 2, "d_model": 3}},
+                  "passes": [Q8]}, "model.config: missing keys ['d_ff']"),
+    ("compress", {"model": {"config": {"n_layers": 1, "n_heads": 2, "d_model": "a",
+                                       "d_ff": "b"}}, "passes": [Q8]},
+     "model.config: d_model must be an integer >= 1, got 'a'"),
+    ("perplexity", {"model": FRESH, "corpus": "1.txt"}, "corpus 1.txt holds fewer than 2 tokens"),
+    ("compress", {"model": FRESH, "corpus": "10.txt", "passes": [PRUNE_HEADS_09]},
+     "corpus of 10 tokens cannot supply 256 calibration tokens"),
+    ("perplexity", {"model": VOCAB_100, "corpus": "10.txt"},
+     "corpus 10.txt: token ids must lie in [0, 100)"),
+    ("compress", {"model": VOCAB_100, "corpus": "10.txt", "passes": [PRUNE_HEADS_09]},
+     "corpus 10.txt: token ids must lie in [0, 100)"),
+    ("compress", {"model": FRESH, "passes": [Q8, PRUNE_HEADS_09]},
+     "compress config: a prune_heads pass needs a corpus"),
+    ("compress", {"model": FRESH, "passes": [Q8], "students": {}},
+     "compress config: unknown keys ['students']"),
+    ("perplexity", {"model": FRESH, "corpus": "10.txt", "passes": []},
+     "perplexity config: unknown keys ['passes']"),
 ], ids=["model-and-seed", "neither", "arch-3", "arch-letters", "corpus-1",
-        "calibration-corpus-10", "perplexity-vocab-100", "prune-heads-vocab-100"])
-def test_cli_flag_and_corpus_errors_exit_two(tmp_path, capsys, argv, named):
+        "calibration-corpus-10", "perplexity-vocab-100", "prune-heads-vocab-100",
+        "prune-heads-no-corpus", "compress-students", "perplexity-passes"])
+def test_cli_flag_and_corpus_errors_exit_two(tmp_path, capsys, monkeypatch, command, keys,
+                                             named):
+    """compress and perplexity check a model and corpus as a suite's are checked, and reject
+    a suite key that they do not read."""
+    monkeypatch.chdir(tmp_path)
     (tmp_path / "1.txt").write_bytes(b"a")
     (tmp_path / "10.txt").write_bytes(b"abcdefghij")
-    args = [str(tmp_path / a) if a in ("m.lmz", "q.lmz", "1.txt", "10.txt") else a for a in argv]
-    rc, out, err = run_main(capsys, *args)
-    assert rc == 2 and out == ""
-    assert err == f"error: {named.format(tmp=tmp_path)}\n"
+    out = ["--out", "q.lmz"] if command == "compress" else []
+    rc, printed, err = run_main(capsys, command, "--config", write_config(tmp_path, **keys), *out)
+    assert rc == 2 and printed == ""
+    assert err == f"error: {named}\n"
     assert not (tmp_path / "q.lmz").exists()
 
 
@@ -913,7 +1018,7 @@ def test_cli_score_config_errors_exit_two(tmp_path, capsys, command, keys, named
     out = tmp_path / "plot.csv"
     extra = ["--out", str(out)] if command == "plot-data" else []
     rc, printed, err = run_main(capsys, command, *METRICS_FLAG,
-                                "--config", score_config(tmp_path, **keys), *extra)
+                                "--config", write_config(tmp_path, **keys), *extra)
     assert rc == 2 and printed == ""
     assert err == f"error: {named}\n"
     assert not out.exists()
@@ -1000,6 +1105,27 @@ def test_cli_run_and_distill_read_only_config_and_out(tmp_path, capsys, command,
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_cli_commands_take_every_setting_from_a_config_file(capsys):
+    """Seven commands; beside --config (or score's --metrics) a command has only the paths
+    it writes, so no flag restates what a suite file's keys hold."""
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "{run,score,rank,plot-data,perplexity,compress,distill}" in capsys.readouterr().out
+    options = {}
+    for command in ("run", "score", "rank", "plot-data", "perplexity", "compress", "distill"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        options[command] = set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) - {"--help"}
+    scoring = {"--metrics", "--config"}
+    assert options == {"run": {"--config", "--out"}, "score": scoring | {"--out"},
+                       "rank": scoring, "plot-data": scoring | {"--out"},
+                       "perplexity": {"--config"}, "compress": {"--config", "--out", "--report"},
+                       "distill": {"--config", "--out"}}
+    assert sum(map(len, options.values())) == 16
 
 
 def test_cli_run_base_only_suite_writes_no_metrics(tmp_path, capsys):
@@ -1518,18 +1644,17 @@ def _saved_overflowing_model(tmp_path) -> str:
 
 def test_cli_an_overflowing_forward_exits_two_with_a_typed_error(tmp_path, capsys):
     """Finite weights whose float32 forward overflows give nan, not a warning: perplexity
-    rejects it, as prune-heads and run already do (numpy's RuntimeWarnings are errors here)."""
-    saved = _saved_overflowing_model(tmp_path)
-    corpus = str(bundled.path("toy_corpus.txt"))
-    rc, printed, err = run_main(capsys, "perplexity", "--model", str(saved), "--corpus", corpus)
+    rejects it, as a prune_heads pass and run already do (numpy's RuntimeWarnings are errors
+    here)."""
+    saved = {"path": _saved_overflowing_model(tmp_path)}
+    rc, printed, err = perplexity_main(capsys, tmp_path, model=saved, corpus=TOY_CORPUS)
     assert rc == 2 and printed == ""
     assert err == "error: perplexity must be a finite number, got nan\n"
-    rc, printed, err = run_main(capsys, "prune-heads", "--model", str(saved), "--corpus", corpus,
-                                "--threshold", "0.9")
+    rc, printed, err = compress_main(capsys, tmp_path, model=saved, corpus=TOY_CORPUS,
+                                     passes=[PRUNE_HEADS_09])
     assert rc == 2 and printed == ""
     assert err == "error: head concentration of layer 0, head 0 is not finite: nan\n"
-    rc, printed, err = run_suite_doc(capsys, tmp_path,
-                                     small_suite_doc(tmp_path, model={"path": str(saved)}))
+    rc, printed, err = run_suite_doc(capsys, tmp_path, small_suite_doc(tmp_path, model=saved))
     assert rc == 2 and printed == ""
     assert err.startswith("error: base pipeline cannot be scored:")
     assert not (tmp_path / "o").exists()
@@ -1542,8 +1667,8 @@ def test_cli_an_overflowing_mean_nll_exits_two_with_a_typed_error(tmp_path, caps
     model.weights.ln_f_g[:] = 1e30
     saved = tmp_path / "lnf.lmz"
     save_model(model, saved)
-    rc, printed, err = run_main(capsys, "perplexity", "--model", str(saved),
-                                "--corpus", str(bundled.path("toy_corpus.txt")))
+    rc, printed, err = perplexity_main(capsys, tmp_path, model={"path": str(saved)},
+                                       corpus=TOY_CORPUS)
     assert rc == 2 and printed == ""
     assert err == "error: perplexity must be a finite number, got inf\n"
     rc, printed, err = run_suite_doc(capsys, tmp_path,
@@ -1635,20 +1760,23 @@ def test_cli_run_nan_student_exits_two(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out2").exists()
 
 
-@pytest.mark.parametrize("command, extra", [
-    ("perplexity", ["--corpus", "c.txt"]),
-    ("quantize", ["--bits", "8", "--out", "m.lmz"]),
-    ("prune-24", ["--out", "m.lmz"]),
-    ("prune-heads", ["--corpus", "c.txt", "--threshold", "0.5", "--out", "m.lmz"]),
+@pytest.mark.parametrize("case, extra", [
+    ("perplexity", {"corpus": TOY_CORPUS}),
+    ("quantize", {"passes": [Q8]}),
+    ("prune-24", {"passes": [{"op": "prune_2_4"}]}),
+    ("prune-heads", {"corpus": TOY_CORPUS,
+                     "passes": [{"op": "prune_heads", "threshold": 0.5}]}),
 ])
-def test_cli_negative_seed_exits_two(tmp_path, capsys, command, extra):
-    """--seed is checked like the seed of a config file's model spec."""
-    corpus = tmp_path / "c.txt"
-    corpus.write_bytes(bundled.path("toy_corpus.txt").read_bytes()[:400])
-    args = [str(tmp_path / a) if a in ("c.txt", "m.lmz") else a for a in extra]
-    rc, _, err = run_main(capsys, command, "--seed", "-1", *args)
+def test_cli_negative_seed_exits_two(tmp_path, capsys, case, extra):
+    """A model's seed is checked by the model spec parser that a suite's goes through."""
+    model = dict(FRESH, seed=-1)
+    if "passes" in extra:
+        rc, _, err = compress_main(capsys, tmp_path, "--out", str(tmp_path / "m.lmz"),
+                                   model=model, **extra)
+    else:
+        rc, _, err = perplexity_main(capsys, tmp_path, model=model, **extra)
     assert rc == 2
-    assert err.startswith("error:") and "seed" in err
+    assert err == "error: model.seed must be an integer >= 0, got -1\n"
     assert not (tmp_path / "m.lmz").exists()
 
 
@@ -1829,10 +1957,10 @@ def test_cli_run_unreadable_json_exits_two(tmp_path, capsys, text):
 
 def test_cli_quantize_unsupported_bits_exits_two(tmp_path, capsys):
     out = tmp_path / "q5.lmz"
-    rc, _, err = run_main(capsys, "quantize", "--seed", "1", "--arch", "1,2,32,128",
-                          "--bits", "5", "--out", str(out))
+    rc, _, err = compress_main(capsys, tmp_path, "--out", str(out), model=FRESH,
+                               passes=[Q8, {"op": "quantize", "bits": 5}])
     assert rc == 2
-    assert err.startswith("error: bits must be one of (4, 8), got 5")
+    assert err == "error: passes[1]: bits must be one of (4, 8), got 5\n"
     assert not out.exists()
 
 
@@ -1880,22 +2008,23 @@ def test_cli_reexports_the_moved_names_it_calls():
 
 
 def test_cli_perplexity_window_one_exits_two(tmp_path, capsys):
-    rc, _, err = run_main(capsys, "perplexity", "--seed", "1", "--arch", "1,2,32,128",
-                          "--corpus", str(bundled.path("toy_corpus.txt")), "--window", "1")
-    assert rc == 2 and "window" in err
+    rc, _, err = perplexity_main(capsys, tmp_path, model=FRESH, corpus=TOY_CORPUS,
+                                 perplexity={"window": 1})
+    assert rc == 2 and err == "error: perplexity.window must be an integer >= 2, got 1\n"
 
 
-@pytest.mark.parametrize("flags, stride, scored", [
-    ([], 64, 4691),  # 75 chunks of 64 tokens, each chunk's first token unscored
-    (["--stride", "8"], 8, 4765),  # every token but the corpus's first
+@pytest.mark.parametrize("block, stride, scored", [
+    ({}, 64, 4691),  # 75 chunks of 64 tokens, each chunk's first token unscored
+    ({"window": 64, "stride": 8}, 8, 4765),  # every token but the corpus's first
 ], ids=["chunks", "stride-8"])
-def test_cli_perplexity_prints_the_tokens_it_scored(capsys, flags, stride, scored):
+def test_cli_perplexity_prints_the_tokens_it_scored(tmp_path, capsys, block, stride, scored):
     corpus = tokenize(bundled.path("toy_corpus.txt").read_bytes())
     assert corpus.size == 4766
     ppl = perplexity(init_model(ModelConfig(2, 4, 64, 256), seed=0), corpus,
                      window=64, stride=stride)
-    rc, printed, _ = run_main(capsys, "perplexity", "--seed", "0", "--arch", "2,4,64,256",
-                              "--corpus", str(bundled.path("toy_corpus.txt")), *flags)
+    rc, printed, _ = perplexity_main(capsys, tmp_path, corpus=TOY_CORPUS, perplexity=block,
+                                     model={"config": {"n_layers": 2, "n_heads": 4,
+                                                       "d_model": 64, "d_ff": 256}, "seed": 0})
     assert rc == 0
     assert printed == f"perplexity {ppl!r} over {scored} tokens\n"
 
@@ -2017,13 +2146,31 @@ _RUN_VALUES = st.integers(-2, 8) | st.recursive(
     max_leaves=4)
 
 
-@given(pick=st.integers(min_value=0), value=_RUN_VALUES)
+def _command_doc(command, corpus):
+    """_run_doc, or the keys of it that compress (pipeline q after its distill pass) or
+    perplexity reads."""
+    doc = _run_doc(corpus)
+    if command == "compress":
+        return {"model": doc["model"], "corpus": doc["corpus"],
+                "passes": doc["pipelines"][1]["passes"][1:], "calibration": doc["calibration"]}
+    if command == "perplexity":
+        return {key: doc[key] for key in ("model", "corpus", "perplexity")}
+    return doc
+
+
+# each command's output options, as file names under the test's directory
+_OUTPUTS = {"run": {"--out": "o"}, "compress": {"--out": "m.lmz", "--report": "r.json"},
+            "perplexity": {}}
+
+
+@given(command=st.sampled_from(sorted(_OUTPUTS)), pick=st.integers(min_value=0),
+       value=_RUN_VALUES)
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_run_with_one_value_replaced_exits_zero_or_two(tmp_path, capsys, pick, value):
+def test_run_with_one_value_replaced_exits_zero_or_two(tmp_path, capsys, command, pick, value):
     corpus = tmp_path / "corpus.txt"
     corpus.write_bytes(bundled.path("toy_corpus.txt").read_bytes()[:400])
-    doc = _run_doc(corpus)
+    doc = _command_doc(command, corpus)
     paths = list(_value_paths(doc))
     *parents, last = paths[pick % len(paths)]
     holder = doc
@@ -2032,7 +2179,8 @@ def test_run_with_one_value_replaced_exits_zero_or_two(tmp_path, capsys, pick, v
     holder[last] = value
     cfg_path = tmp_path / "suite.json"
     cfg_path.write_text(json.dumps(doc))
-    rc, _, err = run_main(capsys, "run", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
+    outputs = [arg for flag, name in _OUTPUTS[command].items() for arg in (flag, tmp_path / name)]
+    rc, _, err = run_main(capsys, command, "--config", str(cfg_path), *map(str, outputs))
     assert rc in (0, 2)
     if rc == 2:
         assert err.startswith("error:")
