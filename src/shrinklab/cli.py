@@ -1,12 +1,13 @@
 """Command-line harness: run compression suites, compress or evaluate one model, score
-metric tables, emit plot data.
+metric tables.
 
 Each command reads its settings from a --config file holding some of a suite file's
 keys, parsed by the functions that parse a suite (suite.py): run a whole suite,
 perplexity its model, corpus and perplexity, compress its model, passes, corpus and
-calibration, and score, rank and plot-data its profiles and quality_exponent.
-Argument parsing and the suite runner live here; the metrics CSV and score tables are
-in tables.py.
+calibration, and score its profiles and quality_exponent.  score prints each profile's
+ranking of a metrics table and writes the scored table as JSON (--out) and as plot rows
+(--plot).  Argument parsing and the suite runner live here; the metrics CSV and score
+tables are in tables.py.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -179,37 +181,28 @@ def score_report(measurements, profiles=BUILTIN_PROFILES,
 # ---------------------------------------------------------------------------
 # command-line interface
 
-def _check_out(flag: str, path: str | None, directory: bool = False) -> None:
-    """Fail, naming flag and path, unless path can be written: as a file, or as a directory
-    to make.  Each command checks every path it writes before any other work."""
-    if path is None:
-        return
-    out = Path(path)
-    if directory and out.exists() and not out.is_dir():
-        raise DomainError(f"{flag} {path} exists and is not a directory")
-    if not directory and out.is_dir():
-        raise DomainError(f"{flag} {path} is a directory")
-    # a file needs its parent; a directory, its nearest existing ancestor
-    nearest = next(p for p in (out, *out.parents) if p.exists()) if directory else out.parent
-    if not nearest.is_dir():
-        raise DomainError(f"{flag} {path}: {nearest} is not a directory")
-
-
-def _score_table(args) -> ScoreTable:
-    """The --metrics table scored under the --config file's profiles and quality_exponent.
-
-    Each of a suite config's two scoring keys is read as parse_suite_config reads
-    it; a key left out, or no file, means all built-in profiles or QUALITY_EXPONENT.
-    """
-    measurements = ingest_metrics(args.metrics)
-    doc = _load_json(args.config) if args.config else {}
-    _require_keys(doc, "score config", set(), {"profiles", "quality_exponent"})
-    return score_report(measurements, _parse_profiles(doc.get("profiles", [])),
-                        check_quality_exponent(doc.get("quality_exponent", QUALITY_EXPONENT)))
+def _check_out(args, *flags: str, directory: bool = False) -> None:
+    """Fail, naming flag and path, unless each path the flags give can be written: as a
+    file, or as a directory to make; and unless no two of them name the same file.  Each
+    command checks every path it writes, in one call, before any other work."""
+    given = [(flag, path) for flag in flags if (path := getattr(args, flag[2:])) is not None]
+    for flag, path in given:
+        out = Path(path)
+        if directory and out.exists() and not out.is_dir():
+            raise DomainError(f"{flag} {path} exists and is not a directory")
+        if not directory and out.is_dir():
+            raise DomainError(f"{flag} {path} is a directory")
+        # a file needs its parent; a directory, its nearest existing ancestor
+        nearest = next(p for p in (out, *out.parents) if p.exists()) if directory else out.parent
+        if not nearest.is_dir():
+            raise DomainError(f"{flag} {path}: {nearest} is not a directory")
+    for (flag, path), (other, other_path) in combinations(given, 2):
+        if Path(path).resolve() == Path(other_path).resolve():
+            raise DomainError(f"{flag} {path} and {other} {other_path} name the same file")
 
 
 def _cmd_run(args):
-    _check_out("--out", args.out, directory=True)
+    _check_out(args, "--out", directory=True)
     out_dir = Path(args.out)
     report = run_suite(parse_suite_config(_load_json(args.config)))
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -237,18 +230,21 @@ def _cmd_run(args):
 
 
 def _cmd_score(args):
-    _check_out("--out", args.out)
-    table = _score_table(args)
-    text = json.dumps(table.as_dict(), indent=2, sort_keys=True)
+    """Score the --metrics table under the --config file's profiles and quality_exponent,
+    each read as parse_suite_config reads it; a key left out, or no file, means all
+    built-in profiles or QUALITY_EXPONENT."""
+    _check_out(args, "--out", "--plot")
+    measurements = ingest_metrics(args.metrics)
+    doc = _load_json(args.config) if args.config else {}
+    _require_keys(doc, "score config", set(), {"profiles", "quality_exponent"})
+    table = score_report(measurements, _parse_profiles(doc.get("profiles", [])),
+                         check_quality_exponent(doc.get("quality_exponent", QUALITY_EXPONENT)))
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        Path(args.out).write_text(json.dumps(table.as_dict(), indent=2, sort_keys=True) + "\n")
         print(f"wrote {args.out}")
-    else:
-        print(text)
-
-
-def _cmd_rank(args):
-    table = _score_table(args)
+    if args.plot:
+        emit_plot_data(table, args.plot)
+        print(f"wrote {args.plot}")
     for p in table.profiles:
         print(f"[{p.name}]")
         for i, label in enumerate(table.rankings[p.name], start=1):
@@ -273,10 +269,7 @@ def _cmd_perplexity(args):
 
 
 def _cmd_compress(args):
-    _check_out("--report", args.report)
-    _check_out("--out", args.out)
-    if args.report and args.out and Path(args.report).resolve() == Path(args.out).resolve():
-        raise DomainError(f"--report {args.report} and --out {args.out} name the same file")
+    _check_out(args, "--report", "--out")
     doc = _load_json(args.config)
     _require_keys(doc, "compress config", {"model", "passes"}, {"corpus", "calibration"})
     spec = _parse_model_spec(doc["model"], "model")
@@ -315,7 +308,7 @@ def _cmd_compress(args):
 
 
 def _cmd_distill(args):
-    _check_out("--out", args.out)
+    _check_out(args, "--out")
     doc = _load_json(args.config)
     _require_keys(doc, "distill config", {"teacher", "corpus", "student"})
     student = _parse_student(doc["student"], "student")  # as a suite's students hold it
@@ -323,12 +316,6 @@ def _cmd_distill(args):
     teacher = _parse_model_spec(doc["teacher"], "teacher").build()
     tokens = training_tokens(teacher, student, _load_corpus(corpus, teacher.config))
     save_model(build_student(teacher, student, tokens), args.out)
-    print(f"wrote {args.out}")
-
-
-def _cmd_plot_data(args):
-    _check_out("--out", args.out)
-    emit_plot_data(_score_table(args), args.out)
     print(f"wrote {args.out}")
 
 
@@ -344,20 +331,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True, help="output directory")
     sp.set_defaults(func=_cmd_run)
 
-    for name, func, help_text in (
-        ("score", _cmd_score, "score a metrics CSV and print the table"),
-        ("rank", _cmd_rank, "score a metrics CSV and print rankings"),
-        ("plot-data", _cmd_plot_data, "emit flat per-profile opt rows for plotting"),
-    ):
-        sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--metrics", required=True, help="metrics CSV path")
-        sp.add_argument("--config", default=None,
-                        help="optional JSON with a suite config's profiles and quality_exponent")
-        if name == "score":
-            sp.add_argument("--out", default=None, help="write JSON here instead of stdout")
-        elif name == "plot-data":
-            sp.add_argument("--out", required=True, help="output CSV path")
-        sp.set_defaults(func=func)
+    sp = sub.add_parser("score", help="score a metrics CSV and print each profile's ranking")
+    sp.add_argument("--metrics", required=True, help="metrics CSV path")
+    sp.add_argument("--config", default=None,
+                    help="optional JSON with a suite config's profiles and quality_exponent")
+    sp.add_argument("--out", default=None, help="write the scored table here as JSON")
+    sp.add_argument("--plot", default=None, help="write flat per-profile opt rows here as CSV")
+    sp.set_defaults(func=_cmd_score)
 
     sp = sub.add_parser("perplexity", help="perplexity of a model over a corpus")
     sp.add_argument("--config", required=True,

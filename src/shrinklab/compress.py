@@ -12,7 +12,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import DomainError, ShapeError, check_integer, check_number, check_string
-from .model import LINEAR_NAMES, TinyLM, dense_weight, forward, from_tensors, param_tensors
+from .model import LINEAR_NAMES, TinyLM, _map_params, dense_weight, forward
 
 SUPPORTED_BITS = (4, 8)
 
@@ -38,11 +38,9 @@ def _projections(model: TinyLM) -> list:
     return [getattr(layer, name) for layer in model.weights.layers for name in LINEAR_NAMES]
 
 
-def _map_projections(model: TinyLM, fn: Callable) -> TinyLM:
-    """Model with fn applied to the six linear projections of every block."""
-    return from_tensors(model.config, {
-        name: fn(t) if name.rsplit(".", 1)[-1] in LINEAR_NAMES else t
-        for name, t in param_tensors(model)}, model.head_mask.copy())
+def _is_projection(name: str, tensor) -> bool:
+    """Whether a param_tensors name is one of a block's six linear projections."""
+    return name.rsplit(".", 1)[-1] in LINEAR_NAMES
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +102,8 @@ def quantize_model(model: TinyLM, bits: int) -> TinyLM:
     precision.  The views are expanded to dense on use, emulating
     dequantize-on-use inference.
     """
-    return _map_projections(
-        model, lambda t: quantize_tensor(dense_weight(t, np.float64), bits))
+    return _map_params(model, lambda t: quantize_tensor(dense_weight(t, np.float64), bits),
+                       _is_projection)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +145,7 @@ def prune_model_2_4(model: TinyLM) -> TinyLM:
             return pruned
         return QuantizedTensor(t.bits, t.scales, np.where(pruned == 0, 0, t.codes).astype(np.int8))
 
-    return _map_projections(model, prune)
+    return _map_params(model, prune, _is_projection)
 
 
 # ---------------------------------------------------------------------------

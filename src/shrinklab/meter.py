@@ -165,7 +165,9 @@ def carbon_estimate(energy_kwh: float,
     if check_number(intensity_g_per_kwh, "carbon_intensity_g_per_kwh") < 0:
         raise DomainError(f"carbon_intensity_g_per_kwh must be non-negative, "
                           f"got {intensity_g_per_kwh!r}")
-    return energy_kwh * intensity_g_per_kwh
+    # two finite inputs can overflow to inf, which no strict JSON parser reads
+    return check_number(float(energy_kwh) * float(intensity_g_per_kwh),
+                        "carbon_intensity_g_per_kwh times energy_kwh")
 
 
 _measuring = False  # one measurement per process; nesting would double-count

@@ -143,12 +143,14 @@ def param_tensors(model: TinyLM) -> list[tuple[str, object]]:
     return out
 
 
-def _map_params(model: TinyLM, fn) -> TinyLM:
-    """New model with fn applied to every dense parameter array.
+def _map_params(model: TinyLM, fn,
+                select=lambda name, t: isinstance(t, np.ndarray)) -> TinyLM:
+    """New model with fn applied to every tensor that select(name, tensor) picks.
 
-    Quantized views are passed through untouched; fn receives only ndarrays.
+    By default that is every dense parameter array: quantized views are passed
+    through untouched, and fn receives only ndarrays.
     """
-    return from_tensors(model.config, {name: fn(t) if isinstance(t, np.ndarray) else t
+    return from_tensors(model.config, {name: fn(t) if select(name, t) else t
                                        for name, t in param_tensors(model)},
                         model.head_mask.copy())
 

@@ -1,4 +1,5 @@
 """CSV ingest, scoring tables, suite configs, and the command line surface."""
+import argparse
 import csv
 import json
 import os
@@ -462,7 +463,7 @@ def test_cli_run_scores_each_pipeline_once_per_profile(tmp_path, capsys, monkeyp
 
 
 def test_cli_run_plot_matches_plot_data_on_its_metrics(tmp_path, capsys):
-    """run's plot.csv ranks the run's own scores, base left out: the bytes plot-data
+    """run's plot.csv ranks the run's own scores, base left out: the bytes score --plot
     writes from run's metrics.csv under the same profiles and exponent."""
     doc = small_suite_doc(tmp_path, profiles=["energy", "balanced"], quality_exponent=2.0)
     cfg_path = tmp_path / "suite.json"
@@ -471,10 +472,10 @@ def test_cli_run_plot_matches_plot_data_on_its_metrics(tmp_path, capsys):
     rc, _, _ = run_main(capsys, "run", "--config", str(cfg_path), "--out", str(out_dir))
     assert rc == 0
     again = tmp_path / "again.csv"
-    rc, _, _ = run_main(capsys, "plot-data", "--metrics", str(out_dir / "metrics.csv"),
+    rc, _, _ = run_main(capsys, "score", "--metrics", str(out_dir / "metrics.csv"),
                         "--config", write_config(tmp_path, profiles=["energy", "balanced"],
                                                  quality_exponent=2.0),
-                        "--out", str(again))
+                        "--plot", str(again))
     assert rc == 0
     assert (out_dir / "plot.csv").read_bytes() == again.read_bytes()
 
@@ -482,7 +483,7 @@ def test_cli_run_plot_matches_plot_data_on_its_metrics(tmp_path, capsys):
 def test_cli_plot_data_reproduces_a_suites_custom_profile_from_its_scoring_keys(
         tmp_path, capsys):
     """A custom {name, alpha, beta} profile is spelled in a score config as in the suite,
-    so plot-data on run's metrics.csv under the suite's two scoring keys writes plot.csv."""
+    so score --plot on run's metrics.csv under the suite's two scoring keys writes plot.csv."""
     doc = small_suite_doc(tmp_path, profiles=[{"name": "green", "alpha": 0.2, "beta": 0.8}],
                           quality_exponent=2.0)
     out_dir = tmp_path / "o"
@@ -490,8 +491,8 @@ def test_cli_plot_data_reproduces_a_suites_custom_profile_from_its_scoring_keys(
     assert rc == 0
     again = tmp_path / "again.csv"
     keys = {k: doc[k] for k in ("profiles", "quality_exponent")}
-    rc, _, _ = run_main(capsys, "plot-data", "--metrics", str(out_dir / "metrics.csv"),
-                        "--config", write_config(tmp_path, **keys), "--out", str(again))
+    rc, _, _ = run_main(capsys, "score", "--metrics", str(out_dir / "metrics.csv"),
+                        "--config", write_config(tmp_path, **keys), "--plot", str(again))
     assert rc == 0
     assert again.read_bytes() == (out_dir / "plot.csv").read_bytes()
     assert {row[1] for row in csv.reader(again.read_text().splitlines()[1:])} == {"green"}
@@ -860,14 +861,16 @@ COMPRESS_HEADS = ["compress", "--config", "prune-heads.json"]
      "--report ./m.lmz and --out m.lmz name the same file"),
     (["score", "--metrics", str(bundled.path("gpt2_standalone.csv"))], "--out", "d",
      "--out d is a directory"),
-    (["plot-data", "--metrics", str(bundled.path("gpt2_standalone.csv"))], "--out", "d",
-     "--out d is a directory"),
+    (["score", "--metrics", str(bundled.path("gpt2_standalone.csv")), "--out", "p.json"],
+     "--plot", "d", "--plot d is a directory"),
+    (["score", "--metrics", str(bundled.path("gpt2_standalone.csv")), "--out", "./p.csv"],
+     "--plot", "p.csv", "--out ./p.csv and --plot p.csv name the same file"),
     (["distill", "--config", "distill.json"], "--out", "nodir/s.lmz",
      "--out nodir/s.lmz: nodir is not a directory"),
     (["run", "--config", "suite.json"], "--out", "f/sub", "--out f/sub: f is not a directory"),
 ], ids=["quantize-dir", "quantize-no-parent", "prune-24-dir", "prune-heads-report-dir",
         "prune-heads-file-parent", "compress-report-is-out", "score-dir", "plot-data-dir",
-        "distill-no-parent", "run-file-ancestor"])
+        "score-out-is-plot", "distill-no-parent", "run-file-ancestor"])
 def test_cli_checks_each_output_path_before_any_work(tmp_path, capsys, monkeypatch, argv, flag,
                                                      path, named):
     """A path a command cannot write ends it with exit 2 before it loads, builds, trains or
@@ -897,18 +900,31 @@ def test_cli_checks_each_output_path_before_any_work(tmp_path, capsys, monkeypat
 
 
 def test_cli_score_and_rank(tmp_path, capsys):
+    """score prints each profile's ranking of the table it writes with --out and --plot;
+    the files change nothing that it prints after their wrote lines."""
     metrics = str(bundled.path("gpt2_standalone.csv"))
-    out_path = tmp_path / "scores.json"
-    rc, _, _ = run_main(capsys, "score", "--metrics", metrics,
-                        "--out", str(out_path))
+    table = score_report(ingest_metrics(metrics))
+    rc, ranking, _ = run_main(capsys, "score", "--metrics", metrics)
     assert rc == 0
+    lines = ranking.splitlines()
+    assert lines[0] == "[balanced]" and len(lines) == 3 * (1 + 5)
+    four = table.scores["4bit"]["balanced"]
+    assert lines[1] == (f"  1. 4bit  opt={four.opt:.6f}  quality={four.quality_factor:.6f} "
+                        f"cost={four.cost_factor:.6f}")
+    assert [line.split()[1] for line in lines[1:6]] == table.rankings["balanced"]
+
+    out_path, plot_path = tmp_path / "scores.json", tmp_path / "plot.csv"
+    rc, out, _ = run_main(capsys, "score", "--metrics", metrics,
+                          "--out", str(out_path), "--plot", str(plot_path))
+    assert rc == 0 and out == f"wrote {out_path}\nwrote {plot_path}\n" + ranking
     doc = json.loads(out_path.read_text())
+    assert doc == json.loads(json.dumps(table.as_dict()))
     assert doc["rankings"]["balanced"][0] == "4bit"
-    rc, out, _ = run_main(capsys, "score", "--metrics", metrics)
-    assert rc == 0 and out == out_path.read_text()
+    emit_plot_data(table, tmp_path / "again.csv")
+    assert plot_path.read_bytes() == (tmp_path / "again.csv").read_bytes()
 
     green = {"name": "green", "alpha": 0.2, "beta": 0.8}
-    rc, out, _ = run_main(capsys, "rank", "--metrics", metrics,
+    rc, out, _ = run_main(capsys, "score", "--metrics", metrics,
                           "--config", write_config(tmp_path, profiles=["energy", green],
                                                    quality_exponent=2.0))
     assert rc == 0
@@ -921,17 +937,16 @@ def test_cli_rank_rejects_non_positive_quality_exponent(tmp_path, capsys, expone
     """A negative exponent would rank distil ahead of 4bit; zero would tie every method."""
     config = tmp_path / "exponent.json"
     config.write_text(json.dumps({"quality_exponent": exponent}))
-    rc, out, err = run_main(capsys, "rank", "--metrics", str(bundled.path("gpt2_standalone.csv")),
-                            "--config", str(config))
+    rc, out, err = run_main(capsys, "score", *METRICS_FLAG, "--config", str(config))
     assert rc == 2 and "quality_exponent" in err and not out
 
 
 def test_cli_plot_data_and_custom_profile(tmp_path, capsys):
     out_path = tmp_path / "plot.csv"
     green = {"name": "green", "alpha": 0.3, "beta": 0.7}
-    rc, _, _ = run_main(capsys, "plot-data",
+    rc, _, _ = run_main(capsys, "score",
                         "--metrics", str(bundled.path("gpt2_standalone.csv")),
-                        "--out", str(out_path),
+                        "--plot", str(out_path),
                         "--config", write_config(tmp_path, profiles=[green]))
     assert rc == 0
     with open(out_path, newline="") as fh:
@@ -945,7 +960,7 @@ def test_cli_errors_exit_two(tmp_path, capsys):
     assert rc == 2
     assert err.strip()
 
-    rc, _, err = run_main(capsys, "rank", "--metrics",
+    rc, _, err = run_main(capsys, "score", "--metrics",
                           str(bundled.path("gpt2_standalone.csv")),
                           "--config", write_config(tmp_path, profiles=["speed"]))
     assert rc == 2 and "unknown weight profile 'speed'" in err
@@ -956,6 +971,17 @@ def test_cli_errors_exit_two(tmp_path, capsys):
 
 
 METRICS_FLAG = ["--metrics", str(bundled.path("gpt2_standalone.csv"))]
+
+# score's file flags, one case each: none (the printed ranking alone), --out, --plot; each
+# id names the output that the case adds to the printed ranking
+SCORE_FILES = pytest.mark.parametrize("files", [["--out"], [], ["--plot"]],
+                                      ids=["score", "rank", "plot-data"])
+
+
+def score_files(tmp_path, files):
+    """score's file arguments for files, and the paths they name."""
+    paths = {flag: tmp_path / f"scored{flag[1:]}" for flag in files}
+    return [arg for flag, path in paths.items() for arg in (flag, str(path))], paths.values()
 
 
 VOCAB_100 = {"config": {"n_layers": 1, "n_heads": 2, "d_model": 32, "d_ff": 128,
@@ -1012,36 +1038,32 @@ def test_cli_flag_and_corpus_errors_exit_two(tmp_path, capsys, monkeypatch, comm
      "weight profile names must be unique: 'energy' is repeated"),
     ({"quality_exponent": 2.0, "repetitions": 1}, "score config: unknown keys ['repetitions']"),
 ], ids=["alpha-string", "weights-sum", "profiles-string", "profiles-repeated", "unknown-key"])
-@pytest.mark.parametrize("command", ["score", "rank", "plot-data"])
-def test_cli_score_config_errors_exit_two(tmp_path, capsys, command, keys, named):
-    """The three scoring commands read a score config's profiles as a suite's are read."""
-    out = tmp_path / "plot.csv"
-    extra = ["--out", str(out)] if command == "plot-data" else []
-    rc, printed, err = run_main(capsys, command, *METRICS_FLAG,
-                                "--config", write_config(tmp_path, **keys), *extra)
+@SCORE_FILES
+def test_cli_score_config_errors_exit_two(tmp_path, capsys, files, keys, named):
+    """score reads a score config's profiles as a suite's are read, and writes nothing
+    when they are wrong."""
+    args, paths = score_files(tmp_path, files)
+    rc, printed, err = run_main(capsys, "score", *METRICS_FLAG,
+                                "--config", write_config(tmp_path, **keys), *args)
     assert rc == 2 and printed == ""
     assert err == f"error: {named}\n"
-    assert not out.exists()
+    assert not any(path.exists() for path in paths)
 
 
-@pytest.mark.parametrize("command, options", [
-    ("score", {"--metrics", "--config", "--out"}), ("rank", {"--metrics", "--config"}),
-    ("plot-data", {"--metrics", "--config", "--out"}),
-], ids=["score", "rank", "plot-data"])
-def test_cli_scoring_commands_read_profiles_only_from_config(tmp_path, capsys, command,
-                                                             options):
-    """score, rank and plot-data take their weighting from --config alone, as run does."""
+@SCORE_FILES
+def test_cli_scoring_commands_read_profiles_only_from_config(tmp_path, capsys, files):
+    """score takes its weighting from --config alone, as run does, with any file flags."""
     with pytest.raises(SystemExit) as exc:
-        main([command, "--help"])
+        main(["score", "--help"])
     assert exc.value.code == 0
-    assert set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) == {"--help", *options}
-    out = tmp_path / "plot.csv"
-    extra = ["--out", str(out)] if "--out" in options else []
+    assert set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) == {
+        "--help", "--metrics", "--config", "--out", "--plot"}
+    args, paths = score_files(tmp_path, files)
     with pytest.raises(SystemExit) as exc:
-        main([command, *METRICS_FLAG, *extra, "--profile", "energy"])
+        main(["score", *METRICS_FLAG, *args, "--profile", "energy"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --profile energy" in capsys.readouterr().err
-    assert not out.exists()
+    assert not any(path.exists() for path in paths)
 
 
 def run_suite_doc(capsys, tmp_path, doc, out="o"):
@@ -1080,6 +1102,18 @@ def test_cli_run_missing_counter_file_fails_the_base_pipeline(tmp_path, capsys):
     assert rc == 2 and err.startswith("error:") and "base pipeline failed" in err
 
 
+def test_cli_run_an_overflowing_carbon_estimate_fails_the_base_pipeline(tmp_path, capsys):
+    """Finite energy at a finite intensity can overflow to inf grams, which would reach
+    report.json as Infinity: the run exits 2 and writes nothing."""
+    rc, out, err = run_suite_doc(capsys, tmp_path, small_suite_doc(
+        tmp_path, repetitions=1, carbon_intensity_g_per_kwh=1e300,
+        energy_source={"kind": "synthetic", "energy_deltas_j": [1e300]}))
+    assert rc == 2 and out == ""
+    assert err == ("error: base pipeline failed: carbon_intensity_g_per_kwh times energy_kwh "
+                   "must be a finite number, got inf\n")
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_run_profiles_key_scores_only_that_profile(tmp_path, capsys):
     rc, _, _ = run_suite_doc(capsys, tmp_path, small_suite_doc(tmp_path, profiles=["energy"]))
     assert rc == 0
@@ -1108,24 +1142,35 @@ def test_cli_run_and_distill_read_only_config_and_out(tmp_path, capsys, command,
 
 
 def test_cli_commands_take_every_setting_from_a_config_file(capsys):
-    """Seven commands; beside --config (or score's --metrics) a command has only the paths
+    """Five commands; beside --config (or score's --metrics) a command has only the paths
     it writes, so no flag restates what a suite file's keys hold."""
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
-    assert "{run,score,rank,plot-data,perplexity,compress,distill}" in capsys.readouterr().out
+    assert "{run,score,perplexity,compress,distill}" in capsys.readouterr().out
     options = {}
-    for command in ("run", "score", "rank", "plot-data", "perplexity", "compress", "distill"):
+    for command in ("run", "score", "perplexity", "compress", "distill"):
         with pytest.raises(SystemExit) as exc:
             main([command, "--help"])
         assert exc.value.code == 0
         options[command] = set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) - {"--help"}
-    scoring = {"--metrics", "--config"}
-    assert options == {"run": {"--config", "--out"}, "score": scoring | {"--out"},
-                       "rank": scoring, "plot-data": scoring | {"--out"},
+    assert options == {"run": {"--config", "--out"},
+                       "score": {"--metrics", "--config", "--out", "--plot"},
                        "perplexity": {"--config"}, "compress": {"--config", "--out", "--report"},
                        "distill": {"--config", "--out"}}
-    assert sum(map(len, options.values())) == 16
+    assert sum(map(len, options.values())) == 12
+
+
+def test_readme_cli_examples_run_every_command_and_no_other():
+    """The commands the README's CLI examples run are build_parser's subcommands, so a
+    removed command cannot stay in the docs."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    examples = re.search(r"^```sh\n(.*?)^```", section, re.S | re.M).group(1)
+    documented = set(re.findall(r"^shrinklab ([a-z-]+)", examples, re.M))
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert documented == set(sub.choices)
 
 
 def test_cli_run_base_only_suite_writes_no_metrics(tmp_path, capsys):
@@ -1930,16 +1975,15 @@ OVERFLOW_TABLES = {
 
 
 @pytest.mark.parametrize("table", sorted(OVERFLOW_TABLES))
-@pytest.mark.parametrize("command", ["score", "rank", "plot-data"])
-def test_cli_unscoreable_table_exits_two(tmp_path, capsys, table, command):
+@SCORE_FILES
+def test_cli_unscoreable_table_exits_two(tmp_path, capsys, table, files):
     metrics = write_csv(tmp_path, OVERFLOW_TABLES[table])
-    out = tmp_path / "plot.csv"
-    extra = ["--out", str(out)] if command == "plot-data" else []
-    rc, stdout, err = run_main(capsys, command, "--metrics", str(metrics), *extra)
+    args, paths = score_files(tmp_path, files)
+    rc, stdout, err = run_main(capsys, "score", "--metrics", str(metrics), *args)
     assert rc == 2
     assert err.startswith("error:") and "inf" not in stdout
     assert "m under profile balanced:" in err  # the group and profile to fix
-    assert not out.exists()
+    assert not any(path.exists() for path in paths)
 
 
 @pytest.mark.parametrize("text", [
@@ -1978,12 +2022,12 @@ def test_cli_runs_as_a_module_with_warnings_as_errors(tmp_path):
     """python -W error -m shrinklab.cli reaches main(): a command that succeeds exits 0 with
     no warning, and one that fails exits 2 with an error: line."""
     env = dict(os.environ, PYTHONPATH=str(Path(shrinklab.__file__).parents[1]))
-    rank = [sys.executable, "-W", "error", "-m", "shrinklab.cli", "rank", "--metrics"]
-    run = subprocess.run(rank + [str(bundled.path("gpt2_standalone.csv"))], env=env,
+    score = [sys.executable, "-W", "error", "-m", "shrinklab.cli", "score", "--metrics"]
+    run = subprocess.run(score + [str(bundled.path("gpt2_standalone.csv"))], env=env,
                          capture_output=True, text=True)
     assert run.returncode == 0 and not run.stderr
     assert "[balanced]" in run.stdout.splitlines()
-    run = subprocess.run(rank + [str(tmp_path / "absent.csv")], env=env, capture_output=True,
+    run = subprocess.run(score + [str(tmp_path / "absent.csv")], env=env, capture_output=True,
                          text=True)
     assert run.returncode == 2 and run.stdout == "" and run.stderr.startswith("error:")
 
@@ -2206,13 +2250,19 @@ def _metrics_bytes(draw):
     return "\n".join(rows).encode() + draw(st.sampled_from([b"", b"\n", b"\xff", b"\x00"]))
 
 
-@given(data=_metrics_bytes(), command=st.sampled_from(["score", "rank"]))
+@given(data=_metrics_bytes(), files=st.sets(st.sampled_from(["--out", "--plot"])))
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_cli_score_on_arbitrary_bytes_exits_zero_or_two(tmp_path, capsys, data, command):
+def test_cli_score_on_arbitrary_bytes_exits_zero_or_two(tmp_path, capsys, data, files):
     metrics = tmp_path / "fuzz.csv"
     metrics.write_bytes(data)
-    rc, out, _ = run_main(capsys, command, "--metrics", str(metrics))
+    args, paths = score_files(tmp_path, sorted(files))
+    for path in paths:
+        path.unlink(missing_ok=True)
+    rc, out, _ = run_main(capsys, "score", "--metrics", str(metrics), *args)
     assert rc in (0, 2)
-    if rc == 0:  # and a printed score is always a finite number
-        assert not re.search(r"\b(inf|nan|Infinity|NaN)\b", out)
+    written = [path.read_text() for path in paths if path.exists()]
+    assert len(written) == (len(files) if rc == 0 else 0)
+    if rc == 0:  # and a printed or written score is always a finite number
+        for text in (out, *written):
+            assert not re.search(r"\b(inf|nan|Infinity|NaN)\b", text)

@@ -222,6 +222,10 @@ def test_carbon_estimate():
         carbon_estimate(1.0, -5.0)
     with pytest.raises(DomainError):
         carbon_estimate(-1.0, 475.0)
+    # each factor is finite, their product is not
+    with pytest.raises(DomainError, match="^carbon_intensity_g_per_kwh times energy_kwh must be "
+                                          "a finite number, got inf$"):
+        carbon_estimate(1e300 / 3.6e6, 1e300)
 
 
 @pytest.mark.parametrize("energy, intensity", [
