@@ -3,17 +3,19 @@ metric tables.
 
 Each command reads its settings from a --config file holding some of a suite file's
 keys, parsed by the functions that parse a suite (suite.py): run a whole suite,
-perplexity its model, corpus and perplexity, compress its model, passes, corpus and
-calibration, and score its profiles and quality_exponent.  score prints each profile's
-ranking of a metrics table and writes the scored table as JSON (--out) and as plot rows
-(--plot).  Argument parsing and the suite runner live here; the metrics CSV and score
-tables are in tables.py.
+perplexity its model, corpus and perplexity, compress its model, passes, corpus,
+students and calibration, and score its profiles and quality_exponent.  run, compress
+and perplexity build what their pipelines start from in pipeline_inputs.  score prints
+each profile's ranking of a metrics table and writes the scored table as JSON (--out)
+and as plot rows (--plot).  Argument parsing and the suite runner live here; the
+metrics CSV and score tables are in tables.py.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
@@ -24,14 +26,14 @@ from .compress import Calibration, DistillRef, PruneHeads, apply_pass, compose
 from .distill import (METHOD_SEQKD, check_shared_vocabulary, seqkd_corpus, train_student,
                       training_window)
 from .errors import (DomainError, FormatError, ParseError, SourceError, StateError, check_number,
-                     check_string)
+                     check_string, named)
 from .meter import measure
 from .model import TinyLM, perplexity, perplexity_plan, perplexity_window, save_model
 from .scoring import (BUILTIN_PROFILES, QUALITY_EXPONENT, Direction, MetricRecord, OptResult,
                       ResourceRatios, check_quality_exponent, opt_score, rank_methods)
-from .suite import (ModelSpec, Report, StudentSpec, SuiteConfig, _build, _load_corpus, _load_json,
-                    _parse_model_spec, _parse_passes, _parse_perplexity, _parse_profiles,
-                    _parse_student, _require_keys, config_digest, parse_suite_config)
+from .suite import (ModelSpec, Report, StudentSpec, SuiteConfig, _load_corpus, _load_json,
+                    _parse_model_spec, _parse_perplexity, _parse_profiles, _require_keys,
+                    config_digest, first_student, parse_compress_config, parse_suite_config)
 from .tables import (BASE_PIPELINE, MethodMeasurements, ScoreTable, _check_unique, _result_fields,
                      emit_plot_data, ingest_metrics, report_metric_rows, write_metrics_csv)
 
@@ -60,65 +62,58 @@ def build_student(teacher: TinyLM, spec: StudentSpec, tokens: np.ndarray) -> Tin
 _RUN_ERRORS = (DomainError, FormatError, SourceError, StateError, OSError)
 
 
-def run_suite(config: SuiteConfig) -> Report:
-    """Measure every pipeline against the base model and score the results.
-
-    The corpus is checked against the base model's vocabulary.  The
-    calibration is cut only when some pipeline prunes heads, and is checked
-    against the context of each model such a pipeline starts from.  Every
-    student some pipeline distills to (a saved one loaded by its ModelSpec)
-    is checked in id order with its vocabulary, calibration and perplexity
-    window; a trained one has its training window checked against both
-    contexts, then gets its training tokens (for seqkd, the teacher's
-    continuations, decoded here once) and has the window checked against
-    their count, all before build_student trains any.
-    Every pipeline is measured with the base model's perplexity window and
-    stride, and one score_report call scores every row, base included,
-    against the base row; the report keeps its ScoreTable.  Any failure ends
-    the run with a DomainError naming the student or pipeline, so a report
-    always holds a scored row for every pipeline.  With a synthetic energy
-    source and a seeded model, repeat runs produce byte-identical reports.
+def pipeline_inputs(model: ModelSpec, corpus_path: str | None, pass_lists, specs: dict,
+                    calibration: Calibration, perplexity_block=None):
+    """The base model, its corpus, the calibration probes, the students that pipelines of
+    pass_lists start from, and the perplexity window and stride; the corpus, probes and
+    window are None without corpus_path, a list that prunes heads, or perplexity_block.
+    The corpus is checked against the base model, then the base and each student a list
+    starts from, in id order (a saved one loaded): a student's vocabulary, the calibration
+    if a list prunes the model's heads, the window, and a trained student's training
+    window and tokens (for seqkd, decoded here once).  Only then does build_student train.
     """
-    base = config.model.build()
-    corpus = _load_corpus(config.corpus_path, base.config)
-    # the model each pipeline starts from (None for the base, else the student of its first
-    # pass, the only place compose accepts one) and whether some pipeline prunes its heads,
-    # so probes it with the calibration
-    probed: dict[str | None, bool] = {}
-    for p in config.pipelines:
-        start = p.passes[0].student if p.passes and isinstance(p.passes[0], DistillRef) else None
-        probed[start] = probed.get(start) or any(isinstance(ps, PruneHeads) for ps in p.passes)
-    # checked against the base model before any student is trained
-    calibration = (config.calibration.cut(corpus, base.config.context_len)
-                   if probed.pop(None) else None)
-    window, stride = perplexity_window(base.config.context_len,
-                                       config.ppl_window, config.ppl_stride)
+    base = model.build()
+    corpus = None if corpus_path is None else _load_corpus(corpus_path, base.config)
+    # the model each list starts from (None for the base): whether a list prunes its heads
+    probed: dict[str | None, bool] = {None: False}
+    for passes in pass_lists:
+        start = first_student(passes)
+        probed[start] = probed.get(start) or any(isinstance(p, PruneHeads) for p in passes)
 
-    students, tokens = {}, {}
-    for sid in sorted(probed):
-        spec = config.students[sid]
-        try:
+    probes, window, students, tokens = None, perplexity_block, {}, {}
+    for sid in [None, *sorted(probed.keys() - {None})]:
+        spec = specs.get(sid)
+        with named(f"student {sid!r}", _RUN_ERRORS) if sid else nullcontext():
             if isinstance(spec, ModelSpec):
                 students[sid] = spec.build()
-            student_config = students.get(sid, spec).config
-            check_shared_vocabulary(base.config, student_config)
+            start_config = students.get(sid, base if spec is None else spec).config
+            check_shared_vocabulary(base.config, start_config)
             if probed[sid]:
-                calibration = config.calibration.cut(corpus, student_config.context_len)
-            perplexity_window(student_config.context_len, window, stride)
+                probes = calibration.cut(corpus, start_config.context_len)
+            if window is not None:
+                window = perplexity_window(start_config.context_len, *window)
             if isinstance(spec, StudentSpec):
                 tokens[sid] = training_tokens(base, spec, corpus)
-        except _RUN_ERRORS as exc:
-            raise DomainError(f"student {sid!r}: {exc}") from exc
     for sid, toks in tokens.items():
-        try:
-            students[sid] = build_student(base, config.students[sid], toks)
-        except DomainError as exc:  # a diverged run
-            raise DomainError(f"student {sid!r}: {exc}") from exc
+        with named(f"student {sid!r}"):  # a diverged run
+            students[sid] = build_student(base, specs[sid], toks)
+    return base, corpus, probes, students, window
+
+
+def run_suite(config: SuiteConfig) -> Report:
+    """Measure every pipeline, started from pipeline_inputs, against the base model and
+    score every row, base included, in one score_report call, whose ScoreTable the report
+    keeps.  Any failure is a DomainError naming the student or pipeline.  With a synthetic
+    energy source and a seeded model, repeat runs produce byte-identical reports.
+    """
+    base, corpus, calibration, students, (window, stride) = pipeline_inputs(
+        config.model, config.corpus_path, [p.passes for p in config.pipelines],
+        config.students, config.calibration, config.perplexity)
 
     source = config.energy_source()
     rows: list[dict] = []
     for p in config.pipelines:
-        try:
+        with named(f"{p.name} pipeline failed", _RUN_ERRORS):
             candidate = compose(p.passes, calibration=calibration, students=students)(base)
             holder: dict[str, float] = {}
 
@@ -127,21 +122,17 @@ def run_suite(config: SuiteConfig) -> Report:
 
             rec = measure(source, work, repetitions=config.repetitions,
                           carbon_intensity=config.carbon_intensity)
-        except _RUN_ERRORS as exc:
-            raise DomainError(f"{p.name} pipeline failed: {exc}") from exc
         rows.append({"pipeline": p.name, "perplexity": holder["ppl"], "time_s": rec.wall_time_s,
                      "energy_kwh": rec.energy_kwh, "carbon_g": rec.carbon_g})
 
     base_row = next(r for r in rows if r["pipeline"] == BASE_PIPELINE)
     methods = []
     for row in rows:
-        try:
+        with named(f"{row['pipeline']} pipeline cannot be scored"):
             methods.append(MethodMeasurements(row["pipeline"], [MetricRecord(
                 "perplexity", Direction.LOWER_BETTER, base_row["perplexity"], row["perplexity"])],
                 ResourceRatios.from_measurements(base_row["time_s"], row["time_s"],
                                                  base_row["energy_kwh"], row["energy_kwh"])))
-        except DomainError as exc:
-            raise DomainError(f"{row['pipeline']} pipeline cannot be scored: {exc}") from exc
     table = score_report(methods, config.profiles, config.quality_exponent)
     for row in rows:
         row["opt"] = {name: _result_fields(r) for name, r in table.scores[row["pipeline"]].items()}
@@ -165,10 +156,8 @@ def score_report(measurements, profiles=BUILTIN_PROFILES,
     for m in methods:
         scores[m.label] = {}
         for p in profs:
-            try:
+            with named(f"{m.label} under profile {p.name}"):
                 scores[m.label][p.name] = opt_score(m.records, m.ratios, p, exponent)
-            except DomainError as exc:
-                raise type(exc)(f"{m.label} under profile {p.name}: {exc}") from exc
     rankings = {
         p.name: [label for label, _ in rank_methods(
             [(m.label, scores[m.label][p.name]) for m in methods]
@@ -256,12 +245,9 @@ def _cmd_score(args):
 def _cmd_perplexity(args):
     doc = _load_json(args.config)
     _require_keys(doc, "perplexity config", {"model", "corpus"}, {"perplexity"})
-    spec = _parse_model_spec(doc["model"], "model")
-    corpus_path = check_string(doc["corpus"], "corpus")
-    window, stride = _parse_perplexity(doc.get("perplexity", {}))
-    model = spec.build()
-    corpus = _load_corpus(corpus_path, model.config)
-    window, stride = perplexity_window(model.config.context_len, window, stride)
+    model, corpus, _, _, (window, stride) = pipeline_inputs(
+        _parse_model_spec(doc["model"], "model"), check_string(doc["corpus"], "corpus"), [], {},
+        Calibration(), _parse_perplexity(doc.get("perplexity", {})))
     ppl = check_number(perplexity(model, corpus, window=window, stride=stride),
                        "perplexity")  # nan when the float32 forward overflows
     scored = sum(n - row - 1 for _, n, row in perplexity_plan(corpus.size, window, stride))
@@ -271,28 +257,16 @@ def _cmd_perplexity(args):
 def _cmd_compress(args):
     _check_out(args, "--report", "--out")
     doc = _load_json(args.config)
-    _require_keys(doc, "compress config", {"model", "passes"}, {"corpus", "calibration"})
-    spec = _parse_model_spec(doc["model"], "model")
-    corpus_path = check_string(doc["corpus"], "corpus") if "corpus" in doc else None
-    passes = _parse_passes(doc["passes"])
-    for j, p in enumerate(passes):
-        if isinstance(p, DistillRef):
-            raise DomainError(f"passes[{j}]: compress has no students to distill to; "
-                              "train one with the distill command")
-    calibration = _build(Calibration, doc.get("calibration", {}), "calibration")
-    probed = any(isinstance(p, PruneHeads) for p in passes)
-    if probed and corpus_path is None:
-        raise DomainError("compress config: a prune_heads pass needs a corpus")
-
-    model = spec.build()
-    corpus = None if corpus_path is None else _load_corpus(corpus_path, model.config)
-    probes = calibration.cut(corpus, model.config.context_len) if probed else None
+    spec, corpus_path, specs, passes, calibration = parse_compress_config(doc)
+    model, _, probes, students, _ = pipeline_inputs(spec, corpus_path, [passes], specs,
+                                                    calibration)
     rows = []
     for entry, p in zip(doc["passes"], passes):
-        report = apply_pass(model, p, calibration=probes)
+        report = apply_pass(model, p, calibration=probes, students=students)
         model = report.after
-        rows.append({"pass": entry, "heads_masked": report.heads_masked,
-                     "max_error": report.max_error, "sparsity": report.sparsity})
+        rows.append({"pass": entry, "sparsity": report.sparsity})
+        if not isinstance(p, DistillRef):  # its student is another model, not a transform
+            rows[-1].update(heads_masked=report.heads_masked, max_error=report.max_error)
         if report.concentration is not None:
             rows[-1]["concentration"] = report.concentration.as_dict()
     if args.report:
@@ -302,21 +276,10 @@ def _cmd_compress(args):
         save_model(model, args.out)
         print(f"wrote {args.out}")
     for j, row in enumerate(rows):
-        print(f"passes[{j}] {row['pass']['op']}: {row['heads_masked']} heads masked, "
-              f"max reconstruction error {row['max_error']:.3e}, "
-              f"projection sparsity {row['sparsity']:.3f}")
-
-
-def _cmd_distill(args):
-    _check_out(args, "--out")
-    doc = _load_json(args.config)
-    _require_keys(doc, "distill config", {"teacher", "corpus", "student"})
-    student = _parse_student(doc["student"], "student")  # as a suite's students hold it
-    corpus = check_string(doc["corpus"], "corpus")
-    teacher = _parse_model_spec(doc["teacher"], "teacher").build()
-    tokens = training_tokens(teacher, student, _load_corpus(corpus, teacher.config))
-    save_model(build_student(teacher, student, tokens), args.out)
-    print(f"wrote {args.out}")
+        did = (f"student {row['pass']['student']!r}" if "max_error" not in row else
+               f"{row['heads_masked']} heads masked, "
+               f"max reconstruction error {row['max_error']:.3e}")
+        print(f"passes[{j}] {row['pass']['op']}: {did}, projection sparsity {row['sparsity']:.3f}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -345,16 +308,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_perplexity)
 
     sp = sub.add_parser("compress", help="run a pipeline's passes on a model and report each")
-    sp.add_argument("--config", required=True,
-                    help="JSON with a suite config's model, passes, corpus and calibration")
+    sp.add_argument("--config", required=True, help="JSON with a suite config's model, "
+                    "passes, corpus, students and calibration")
     sp.add_argument("--out", default=None, help="write the compressed model here")
     sp.add_argument("--report", default=None, help="write each pass's numbers here as JSON")
     sp.set_defaults(func=_cmd_compress)
-
-    sp = sub.add_parser("distill", help="train a student model from a teacher")
-    sp.add_argument("--config", required=True, help="distillation config JSON")
-    sp.add_argument("--out", required=True, help="output student model file")
-    sp.set_defaults(func=_cmd_distill)
 
     return parser
 

@@ -296,21 +296,28 @@ class PassReport:
     pass the concentration scores it masked by.
 
     The numbers that compare input and output are computed when read, so a
-    caller that only wants the output model pays nothing for them.
+    caller that only wants the output model pays nothing for them.  They do
+    not apply to a pass that changes the model's config (a distill pass may).
     """
 
     before: TinyLM
     after: TinyLM
     concentration: HeadConcentrationReport | None = None
 
+    def _compared(self, what: str) -> None:
+        if self.before.config != self.after.config:
+            raise DomainError(f"{what} does not apply: the pass changed the model's config")
+
     @property
     def heads_masked(self) -> int:
         """Live heads before the pass minus live heads after it."""
+        self._compared("heads_masked")
         return int(self.before.head_mask.sum() - self.after.head_mask.sum())
 
     @property
     def max_error(self) -> float:
         """Largest float64 |before - after| entry over every block's projections."""
+        self._compared("max_error")
         return max(float(np.abs(dense_weight(a, np.float64) - dense_weight(b, np.float64)).max())
                    for a, b in zip(_projections(self.before), _projections(self.after)))
 

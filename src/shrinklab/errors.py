@@ -54,6 +54,17 @@ class SourceError(RuntimeError):
     """An energy source failed to deliver a reading."""
 
 
+@contextlib.contextmanager
+def named(what: str, errors=DomainError):
+    """Re-raise errors from the block prefixed with what: a DomainError keeps its type, any
+    other becomes a DomainError."""
+    try:
+        yield
+    except errors as exc:
+        kind = type(exc) if isinstance(exc, DomainError) else DomainError
+        raise kind(f"{what}: {exc}") from exc
+
+
 def check_integer(value, what: str, minimum: int = 1) -> int:
     """An integer of at least minimum; a boolean is not one."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:

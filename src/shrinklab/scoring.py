@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .errors import BelowRandomFloor, DomainError, check_number, check_string
+from .errors import BelowRandomFloor, DomainError, check_number, check_string, named
 
 # Exponent applied to each quality ratio before averaging.  Chosen so that
 # quality loss dominates resource savings once degradation is substantial.
@@ -92,10 +92,8 @@ class MetricRecord:
             raise DomainError(f"{self.name}: lower-is-better metrics take no random floor")
         if self.direction is Direction.HIGHER_BETTER and self.random_floor is None:
             raise DomainError(f"{self.name}: higher-is-better metrics require a random floor")
-        try:
+        with named(self.name):
             metric_ratio(self)
-        except DomainError as exc:
-            raise type(exc)(f"{self.name}: {exc}") from exc
 
 
 def ratio_lower_better(base: float, model: float) -> float:

@@ -18,7 +18,7 @@ import numpy as np
 from .compress import (Calibration, CompressionPass, DistillRef, Prune24, PruneHeads, Quantize,
                        compose)
 from .distill import METHOD_SEQKD, DistillConfig
-from .errors import DomainError, ParseError, check_integer, check_string
+from .errors import DomainError, ParseError, check_integer, check_string, named
 from .meter import (DEFAULT_CARBON_INTENSITY, DEFAULT_REPETITIONS, CounterFile, EnergySource,
                     PowerModel, SyntheticClock, carbon_estimate)
 from .model import (MIN_PPL_WINDOW, ModelConfig, TinyLM, _check_tokens, init_model, load_model,
@@ -31,13 +31,21 @@ from .tables import BASE_PIPELINE, ScoreTable, _check_unique, _read_text
 # ---------------------------------------------------------------------------
 # suite configuration
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object from its pairs, where json.loads would keep a repeated key's last value."""
+    _check_unique((key for key, _ in pairs), "config keys")
+    return dict(pairs)
+
+
 def _load_json(path) -> dict:
     """A JSON config document; syntax errors become ParseError with the line."""
     text = _read_text(path)
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"config is not valid JSON: {exc.msg}", line=exc.lineno) from exc
+    except DomainError:
+        raise
     except (ValueError, RecursionError) as exc:  # an over-long integer, too-deep nesting
         raise ParseError(f"config JSON cannot be read: {exc}", line=1) from exc
     if not isinstance(doc, dict):
@@ -66,10 +74,8 @@ def _build(cls, obj, what: str):
               if p.kind is p.POSITIONAL_OR_KEYWORD]
     _require_keys(obj, what, {p.name for p in params if p.default is p.empty},
                   {p.name for p in params if p.default is not p.empty})
-    try:
+    with named(what):
         return cls(**obj)
-    except DomainError as exc:
-        raise type(exc)(f"{what}: {exc}") from exc
 
 
 def _tagged(obj, tag: str, kinds: dict, what: str):
@@ -155,6 +161,29 @@ def _parse_student(obj, what: str) -> StudentSpec:
         seqkd=_build(SeqkdPrompts, obj.get("seqkd", {}), f"{what}.seqkd"))
 
 
+def _parse_students(obj) -> dict[str, ModelSpec | StudentSpec]:
+    """Students by id: a saved one carries 'path', a trained one 'config' and 'distill'."""
+    if not isinstance(obj, dict):
+        raise DomainError("students must be a JSON object")
+    return {sid: (_parse_model_spec if isinstance(spec, dict) and "path" in spec
+                  else _parse_student)(spec, f"students[{sid!r}]")
+            for sid, spec in obj.items()}
+
+
+def first_student(passes) -> str | None:
+    """The student passes start from (compose accepts a distill pass first), or None."""
+    return passes[0].student if passes and isinstance(passes[0], DistillRef) else None
+
+
+def _check_pipeline(passes, students: dict, what: str) -> str | None:
+    """The student passes start from, once compose accepts them and students defines it."""
+    with named(what):
+        compose(passes)
+        if (sid := first_student(passes)) is not None and sid not in students:
+            raise DomainError(f"student {sid!r} is not defined in students")
+    return sid
+
+
 @dataclass
 class PipelineSpec:
     name: str
@@ -174,8 +203,7 @@ class SuiteConfig:
     # a fresh source for each run: a synthetic clock's script position is run state
     energy_source: Callable[[], EnergySource]
     profiles: tuple[WeightProfile, ...]
-    ppl_window: int | None
-    ppl_stride: int | None
+    perplexity: tuple[int | None, int | None]  # window and stride, None where left out
     calibration: Calibration
     carbon_intensity: float
     quality_exponent: float
@@ -219,28 +247,20 @@ def parse_suite_config(doc: dict) -> SuiteConfig:
     model = _parse_model_spec(doc["model"], "model")
     corpus_path = check_string(doc["corpus"], "corpus")
 
-    students = doc.get("students", {})
-    if not isinstance(students, dict):
-        raise DomainError("students must be a JSON object")
-    students = {sid: (_parse_model_spec if isinstance(spec, dict) and "path" in spec
-                      else _parse_student)(spec, f"students[{sid!r}]")
-                for sid, spec in students.items()}
-
+    students = _parse_students(doc.get("students", {}))
     if not isinstance(doc["pipelines"], list) or not doc["pipelines"]:
         raise DomainError("pipelines must be a non-empty list")
     pipelines = []
     for i, p in enumerate(doc["pipelines"]):
         what = f"pipelines[{i}]"
         _require_keys(p, what, {"name", "passes"})
-        check_string(p["name"], f"{what}.name")
+        name = check_string(p["name"], f"{what}.name")
+        if name != name.strip():
+            raise DomainError(f"{what}.name {name!r} starts or ends with whitespace, "
+                              "which metrics.csv strips")
         passes = _parse_passes(p["passes"], what)
-        try:
-            compose(passes)  # a distill pass must come first
-            if passes and isinstance(passes[0], DistillRef) and passes[0].student not in students:
-                raise DomainError(f"student {passes[0].student!r} is not defined in students")
-        except DomainError as exc:
-            raise DomainError(f"pipeline {p['name']!r}: {exc}") from exc
-        pipelines.append(PipelineSpec(name=p["name"], passes=passes))
+        _check_pipeline(passes, students, f"pipeline {name!r}")
+        pipelines.append(PipelineSpec(name=name, passes=passes))
     _check_unique((p.name for p in pipelines), "pipeline names")
     base_like = [p for p in pipelines if p.name == BASE_PIPELINE]
     if len(base_like) != 1:
@@ -252,21 +272,39 @@ def parse_suite_config(doc: dict) -> SuiteConfig:
                                       "kind", _ENERGY_SOURCES, "energy_source")
     _build(source_cls, source_args, "energy_source")  # each run builds its own
 
-    ppl_window, ppl_stride = _parse_perplexity(doc.get("perplexity", {}))
+    perplexity = _parse_perplexity(doc.get("perplexity", {}))
     carbon = doc.get("carbon_intensity_g_per_kwh", DEFAULT_CARBON_INTENSITY)
     carbon_estimate(0.0, carbon)  # rejects a bad intensity before any measurement
 
     return SuiteConfig(
         raw=doc, model=model, corpus_path=corpus_path,
-        pipelines=pipelines, students=students,
+        pipelines=pipelines, students=students, perplexity=perplexity,
         repetitions=check_integer(doc.get("repetitions", DEFAULT_REPETITIONS), "repetitions"),
         energy_source=functools.partial(source_cls, **source_args),
         profiles=_parse_profiles(doc.get("profiles", [])),
-        ppl_window=ppl_window, ppl_stride=ppl_stride,
         calibration=_build(Calibration, doc.get("calibration", {}), "calibration"),
         carbon_intensity=carbon,
         quality_exponent=check_quality_exponent(doc.get("quality_exponent", QUALITY_EXPONENT)),
     )
+
+
+def parse_compress_config(doc: dict):
+    """A compress config's model spec, corpus path (None when left out), students, passes
+    and calibration, each parsed as a suite's are, before any model is built."""
+    _require_keys(doc, "compress config", {"model", "passes"},
+                  {"corpus", "calibration", "students"})
+    spec = _parse_model_spec(doc["model"], "model")
+    corpus_path = check_string(doc["corpus"], "corpus") if "corpus" in doc else None
+    students = _parse_students(doc.get("students", {}))
+    passes = _parse_passes(doc["passes"])
+    start = _check_pipeline(passes, students, "passes")
+    calibration = _build(Calibration, doc.get("calibration", {}), "calibration")
+    if corpus_path is None and any(isinstance(p, PruneHeads) for p in passes):
+        raise DomainError("compress config: a prune_heads pass needs a corpus")
+    if corpus_path is None and isinstance(students.get(start), StudentSpec):
+        raise DomainError(f"compress config: a distill pass to trained student {start!r} "
+                          "needs a corpus")
+    return spec, corpus_path, students, passes, calibration
 
 
 def _load_corpus(path, config: ModelConfig) -> np.ndarray:
@@ -274,10 +312,8 @@ def _load_corpus(path, config: ModelConfig) -> np.ndarray:
     toks = tokenize(Path(path).read_bytes())
     if toks.size < 2:
         raise DomainError(f"corpus {path} holds fewer than 2 tokens")
-    try:
+    with named(f"corpus {path}"):
         return _check_tokens(toks, config)
-    except DomainError as exc:
-        raise DomainError(f"corpus {path}: {exc}") from exc
 
 
 @dataclass

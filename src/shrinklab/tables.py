@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, named
 from .scoring import Direction, MetricRecord, OptResult, ResourceRatios, WeightProfile
 
 if TYPE_CHECKING:
@@ -116,7 +116,7 @@ def ingest_metrics(path) -> list[MethodMeasurements]:
     for group, rows in raw.items():
         resources: dict[str, tuple[float, float]] = {}
         records: list[MetricRecord] = []
-        try:
+        with named(f"group {group!r}"):
             for metric, direction_s, floor, base_v, model_v in rows:
                 if metric not in RESERVED_METRICS:
                     records.append(MetricRecord(metric, Direction(direction_s),
@@ -132,8 +132,6 @@ def ingest_metrics(path) -> list[MethodMeasurements]:
                 raise DomainError("no quality metric rows")
             ratios = ResourceRatios.from_measurements(*resources[TIME_METRIC],
                                                       *resources[ENERGY_METRIC])
-        except DomainError as exc:
-            raise type(exc)(f"group {group!r}: {exc}") from exc
         out.append(MethodMeasurements(label=group, records=records, ratios=ratios))
     return out
 

@@ -528,6 +528,16 @@ def compress_main(capsys, tmp_path, *options, **keys):
     return run_main(capsys, "compress", "--config", write_config(tmp_path, **keys), *options)
 
 
+DISTILL_S = {"op": "distill", "student": "s"}
+
+
+def distill_main(capsys, tmp_path, student, *options, **keys):
+    """main's exit code, stdout and stderr for compress on a config file holding keys and a
+    first pass that distills to student."""
+    return compress_main(capsys, tmp_path, *options, **{
+        "students": {"s": student}, "passes": [DISTILL_S], **keys})
+
+
 def perplexity_main(capsys, tmp_path, **keys):
     """main's exit code, stdout and stderr for perplexity on a config file holding keys."""
     return run_main(capsys, "perplexity", "--config", write_config(tmp_path, **keys))
@@ -694,56 +704,73 @@ def test_cli_prune_heads_checks_calibration_like_the_suite(tmp_path, capsys, key
     assert not out_path.exists()
 
 
+# a student of another shape than FRESH's 1,2,32,128
+KD_16 = {"config": {"n_layers": 1, "n_heads": 2, "d_model": 16, "d_ff": 64},
+         "distill": {"method": "forward_kld", "steps": 2, "seed": 3}}
+
+
 @pytest.mark.parametrize("passes, masked", [
     ([{"op": "quantize", "bits": 4}, {"op": "prune_2_4"}], False),
     ([{"op": "prune_heads", "threshold": 0.05}, Q8], True),
-], ids=["q4-then-2:4", "heads-then-q8"])
+    ([{"op": "distill", "student": "kd"}, {"op": "quantize", "bits": 4}], False),
+], ids=["q4-then-2:4", "heads-then-q8", "kd-then-q4"])
 def test_cli_compress_is_a_suite_pipeline_written_to_a_file(tmp_path, capsys, passes, masked):
     """The model compress writes is the model a suite pipeline of the same passes measures,
-    and each --report entry holds what apply_pass reports for its pass."""
+    its student trained by build_student, and each --report entry holds what apply_pass
+    reports for its pass: for a distill pass, its sparsity alone."""
     config = parse_suite_config(small_suite_doc(
-        tmp_path, model=FRESH, corpus=TOY_CORPUS,
+        tmp_path, model=FRESH, corpus=TOY_CORPUS, students={"kd": KD_16},
         pipelines=[{"name": "base", "passes": []}, {"name": "p", "passes": passes}]))
     model, corpus = _fresh(), tokenize(bundled.path("toy_corpus.txt").read_bytes())
     probes = config.calibration.cut(corpus, model.config.context_len)
+    students = {"kd": cli.build_student(model, config.students["kd"], corpus)
+                } if passes[0]["op"] == "distill" else {}
     reports, after = [], model
     for p in config.pipelines[1].passes:
-        reports.append(apply_pass(after, p, calibration=probes))
+        reports.append(apply_pass(after, p, calibration=probes, students=students))
         after = reports[-1].after
     assert (after.head_mask.sum() < model.head_mask.sum()) == masked
 
     out, report_path = tmp_path / "m.lmz", tmp_path / "r.json"
-    rc, _, _ = compress_main(capsys, tmp_path, "--out", str(out), "--report", str(report_path),
-                             model=FRESH, corpus=TOY_CORPUS, passes=passes)
+    rc, printed, _ = compress_main(capsys, tmp_path, "--out", str(out), "--report",
+                                   str(report_path), model=FRESH, corpus=TOY_CORPUS,
+                                   students={"kd": KD_16}, passes=passes)
     assert rc == 0
+    if students:
+        assert printed.splitlines()[2] == ("passes[0] distill: student 'kd', projection "
+                                           f"sparsity {reports[0].sparsity:.3f}")
     rc, printed, _ = perplexity_main(capsys, tmp_path, model={"path": str(out)},
                                      corpus=TOY_CORPUS)
     assert rc == 0
-    composed = compose(config.pipelines[1].passes, calibration=probes)(model)
+    composed = compose(config.pipelines[1].passes, calibration=probes, students=students)(model)
     assert printed == f"perplexity {perplexity(composed, corpus)!r} over 4691 tokens\n"
     entries = json.loads(report_path.read_text())
     assert [entry.pop("pass") for entry in entries] == passes
     assert entries == [
-        {"heads_masked": r.heads_masked, "max_error": r.max_error, "sparsity": r.sparsity,
+        {"sparsity": r.sparsity,
+         **({} if op["op"] == "distill" else {"heads_masked": r.heads_masked,
+                                              "max_error": r.max_error}),
          **({"concentration": r.concentration.as_dict()} if r.concentration else {})}
-        for r in reports]
+        for op, r in zip(passes, reports)]
 
 
-@pytest.mark.parametrize("passes", [
-    [{"op": "distill", "student": "kd"}],
-    [Q8, {"op": "distill", "student": "kd"}],
+@pytest.mark.parametrize("passes, named", [
+    ([{"op": "distill", "student": "kd"}], "student 'kd' is not defined in students"),
+    ([Q8, {"op": "distill", "student": "s"}],
+     "distill pass 's' must come first: it replaces the model, discarding the passes before it"),
 ], ids=["first", "after-quantize"])
 def test_cli_compress_rejects_a_distill_pass_before_building_the_model(
-        tmp_path, capsys, monkeypatch, passes):
-    """A compress config has no students: a student is trained by the distill command."""
+        tmp_path, capsys, monkeypatch, passes, named):
+    """compress checks its pipeline as a suite checks each of its own: a distill pass comes
+    first and names a student that students defines."""
     built = []
     monkeypatch.setattr(suite.ModelSpec, "build", lambda spec: built.append(spec))
     out = tmp_path / "m.lmz"
     rc, printed, err = compress_main(capsys, tmp_path, "--out", str(out), model=FRESH,
+                                     corpus=TOY_CORPUS, students={"s": {"path": "s.lmz"}},
                                      passes=passes)
     assert rc == 2 and printed == ""
-    assert err == (f"error: passes[{len(passes) - 1}]: compress has no students to distill "
-                   "to; train one with the distill command\n")
+    assert err == f"error: passes: {named}\n"
     assert built == [] and not out.exists()
 
 
@@ -754,43 +781,42 @@ def test_cli_compress_rejects_a_distill_pass_before_building_the_model(
     {key: SEQKD_STUDENT[key] for key in ("distill", "window", "seqkd")},
 ], ids=["forward_kld", "reverse_kld-ce-mix", "seqkd"])
 def test_cli_distill_trains_and_saves(tmp_path, capsys, training):
+    """compress on one distill pass writes the student build_student trains on the tokens
+    training_tokens gives, byte for byte, and prints the student and its sparsity."""
     corpus = tmp_path / "c.txt"
     corpus.write_bytes(bundled.path("toy_corpus.txt").read_bytes()[:400])
-    cfg = {
-        "teacher": {"config": {"n_layers": 1, "n_heads": 2, "d_model": 32,
-                               "d_ff": 128}, "seed": 5},
-        "corpus": str(corpus),
-        "student": {
-            "config": {"n_layers": 1, "n_heads": 2, "d_model": 32, "d_ff": 128},
-            **training,
-        },
-    }
-    cfg_path = tmp_path / "distill.json"
-    cfg_path.write_text(json.dumps(cfg))
+    teacher = {"config": {"n_layers": 1, "n_heads": 2, "d_model": 32, "d_ff": 128}, "seed": 5}
+    student = {"config": {"n_layers": 1, "n_heads": 2, "d_model": 32, "d_ff": 128}, **training}
     out_path = tmp_path / "student.lmz"
-    rc, _, _ = run_main(capsys, "distill", "--config", str(cfg_path), "--out", str(out_path))
+    rc, printed, _ = distill_main(capsys, tmp_path, student, "--out", str(out_path),
+                                  model=teacher, corpus=str(corpus))
     assert rc == 0
-    assert load_model(out_path).config == ModelConfig(1, 2, 32, 128)
+    spec = parse_suite_config(small_suite_doc(tmp_path, students={"s": student})).students["s"]
+    base = init_model(ModelConfig(1, 2, 32, 128), seed=5)
+    trained = cli.build_student(base, spec, cli.training_tokens(
+        base, spec, tokenize(corpus.read_bytes())))
+    save_model(trained, tmp_path / "again.lmz")
+    assert out_path.read_bytes() == (tmp_path / "again.lmz").read_bytes()
+    sparsity = apply_pass(base, DistillRef("s"), students={"s": trained}).sparsity
+    assert printed == (f"wrote {out_path}\npasses[0] distill: student 's', projection sparsity "
+                       f"{sparsity:.3f}\n")
+    # a saved student needs no corpus, and distilling to it writes it back unchanged
+    rc, _, _ = distill_main(capsys, tmp_path, {"path": str(out_path)}, "--out",
+                            str(tmp_path / "saved.lmz"), model=teacher)
+    assert rc == 0 and (tmp_path / "saved.lmz").read_bytes() == out_path.read_bytes()
 
 
 def test_cli_distill_a_diverged_run_exits_two_and_writes_nothing(tmp_path, capsys):
-    cfg = {
-        "teacher": {"config": {"n_layers": 2, "n_heads": 4, "d_model": 64, "d_ff": 256},
-                    "seed": 0},
-        "corpus": str(bundled.path("toy_corpus.txt")),
-        "student": {
-            "config": {"n_layers": 1, "n_heads": 2, "d_model": 32, "d_ff": 128},
-            "distill": {"method": "reverse_kld", "steps": 5, "learning_rate": 1e300},
-            "window": 16,
-        },
-    }
-    cfg_path = tmp_path / "distill.json"
-    cfg_path.write_text(json.dumps(cfg))
     out_path = tmp_path / "student.lmz"
-    rc, printed, err = run_main(capsys, "distill", "--config", str(cfg_path),
-                                "--out", str(out_path))
+    rc, printed, err = distill_main(
+        capsys, tmp_path, {"config": {"n_layers": 1, "n_heads": 2, "d_model": 32, "d_ff": 128},
+                           "distill": {"method": "reverse_kld", "steps": 5,
+                                       "learning_rate": 1e300},
+                           "window": 16},
+        "--out", str(out_path), corpus=TOY_CORPUS,
+        model={"config": {"n_layers": 2, "n_heads": 4, "d_model": 64, "d_ff": 256}, "seed": 0})
     assert rc == 2 and printed == ""
-    assert err == "error: training diverged: loss nan at step 2\n"
+    assert err == "error: student 's': training diverged: loss nan at step 2\n"
     assert not out_path.exists()
 
 
@@ -798,17 +824,13 @@ def test_cli_distill_a_temperature_whose_square_overflows_exits_two_before_train
         tmp_path, capsys, monkeypatch):
     trained = []
     monkeypatch.setattr(cli, "train_student", lambda *args, **kw: trained.append(args))
-    cfg_path = tmp_path / "distill.json"
-    cfg_path.write_text(json.dumps({
-        "teacher": {"config": BAD_STEPS_STUDENT["config"], "seed": 0},
-        "corpus": str(bundled.path("toy_corpus.txt")),
-        "student": {"config": BAD_STEPS_STUDENT["config"], "window": 16,
-                    "distill": {"method": "forward_kld", "steps": 5, "temperature": 1e300}}}))
     out_path = tmp_path / "student.lmz"
-    rc, printed, err = run_main(capsys, "distill", "--config", str(cfg_path),
-                                "--out", str(out_path))
+    rc, printed, err = distill_main(
+        capsys, tmp_path, {"config": FRESH["config"], "window": 16, "distill": {
+            "method": "forward_kld", "steps": 5, "temperature": 1e300}},
+        "--out", str(out_path), model={"config": FRESH["config"], "seed": 0}, corpus=TOY_CORPUS)
     assert rc == 2 and printed == ""
-    assert err == ("error: student.distill: temperature must be positive, with a finite "
+    assert err == ("error: students['s'].distill: temperature must be positive, with a finite "
                    "square, got 1e+300\n")
     assert trained == [] and not out_path.exists()
 
@@ -833,14 +855,10 @@ def test_cli_distill_rejects_an_out_that_is_a_directory_before_training(
     ran = []
     monkeypatch.setattr(cli, "run_suite", lambda *args: ran.append(args))
     monkeypatch.setattr(cli, "build_student", lambda *args: ran.append(args))
-    cfg_path = tmp_path / "distill.json"
-    cfg_path.write_text(json.dumps({
-        "teacher": {"config": BAD_STEPS_STUDENT["config"], "seed": 0},
-        "corpus": str(bundled.path("toy_corpus.txt")),
-        "student": {"config": BAD_STEPS_STUDENT["config"], "window": 16,
-                    "distill": {"method": "forward_kld", "steps": 5}}}))
-    rc, printed, err = run_main(capsys, "distill", "--config", str(cfg_path),
-                                "--out", str(tmp_path))
+    rc, printed, err = distill_main(
+        capsys, tmp_path, {"config": FRESH["config"], "window": 16,
+                           "distill": {"method": "forward_kld", "steps": 5}},
+        "--out", str(tmp_path), model={"config": FRESH["config"], "seed": 0}, corpus=TOY_CORPUS)
     assert rc == 2 and printed == ""
     assert err == f"error: --out {tmp_path} is a directory\n"
     assert ran == []
@@ -865,7 +883,7 @@ COMPRESS_HEADS = ["compress", "--config", "prune-heads.json"]
      "--plot", "d", "--plot d is a directory"),
     (["score", "--metrics", str(bundled.path("gpt2_standalone.csv")), "--out", "./p.csv"],
      "--plot", "p.csv", "--out ./p.csv and --plot p.csv name the same file"),
-    (["distill", "--config", "distill.json"], "--out", "nodir/s.lmz",
+    (["compress", "--config", "distill.json"], "--out", "nodir/s.lmz",
      "--out nodir/s.lmz: nodir is not a directory"),
     (["run", "--config", "suite.json"], "--out", "f/sub", "--out f/sub: f is not a directory"),
 ], ids=["quantize-dir", "quantize-no-parent", "prune-24-dir", "prune-heads-report-dir",
@@ -886,8 +904,8 @@ def test_cli_checks_each_output_path_before_any_work(tmp_path, capsys, monkeypat
     (tmp_path / "f").write_text("kept\n")
     (tmp_path / "suite.json").write_text(json.dumps(small_suite_doc(tmp_path)))
     (tmp_path / "distill.json").write_text(json.dumps({
-        "teacher": {"config": TRAINED["config"], "seed": 0}, "corpus": TOY_CORPUS,
-        "student": TRAINED}))
+        "model": {"config": TRAINED["config"], "seed": 0}, "corpus": TOY_CORPUS,
+        "students": {"s": TRAINED}, "passes": [DISTILL_S]}))
     for name, passes in (("quantize", [Q8]), ("prune-24", [{"op": "prune_2_4"}]),
                          ("prune-heads", [PRUNE_HEADS_09])):
         (tmp_path / f"{name}.json").write_text(json.dumps(
@@ -1007,13 +1025,16 @@ VOCAB_100 = {"config": {"n_layers": 1, "n_heads": 2, "d_model": 32, "d_ff": 128,
      "corpus 10.txt: token ids must lie in [0, 100)"),
     ("compress", {"model": FRESH, "passes": [Q8, PRUNE_HEADS_09]},
      "compress config: a prune_heads pass needs a corpus"),
-    ("compress", {"model": FRESH, "passes": [Q8], "students": {}},
-     "compress config: unknown keys ['students']"),
+    ("compress", {"model": FRESH, "passes": [Q8], "students": []},
+     "students must be a JSON object"),
+    ("compress", {"model": FRESH, "passes": [DISTILL_S], "students": {"s": {
+        "config": FRESH["config"], "distill": {"method": "forward_kld"}}}},
+     "compress config: a distill pass to trained student 's' needs a corpus"),
     ("perplexity", {"model": FRESH, "corpus": "10.txt", "passes": []},
      "perplexity config: unknown keys ['passes']"),
 ], ids=["model-and-seed", "neither", "arch-3", "arch-letters", "corpus-1",
         "calibration-corpus-10", "perplexity-vocab-100", "prune-heads-vocab-100",
-        "prune-heads-no-corpus", "compress-students", "perplexity-passes"])
+        "prune-heads-no-corpus", "compress-students", "distill-no-corpus", "perplexity-passes"])
 def test_cli_flag_and_corpus_errors_exit_two(tmp_path, capsys, monkeypatch, command, keys,
                                              named):
     """compress and perplexity check a model and corpus as a suite's are checked, and reject
@@ -1123,15 +1144,17 @@ def test_cli_run_profiles_key_scores_only_that_profile(tmp_path, capsys):
 
 @pytest.mark.parametrize("command, flag, value", [
     ("run", "--reps", "1"), ("run", "--seed", "1"), ("run", "--profile", "energy"),
-    ("run", "--energy-source", "synthetic"), ("distill", "--seed", "1"),
+    ("run", "--energy-source", "synthetic"),
+    # the id keeps the name of the distill command, which compress replaces
+    pytest.param("compress", "--seed", "1", id="distill---seed-1"),
 ])
 def test_cli_run_and_distill_read_only_config_and_out(tmp_path, capsys, command, flag, value):
     """Every suite and distillation value is set in the config file, where it is digested."""
     with pytest.raises(SystemExit) as exc:
         main([command, "--help"])
     assert exc.value.code == 0
-    assert set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) == {"--help", "--config",
-                                                                      "--out"}
+    assert set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) == {
+        "--help", "--config", "--out", *(["--report"] if command == "compress" else [])}
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(small_suite_doc(tmp_path)))
     with pytest.raises(SystemExit) as exc:
@@ -1142,23 +1165,22 @@ def test_cli_run_and_distill_read_only_config_and_out(tmp_path, capsys, command,
 
 
 def test_cli_commands_take_every_setting_from_a_config_file(capsys):
-    """Five commands; beside --config (or score's --metrics) a command has only the paths
+    """Four commands; beside --config (or score's --metrics) a command has only the paths
     it writes, so no flag restates what a suite file's keys hold."""
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
-    assert "{run,score,perplexity,compress,distill}" in capsys.readouterr().out
+    assert "{run,score,perplexity,compress}" in capsys.readouterr().out
     options = {}
-    for command in ("run", "score", "perplexity", "compress", "distill"):
+    for command in ("run", "score", "perplexity", "compress"):
         with pytest.raises(SystemExit) as exc:
             main([command, "--help"])
         assert exc.value.code == 0
         options[command] = set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) - {"--help"}
     assert options == {"run": {"--config", "--out"},
                        "score": {"--metrics", "--config", "--out", "--plot"},
-                       "perplexity": {"--config"}, "compress": {"--config", "--out", "--report"},
-                       "distill": {"--config", "--out"}}
-    assert sum(map(len, options.values())) == 12
+                       "perplexity": {"--config"}, "compress": {"--config", "--out", "--report"}}
+    assert sum(map(len, options.values())) == 10
 
 
 def test_readme_cli_examples_run_every_command_and_no_other():
@@ -1171,6 +1193,68 @@ def test_readme_cli_examples_run_every_command_and_no_other():
     sub = next(a for a in cli.build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
     assert documented == set(sub.choices)
+
+
+def _readme_json_blocks():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    return re.findall(r"^```json\n(.*?)^```", readme, re.S | re.M)
+
+
+def test_readme_configs_parse_with_their_commands_parsers(monkeypatch):
+    """Each JSON block of the README parses with the parser of the command it configures,
+    a suite's or compress's, so a removed grammar cannot stay documented."""
+    def no_model(*args, **kwargs):
+        raise AssertionError("a model was built while parsing")
+
+    monkeypatch.setattr(suite, "init_model", no_model)
+    monkeypatch.setattr(suite, "load_model", no_model)
+    parsed = []
+    for block in _readme_json_blocks():
+        doc = json.loads(block)
+        parser = parse_suite_config if "pipelines" in doc else suite.parse_compress_config
+        parser(doc)
+        parsed.append(parser)
+    assert parsed == [parse_suite_config, suite.parse_compress_config]
+
+
+def test_cli_a_key_given_twice_is_an_error_in_every_command(tmp_path, capsys):
+    """json keeps the last of a repeated key, which would drop the first value unmentioned;
+    a config file that repeats one exits 2, naming it, and writes nothing.  A file without
+    a repeated key loads as json.loads reads it."""
+    suite_text = json.dumps(small_suite_doc(tmp_path))
+    compress_text = json.dumps({"model": FRESH, "passes": [Q8]})
+    for text in (suite_text, compress_text):
+        (tmp_path / "config.json").write_text(text)
+        assert _load_json(tmp_path / "config.json") == json.loads(text)
+    cases = [("run", suite_text.replace('"pipelines": [', '"pipelines": [], "pipelines": ['),
+              "pipelines", "o"),
+             ("compress", compress_text.replace('"bits": 8', '"bits": 4, "bits": 8'), "bits",
+              "m.lmz")]
+    for command, text, key, out in cases:
+        (tmp_path / "config.json").write_text(text)
+        rc, printed, err = run_main(capsys, command, "--config", str(tmp_path / "config.json"),
+                                    "--out", str(tmp_path / out))
+        assert rc == 2 and printed == ""
+        assert err == f"error: config keys must be unique: {key!r} is repeated\n"
+        assert not (tmp_path / out).exists()
+
+
+@pytest.mark.parametrize("name", [" q8 ", "   "], ids=["padded", "blank"])
+def test_parse_rejects_a_pipeline_name_that_metrics_csv_cannot_round_trip(
+        tmp_path, capsys, monkeypatch, name):
+    """ingest_metrics strips every cell, so score on run's metrics.csv would read another
+    name, or none; parsing rejects the name before any model is built."""
+    def no_model(*args, **kwargs):
+        raise AssertionError("a model was built while parsing")
+
+    monkeypatch.setattr(suite, "init_model", no_model)
+    doc = small_suite_doc(tmp_path)
+    doc["pipelines"].append({"name": name, "passes": [Q8]})
+    rc, printed, err = run_suite_doc(capsys, tmp_path, doc)
+    assert rc == 2 and printed == ""
+    assert err == (f"error: pipelines[3].name {name!r} starts or ends with whitespace, "
+                   "which metrics.csv strips\n")
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_run_base_only_suite_writes_no_metrics(tmp_path, capsys):
@@ -1233,15 +1317,11 @@ def test_cli_run_wrong_typed_values_exit_two(tmp_path, capsys, changes):
 
 
 def test_cli_distill_wrong_typed_steps_exit_two(tmp_path, capsys):
-    corpus = tmp_path / "c.txt"
-    corpus.write_bytes(bundled.path("toy_corpus.txt").read_bytes()[:400])
-    cfg_path = tmp_path / "distill.json"
-    cfg_path.write_text(json.dumps({"teacher": {"config": BAD_STEPS_STUDENT["config"]},
-                                    "corpus": str(corpus), "student": BAD_STEPS_STUDENT}))
-    rc, _, err = run_main(capsys, "distill", "--config", str(cfg_path),
-                          "--out", str(tmp_path / "s.lmz"))
+    rc, _, err = distill_main(capsys, tmp_path, BAD_STEPS_STUDENT, "--out", str(tmp_path / "s.lmz"),
+                              model={"config": BAD_STEPS_STUDENT["config"]}, corpus=TOY_CORPUS)
     assert rc == 2
-    assert err.startswith("error:")
+    assert err == "error: students['s'].distill: steps must be an integer >= 0, got '5'\n"
+    assert not (tmp_path / "s.lmz").exists()
 
 
 def test_parse_rejects_distill_after_other_passes(tmp_path, capsys, monkeypatch):
@@ -1293,15 +1373,10 @@ def test_cli_run_wrong_typed_strings_exit_two(tmp_path, capsys, changes):
 
 
 def test_cli_distill_wrong_typed_corpus_exits_two(tmp_path, capsys):
-    cfg_path = tmp_path / "distill.json"
-    cfg_path.write_text(json.dumps({"teacher": {"config": BAD_STEPS_STUDENT["config"]},
-                                    "corpus": 5, "student": {
-                                        "config": BAD_STEPS_STUDENT["config"],
-                                        "distill": {"method": "forward_kld", "steps": 2}}}))
-    rc, _, err = run_main(capsys, "distill", "--config", str(cfg_path),
-                          "--out", str(tmp_path / "s.lmz"))
+    rc, _, err = distill_main(capsys, tmp_path, TRAINED, "--out", str(tmp_path / "s.lmz"),
+                              model={"config": TRAINED["config"]}, corpus=5)
     assert rc == 2
-    assert err.startswith("error:") and "corpus" in err
+    assert err == "error: corpus must be a non-empty string, got 5\n"
 
 
 def test_cli_distill_names_a_corpus_outside_the_teacher_vocabulary(tmp_path, capsys, monkeypatch):
@@ -1312,12 +1387,10 @@ def test_cli_distill_names_a_corpus_outside_the_teacher_vocabulary(tmp_path, cap
     corpus = tmp_path / "c.txt"
     corpus.write_bytes(bundled.path("toy_corpus.txt").read_bytes()[:400])
     small = dict(BAD_STEPS_STUDENT["config"], vocab_size=100)
-    cfg_path = tmp_path / "distill.json"
-    cfg_path.write_text(json.dumps({"teacher": {"config": small}, "corpus": str(corpus),
-                                    "student": {"config": small, "window": 16,
-                                                "distill": {"method": "seqkd", "steps": 2}}}))
-    rc, out, err = run_main(capsys, "distill", "--config", str(cfg_path),
-                            "--out", str(tmp_path / "s.lmz"))
+    rc, out, err = distill_main(
+        capsys, tmp_path, {"config": small, "window": 16,
+                           "distill": {"method": "seqkd", "steps": 2}},
+        "--out", str(tmp_path / "s.lmz"), model={"config": small}, corpus=str(corpus))
     assert rc == 2 and out == ""
     assert err == f"error: corpus {corpus}: token ids must lie in [0, 100)\n"
     assert decoded == [] and not (tmp_path / "s.lmz").exists()
@@ -1728,15 +1801,12 @@ def test_cli_distill_a_seqkd_teacher_whose_forward_overflows_exits_two(
     """Its nan logits would decode to zero bytes; generate rejects the step instead."""
     trained = []
     monkeypatch.setattr(cli, "train_student", lambda *args, **kw: trained.append(args))
-    cfg_path = tmp_path / "distill.json"
-    cfg_path.write_text(json.dumps({"teacher": {"path": _saved_overflowing_model(tmp_path)},
-                                    "corpus": str(bundled.path("toy_corpus.txt")),
-                                    "student": SEQKD_STUDENT}))
     out_path = tmp_path / "student.lmz"
-    rc, printed, err = run_main(capsys, "distill", "--config", str(cfg_path),
-                                "--out", str(out_path))
+    rc, printed, err = distill_main(capsys, tmp_path, SEQKD_STUDENT, "--out", str(out_path),
+                                    model={"path": _saved_overflowing_model(tmp_path)},
+                                    corpus=TOY_CORPUS)
     assert rc == 2 and printed == ""
-    assert err == "error: generate: the logits of step 1 are not finite\n"
+    assert err == "error: student 's': generate: the logits of step 1 are not finite\n"
     assert trained == [] and not out_path.exists()
 
 
@@ -1759,16 +1829,12 @@ def test_cli_distill_checks_a_seqkd_students_window_range_before_decoding(
     """As in a suite's pre-flight, a window that fits neither context costs no decode."""
     decoded = []
     monkeypatch.setattr(cli, "seqkd_corpus", lambda *a, **k: decoded.append(a))
-    cfg_path = tmp_path / "distill.json"
-    cfg_path.write_text(json.dumps({
-        "teacher": {"config": SEQKD_STUDENT["config"], "seed": 0},
-        "corpus": str(bundled.path("toy_corpus.txt")),
-        "student": dict(SEQKD_STUDENT, window=100)}))
     out_path = tmp_path / "student.lmz"
-    rc, printed, err = run_main(capsys, "distill", "--config", str(cfg_path),
-                                "--out", str(out_path))
+    rc, printed, err = distill_main(capsys, tmp_path, dict(SEQKD_STUDENT, window=100),
+                                    "--out", str(out_path), corpus=TOY_CORPUS,
+                                    model={"config": SEQKD_STUDENT["config"], "seed": 0})
     assert rc == 2 and printed == ""
-    assert err == "error: window must lie in [1, 64]\n"
+    assert err == "error: student 's': window must lie in [1, 64]\n"
     assert decoded == [] and not out_path.exists()
 
 
@@ -1903,32 +1969,18 @@ def test_run_suite_twice_on_one_config_gives_identical_reports(tmp_path):
 
 
 def test_cli_distill_rejects_a_key_given_twice(tmp_path, capsys):
-    corpus = tmp_path / "c.txt"
-    corpus.write_bytes(bundled.path("toy_corpus.txt").read_bytes()[:400])
-    cfg_path = tmp_path / "distill.json"
-    cfg_path.write_text(json.dumps({
-        "teacher": {"config": BAD_STEPS_STUDENT["config"]}, "corpus": str(corpus),
-        "window": 32,
-        "student": {"config": BAD_STEPS_STUDENT["config"], "window": 16,
-                    "distill": {"method": "forward_kld", "steps": 1}}}))
-    rc, _, err = run_main(capsys, "distill", "--config", str(cfg_path),
-                          "--out", str(tmp_path / "s.lmz"))
-    assert rc == 2 and "window" in err
+    """A training window beside the student's, at the top of the config, is an unknown key."""
+    rc, _, err = distill_main(capsys, tmp_path, dict(TRAINED, window=16),
+                              "--out", str(tmp_path / "s.lmz"), window=32,
+                              model={"config": TRAINED["config"]}, corpus=TOY_CORPUS)
+    assert rc == 2 and err == "error: compress config: unknown keys ['window']\n"
     assert not (tmp_path / "s.lmz").exists()
 
 
 def test_cli_distill_reads_window_only_inside_student(tmp_path, capsys):
-    corpus = tmp_path / "c.txt"
-    corpus.write_bytes(bundled.path("toy_corpus.txt").read_bytes()[:400])
-    cfg_path = tmp_path / "distill.json"
-    cfg_path.write_text(json.dumps({
-        "teacher": {"config": BAD_STEPS_STUDENT["config"]}, "corpus": str(corpus),
-        "window": 16,
-        "student": {"config": BAD_STEPS_STUDENT["config"],
-                    "distill": {"method": "forward_kld", "steps": 1}}}))
-    rc, _, err = run_main(capsys, "distill", "--config", str(cfg_path),
-                          "--out", str(tmp_path / "s.lmz"))
-    assert rc == 2 and err.startswith("error:") and "window" in err
+    rc, _, err = distill_main(capsys, tmp_path, TRAINED, "--out", str(tmp_path / "s.lmz"),
+                              window=16, model={"config": TRAINED["config"]}, corpus=TOY_CORPUS)
+    assert rc == 2 and err == "error: compress config: unknown keys ['window']\n"
     assert not (tmp_path / "s.lmz").exists()
 
 
@@ -1948,16 +2000,10 @@ def test_parse_rejects_a_seqkd_block_no_student_reads(tmp_path, method):
 
 
 def test_cli_distill_seed_is_checked_by_distill_config(tmp_path, capsys):
-    corpus = tmp_path / "c.txt"
-    corpus.write_bytes(bundled.path("toy_corpus.txt").read_bytes()[:400])
-    cfg_path = tmp_path / "distill.json"
-    cfg_path.write_text(json.dumps({
-        "teacher": {"config": BAD_STEPS_STUDENT["config"]}, "corpus": str(corpus),
-        "student": {"config": BAD_STEPS_STUDENT["config"],
-                    "distill": {"method": "forward_kld", "steps": 1, "seed": -1}}}))
-    rc, _, err = run_main(capsys, "distill", "--config", str(cfg_path),
-                          "--out", str(tmp_path / "s.lmz"))
-    assert rc == 2 and "seed" in err
+    rc, _, err = distill_main(
+        capsys, tmp_path, dict(TRAINED, distill={"method": "forward_kld", "steps": 1, "seed": -1}),
+        "--out", str(tmp_path / "s.lmz"), model={"config": TRAINED["config"]}, corpus=TOY_CORPUS)
+    assert rc == 2 and err == "error: students['s'].distill: seed must be an integer >= 0, got -1\n"
     assert not (tmp_path / "s.lmz").exists()
 
 
@@ -2191,12 +2237,11 @@ _RUN_VALUES = st.integers(-2, 8) | st.recursive(
 
 
 def _command_doc(command, corpus):
-    """_run_doc, or the keys of it that compress (pipeline q after its distill pass) or
-    perplexity reads."""
+    """_run_doc, or the keys of it that compress (pipeline q's passes) or perplexity reads."""
     doc = _run_doc(corpus)
     if command == "compress":
-        return {"model": doc["model"], "corpus": doc["corpus"],
-                "passes": doc["pipelines"][1]["passes"][1:], "calibration": doc["calibration"]}
+        return {"model": doc["model"], "corpus": doc["corpus"], "students": doc["students"],
+                "passes": doc["pipelines"][1]["passes"], "calibration": doc["calibration"]}
     if command == "perplexity":
         return {key: doc[key] for key in ("model", "corpus", "perplexity")}
     return doc

@@ -24,7 +24,8 @@ from shrinklab.compress import (
     quantize_tensor,
 )
 from shrinklab.errors import DomainError, ShapeError
-from shrinklab.model import LINEAR_NAMES, astype, copy_model, forward, init_model, perplexity
+from shrinklab.model import (LINEAR_NAMES, ModelConfig, astype, copy_model, forward, init_model,
+                             perplexity)
 
 from conftest import SMALL, concentration_pair_model, uniform_head_expected
 
@@ -450,7 +451,18 @@ def test_prune_heads_pass_reports_the_heads_it_masked():
 
 
 def test_distill_pass_reports_the_student(small_model):
+    """A distill pass swaps in another model.  For a student of the model's config the
+    report compares the two; for one of another shape it refuses to, where it would
+    make up a heads_masked of 1 and could not subtract the weights."""
     student = init_model(SMALL, seed=99)
     report = apply_pass(small_model, DistillRef("kd"), students={"kd": student})
     assert report.after is student and report.before is small_model
     assert report.concentration is None
+    assert report.heads_masked == 0 and report.max_error > 0
+    other = init_model(ModelConfig(1, 1, 16, 64), seed=99)
+    report = apply_pass(small_model, DistillRef("kd"), students={"kd": other})
+    assert report.after is other and report.sparsity == 0.0
+    for name in ("heads_masked", "max_error"):
+        with pytest.raises(DomainError, match=f"^{name} does not apply: the pass changed the "
+                                              "model's config$"):
+            getattr(report, name)
