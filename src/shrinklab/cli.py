@@ -5,7 +5,8 @@ Each command reads its settings from a --config file holding some of a suite fil
 keys, parsed by the functions that parse a suite (suite.py): run a whole suite,
 perplexity its model, corpus and perplexity, compress its model, passes, corpus,
 students and calibration, and score its profiles and quality_exponent.  run, compress
-and perplexity build what their pipelines start from in pipeline_inputs.  score prints
+and perplexity build what their pipelines start from in pipeline_inputs, and run and
+compress run each pipeline's passes in one compress.compose call.  score prints
 each profile's ranking of a metrics table and writes the scored table as JSON (--out)
 and as plot rows (--plot).  Argument parsing and the suite runner live here; the
 metrics CSV and score tables are in tables.py.
@@ -17,12 +18,12 @@ import json
 import sys
 from contextlib import nullcontext
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import numpy as np
 
-from .compress import Calibration, DistillRef, PruneHeads, apply_pass, compose
+from .compress import Calibration, DistillRef, PruneHeads, compose, start_student
 from .distill import (METHOD_SEQKD, check_shared_vocabulary, seqkd_corpus, train_student,
                       training_window)
 from .errors import (DomainError, FormatError, ParseError, SourceError, StateError, check_number,
@@ -33,7 +34,7 @@ from .scoring import (BUILTIN_PROFILES, QUALITY_EXPONENT, Direction, MetricRecor
                       ResourceRatios, check_quality_exponent, opt_score, rank_methods)
 from .suite import (ModelSpec, Report, StudentSpec, SuiteConfig, _load_corpus, _load_json,
                     _parse_model_spec, _parse_perplexity, _parse_profiles, _require_keys,
-                    config_digest, first_student, parse_compress_config, parse_suite_config)
+                    config_digest, parse_compress_config, parse_suite_config)
 from .tables import (BASE_PIPELINE, MethodMeasurements, ScoreTable, _check_unique, _result_fields,
                      emit_plot_data, ingest_metrics, report_metric_rows, write_metrics_csv)
 
@@ -77,7 +78,7 @@ def pipeline_inputs(model: ModelSpec, corpus_path: str | None, pass_lists, specs
     # the model each list starts from (None for the base): whether a list prunes its heads
     probed: dict[str | None, bool] = {None: False}
     for passes in pass_lists:
-        start = first_student(passes)
+        start = start_student(passes, specs)
         probed[start] = probed.get(start) or any(isinstance(p, PruneHeads) for p in passes)
 
     probes, window, students, tokens = None, perplexity_block, {}, {}
@@ -114,7 +115,8 @@ def run_suite(config: SuiteConfig) -> Report:
     rows: list[dict] = []
     for p in config.pipelines:
         with named(f"{p.name} pipeline failed", _RUN_ERRORS):
-            candidate = compose(p.passes, calibration=calibration, students=students)(base)
+            reports = compose(p.passes, base, calibration=calibration, students=students)
+            candidate = reports[-1].after if reports else base
             holder: dict[str, float] = {}
 
             def work():
@@ -172,8 +174,9 @@ def score_report(measurements, profiles=BUILTIN_PROFILES,
 
 def _check_out(args, *flags: str, directory: bool = False) -> None:
     """Fail, naming flag and path, unless each path the flags give can be written: as a
-    file, or as a directory to make; and unless no two of them name the same file.  Each
-    command checks every path it writes, in one call, before any other work."""
+    file, or as a directory to make; and unless no two of them, nor one of them and an
+    input flag (--config, --metrics), name the same file.  Each command checks every path
+    it writes, in one call, before any other work."""
     given = [(flag, path) for flag in flags if (path := getattr(args, flag[2:])) is not None]
     for flag, path in given:
         out = Path(path)
@@ -185,7 +188,9 @@ def _check_out(args, *flags: str, directory: bool = False) -> None:
         nearest = next(p for p in (out, *out.parents) if p.exists()) if directory else out.parent
         if not nearest.is_dir():
             raise DomainError(f"{flag} {path}: {nearest} is not a directory")
-    for (flag, path), (other, other_path) in combinations(given, 2):
+    inputs = [(flag, path) for flag in ("--config", "--metrics")
+              if (path := getattr(args, flag[2:], None)) is not None]
+    for (flag, path), (other, other_path) in [*combinations(given, 2), *product(given, inputs)]:
         if Path(path).resolve() == Path(other_path).resolve():
             raise DomainError(f"{flag} {path} and {other} {other_path} name the same file")
 
@@ -260,10 +265,9 @@ def _cmd_compress(args):
     spec, corpus_path, specs, passes, calibration = parse_compress_config(doc)
     model, _, probes, students, _ = pipeline_inputs(spec, corpus_path, [passes], specs,
                                                     calibration)
+    reports = compose(passes, model, calibration=probes, students=students)
     rows = []
-    for entry, p in zip(doc["passes"], passes):
-        report = apply_pass(model, p, calibration=probes, students=students)
-        model = report.after
+    for entry, p, report in zip(doc["passes"], passes, reports):
         rows.append({"pass": entry, "sparsity": report.sparsity})
         if not isinstance(p, DistillRef):  # its student is another model, not a transform
             rows[-1].update(heads_masked=report.heads_masked, max_error=report.max_error)
@@ -273,7 +277,7 @@ def _cmd_compress(args):
         Path(args.report).write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n")
         print(f"wrote {args.report}")
     if args.out:
-        save_model(model, args.out)
+        save_model(reports[-1].after if reports else model, args.out)
         print(f"wrote {args.out}")
     for j, row in enumerate(rows):
         did = (f"student {row['pass']['student']!r}" if "max_error" not in row else

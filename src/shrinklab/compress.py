@@ -1,13 +1,14 @@
 """Compression passes: weight quantization, 2:4 sparsity, attention-head pruning.
 
 Every pass maps a model to a new model and leaves the input untouched, so
-passes compose freely.  apply_pass() runs one pass and reports what it did;
-compose() turns a list of pass descriptions into a single callable.
+passes compose freely.  compose() runs a list of pass descriptions on a model and
+returns a PassReport of what each pass did; start_student() holds the rules such
+a list keeps.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -285,11 +286,6 @@ class DistillRef:
 CompressionPass = Quantize | PruneHeads | Prune24 | DistillRef
 
 
-def _check_pass(p) -> None:
-    if not isinstance(p, CompressionPass):
-        raise DomainError(f"unknown compression pass {p!r}")
-
-
 @dataclass(frozen=True)
 class PassReport:
     """What one pass did: its input and output models, and for a PruneHeads
@@ -328,45 +324,46 @@ class PassReport:
         return sum(int((a == 0).sum()) for a in arrays) / sum(a.size for a in arrays)
 
 
-def apply_pass(model: TinyLM, p: CompressionPass,
-               calibration: Sequence | None = None,
-               students: Mapping[str, TinyLM] | None = None) -> PassReport:
-    """Run one pass on model and report what it did."""
-    _check_pass(p)
-    if isinstance(p, Quantize):
-        return PassReport(model, quantize_model(model, p.bits))
-    if isinstance(p, Prune24):
-        return PassReport(model, prune_model_2_4(model))
-    if isinstance(p, PruneHeads):
-        if calibration is None:
-            raise DomainError("a PruneHeads pass requires calibration sequences")
-        report = head_concentration(model, calibration)
-        return PassReport(model, prune_heads(model, report, p.threshold), report)
-    if not students or p.student not in students:
-        raise DomainError(f"no student model registered under {p.student!r}")
-    return PassReport(model, students[p.student])
-
-
-def compose(passes: Sequence[CompressionPass],
-            calibration: Sequence | None = None,
-            students: Mapping[str, TinyLM] | None = None
-            ) -> Callable[[TinyLM], TinyLM]:
-    """Single transform applying passes left to right.
-
-    Order matters: pruning heads on a quantized model measures quantized
-    attention.  A DistillRef replaces the model, discarding whatever came
-    before it, so it is accepted only as the first pass.
-    """
-    frozen = list(passes)
-    for i, p in enumerate(frozen):
-        _check_pass(p)
+def start_student(passes: Sequence, students: Mapping | None) -> str | None:
+    """The id of the student passes start from, or None.  Every item must be a pass,
+    and a DistillRef, which replaces the model and so would discard the passes before
+    it, may only come first and must name a student that students defines."""
+    for i, p in enumerate(passes):
+        if not isinstance(p, CompressionPass):
+            raise DomainError(f"unknown compression pass {p!r}")
         if i and isinstance(p, DistillRef):
             raise DomainError(f"distill pass {p.student!r} must come first: it "
                               "replaces the model, discarding the passes before it")
+    sid = passes[0].student if passes and isinstance(passes[0], DistillRef) else None
+    if sid is not None and sid not in (students or {}):
+        raise DomainError(f"student {sid!r} is not defined in students")
+    return sid
 
-    def transform(model: TinyLM) -> TinyLM:
-        for p in frozen:
-            model = apply_pass(model, p, calibration=calibration, students=students).after
-        return model
 
-    return transform
+def compose(passes: Sequence[CompressionPass], model: TinyLM,
+            calibration: Sequence | None = None,
+            students: Mapping[str, TinyLM] | None = None) -> list[PassReport]:
+    """Run passes on model left to right and report what each did, once the whole list
+    is checked: each report's before is the previous report's after, and no passes
+    give no reports.
+
+    Order matters: pruning heads on a quantized model measures quantized attention.
+    """
+    start_student(passes, students)
+    if calibration is None and any(isinstance(p, PruneHeads) for p in passes):
+        raise DomainError("a PruneHeads pass requires calibration sequences")
+    reports = []
+    for p in passes:
+        concentration = None
+        if isinstance(p, Quantize):
+            after = quantize_model(model, p.bits)
+        elif isinstance(p, Prune24):
+            after = prune_model_2_4(model)
+        elif isinstance(p, PruneHeads):
+            concentration = head_concentration(model, calibration)
+            after = prune_heads(model, concentration, p.threshold)
+        else:
+            after = students[p.student]
+        reports.append(PassReport(model, after, concentration))
+        model = after
+    return reports

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .compress import (Calibration, CompressionPass, DistillRef, Prune24, PruneHeads, Quantize,
-                       compose)
+                       start_student)
 from .distill import METHOD_SEQKD, DistillConfig
 from .errors import DomainError, ParseError, check_integer, check_string, named
 from .meter import (DEFAULT_CARBON_INTENSITY, DEFAULT_REPETITIONS, CounterFile, EnergySource,
@@ -170,20 +170,6 @@ def _parse_students(obj) -> dict[str, ModelSpec | StudentSpec]:
             for sid, spec in obj.items()}
 
 
-def first_student(passes) -> str | None:
-    """The student passes start from (compose accepts a distill pass first), or None."""
-    return passes[0].student if passes and isinstance(passes[0], DistillRef) else None
-
-
-def _check_pipeline(passes, students: dict, what: str) -> str | None:
-    """The student passes start from, once compose accepts them and students defines it."""
-    with named(what):
-        compose(passes)
-        if (sid := first_student(passes)) is not None and sid not in students:
-            raise DomainError(f"student {sid!r} is not defined in students")
-    return sid
-
-
 @dataclass
 class PipelineSpec:
     name: str
@@ -259,7 +245,8 @@ def parse_suite_config(doc: dict) -> SuiteConfig:
             raise DomainError(f"{what}.name {name!r} starts or ends with whitespace, "
                               "which metrics.csv strips")
         passes = _parse_passes(p["passes"], what)
-        _check_pipeline(passes, students, f"pipeline {name!r}")
+        with named(f"pipeline {name!r}"):
+            start_student(passes, students)
         pipelines.append(PipelineSpec(name=name, passes=passes))
     _check_unique((p.name for p in pipelines), "pipeline names")
     base_like = [p for p in pipelines if p.name == BASE_PIPELINE]
@@ -297,7 +284,8 @@ def parse_compress_config(doc: dict):
     corpus_path = check_string(doc["corpus"], "corpus") if "corpus" in doc else None
     students = _parse_students(doc.get("students", {}))
     passes = _parse_passes(doc["passes"])
-    start = _check_pipeline(passes, students, "passes")
+    with named("passes"):
+        start = start_student(passes, students)
     calibration = _build(Calibration, doc.get("calibration", {}), "calibration")
     if corpus_path is None and any(isinstance(p, PruneHeads) for p in passes):
         raise DomainError("compress config: a prune_heads pass needs a corpus")

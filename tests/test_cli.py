@@ -20,9 +20,8 @@ from shrinklab.cli import main, run_suite, score_report
 from shrinklab.suite import _load_json, Report, SeqkdPrompts, config_digest, parse_suite_config
 from shrinklab.tables import (BASE_PIPELINE, METRICS_HEADER, ScoreTable, emit_plot_data,
                               ingest_metrics, report_metric_rows, write_metrics_csv)
-from shrinklab.compress import (Calibration, DistillRef, Prune24, PruneHeads, Quantize,
-                                apply_pass, compose, head_concentration, prune_heads,
-                                prune_model_2_4, quantize_model)
+from shrinklab.compress import (Calibration, DistillRef, Prune24, PruneHeads, Quantize, compose,
+                                head_concentration, prune_heads, prune_model_2_4, quantize_model)
 from shrinklab.distill import DistillConfig
 from shrinklab.errors import BelowRandomFloor, DomainError, ParseError
 from shrinklab.meter import CounterFile, PowerModel, SyntheticClock
@@ -716,7 +715,7 @@ KD_16 = {"config": {"n_layers": 1, "n_heads": 2, "d_model": 16, "d_ff": 64},
 ], ids=["q4-then-2:4", "heads-then-q8", "kd-then-q4"])
 def test_cli_compress_is_a_suite_pipeline_written_to_a_file(tmp_path, capsys, passes, masked):
     """The model compress writes is the model a suite pipeline of the same passes measures,
-    its student trained by build_student, and each --report entry holds what apply_pass
+    its student trained by build_student, and each --report entry holds what compose
     reports for its pass: for a distill pass, its sparsity alone."""
     config = parse_suite_config(small_suite_doc(
         tmp_path, model=FRESH, corpus=TOY_CORPUS, students={"kd": KD_16},
@@ -725,10 +724,8 @@ def test_cli_compress_is_a_suite_pipeline_written_to_a_file(tmp_path, capsys, pa
     probes = config.calibration.cut(corpus, model.config.context_len)
     students = {"kd": cli.build_student(model, config.students["kd"], corpus)
                 } if passes[0]["op"] == "distill" else {}
-    reports, after = [], model
-    for p in config.pipelines[1].passes:
-        reports.append(apply_pass(after, p, calibration=probes, students=students))
-        after = reports[-1].after
+    reports = compose(config.pipelines[1].passes, model, calibration=probes, students=students)
+    after = reports[-1].after
     assert (after.head_mask.sum() < model.head_mask.sum()) == masked
 
     out, report_path = tmp_path / "m.lmz", tmp_path / "r.json"
@@ -742,8 +739,7 @@ def test_cli_compress_is_a_suite_pipeline_written_to_a_file(tmp_path, capsys, pa
     rc, printed, _ = perplexity_main(capsys, tmp_path, model={"path": str(out)},
                                      corpus=TOY_CORPUS)
     assert rc == 0
-    composed = compose(config.pipelines[1].passes, calibration=probes, students=students)(model)
-    assert printed == f"perplexity {perplexity(composed, corpus)!r} over 4691 tokens\n"
+    assert printed == f"perplexity {perplexity(after, corpus)!r} over 4691 tokens\n"
     entries = json.loads(report_path.read_text())
     assert [entry.pop("pass") for entry in entries] == passes
     assert entries == [
@@ -797,7 +793,7 @@ def test_cli_distill_trains_and_saves(tmp_path, capsys, training):
         base, spec, tokenize(corpus.read_bytes())))
     save_model(trained, tmp_path / "again.lmz")
     assert out_path.read_bytes() == (tmp_path / "again.lmz").read_bytes()
-    sparsity = apply_pass(base, DistillRef("s"), students={"s": trained}).sparsity
+    sparsity = compose([DistillRef("s")], base, students={"s": trained})[0].sparsity
     assert printed == (f"wrote {out_path}\npasses[0] distill: student 's', projection sparsity "
                        f"{sparsity:.3f}\n")
     # a saved student needs no corpus, and distilling to it writes it back unchanged
@@ -886,13 +882,21 @@ COMPRESS_HEADS = ["compress", "--config", "prune-heads.json"]
     (["compress", "--config", "distill.json"], "--out", "nodir/s.lmz",
      "--out nodir/s.lmz: nodir is not a directory"),
     (["run", "--config", "suite.json"], "--out", "f/sub", "--out f/sub: f is not a directory"),
+    (["score", "--metrics", "m.csv"], "--plot", "m.csv",
+     "--plot m.csv and --metrics m.csv name the same file"),
+    (["score", "--metrics", "m.csv", "--config", "p.json"], "--out", "./p.json",
+     "--out ./p.json and --config p.json name the same file"),
+    (["compress", "--config", "quantize.json"], "--report", "quantize.json",
+     "--report quantize.json and --config quantize.json name the same file"),
 ], ids=["quantize-dir", "quantize-no-parent", "prune-24-dir", "prune-heads-report-dir",
         "prune-heads-file-parent", "compress-report-is-out", "score-dir", "plot-data-dir",
-        "score-out-is-plot", "distill-no-parent", "run-file-ancestor"])
+        "score-out-is-plot", "distill-no-parent", "run-file-ancestor", "score-plot-is-metrics",
+        "score-out-is-config", "compress-report-is-config"])
 def test_cli_checks_each_output_path_before_any_work(tmp_path, capsys, monkeypatch, argv, flag,
                                                      path, named):
-    """A path a command cannot write ends it with exit 2 before it loads, builds, trains or
-    scores anything, and nothing is written."""
+    """A path a command cannot write, an input file among them, ends it with exit 2
+    before it loads, builds, trains or scores anything, and nothing is written: every
+    file, the command's inputs included, keeps its bytes."""
     def work(*args, **kwargs):
         raise AssertionError("work began before the output path was checked")
 
@@ -902,6 +906,8 @@ def test_cli_checks_each_output_path_before_any_work(tmp_path, capsys, monkeypat
     monkeypatch.chdir(tmp_path)
     (tmp_path / "d").mkdir()
     (tmp_path / "f").write_text("kept\n")
+    (tmp_path / "m.csv").write_bytes(bundled.path("gpt2_standalone.csv").read_bytes())
+    (tmp_path / "p.json").write_text(json.dumps({"profiles": ["balanced"]}))
     (tmp_path / "suite.json").write_text(json.dumps(small_suite_doc(tmp_path)))
     (tmp_path / "distill.json").write_text(json.dumps({
         "model": {"config": TRAINED["config"], "seed": 0}, "corpus": TOY_CORPUS,
@@ -910,11 +916,14 @@ def test_cli_checks_each_output_path_before_any_work(tmp_path, capsys, monkeypat
                          ("prune-heads", [PRUNE_HEADS_09])):
         (tmp_path / f"{name}.json").write_text(json.dumps(
             {"model": FRESH, "corpus": TOY_CORPUS, "passes": passes}))
-    before = sorted(tmp_path.rglob("*"))
+    def tree():
+        return {p: p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")}
+
+    before = tree()
     rc, printed, err = run_main(capsys, *argv, flag, path)
     assert rc == 2 and printed == ""
     assert err == f"error: {named}\n"
-    assert sorted(tmp_path.rglob("*")) == before and (tmp_path / "f").read_text() == "kept\n"
+    assert tree() == before
 
 
 def test_cli_score_and_rank(tmp_path, capsys):
@@ -1198,6 +1207,16 @@ def test_readme_cli_examples_run_every_command_and_no_other():
 def _readme_json_blocks():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     return re.findall(r"^```json\n(.*?)^```", readme, re.S | re.M)
+
+
+def test_readme_python_example_runs(tmp_path, monkeypatch):
+    """The README's one Python block runs as written, in a directory holding the bundled
+    corpus as corpus.txt, so a removed or re-signed library call cannot stay documented."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    [block] = re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M)
+    (tmp_path / "corpus.txt").write_bytes(bundled.path("toy_corpus.txt").read_bytes())
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, "README.md", "exec"), {})
 
 
 def test_readme_configs_parse_with_their_commands_parsers(monkeypatch):

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from shrinklab import compress
 from shrinklab.compress import (
     MIN_CALIBRATION_LEN,
     MIN_PRIOR_KEYS,
@@ -13,7 +14,6 @@ from shrinklab.compress import (
     PruneHeads,
     Quantize,
     QuantizedTensor,
-    apply_pass,
     compose,
     dequantize,
     head_concentration,
@@ -340,17 +340,15 @@ def test_concentration_report_as_dict():
 # ---------------------------------------------------------------------------
 # pass composition
 
-def test_compose_empty_is_identity(small_model, corpus):
-    out = compose([])(small_model)
-    a, _ = forward(small_model, corpus[:12])
-    b, _ = forward(out, corpus[:12])
-    assert np.array_equal(a, b)
+def test_compose_empty_is_identity(small_model):
+    """No passes give no reports: the model is left as it is."""
+    assert compose([], small_model) == []
 
 
 def test_compose_order_sensitivity(small_model):
     """Quantizing then sparsifying differs from sparsifying then quantizing."""
-    qp = compose([Quantize(8), Prune24()])(small_model)
-    pq = compose([Prune24(), Quantize(8)])(small_model)
+    qp = compose([Quantize(8), Prune24()], small_model)[-1].after
+    pq = compose([Prune24(), Quantize(8)], small_model)[-1].after
     wq_qp = qp.weights.layers[0].wq
     wq_pq = pq.weights.layers[0].wq
     a = wq_qp if isinstance(wq_qp, np.ndarray) else dequantize(wq_qp)
@@ -359,31 +357,40 @@ def test_compose_order_sensitivity(small_model):
 
 
 def test_compose_runs_full_stack(small_model, calibration, corpus):
+    """One report per pass, each starting from the model the pass before it left."""
     student = init_model(SMALL, seed=99)
-    transform = compose(
-        [DistillRef("kd"), PruneHeads(0.8), Quantize(4)],
-        calibration=calibration,
-        students={"kd": student},
-    )
-    out = transform(small_model)
+    reports = compose([DistillRef("kd"), PruneHeads(0.8), Quantize(4)], small_model,
+                      calibration=calibration, students={"kd": student})
+    befores = [small_model, student, reports[1].after]
+    assert len(reports) == 3 and all(r.before is m for r, m in zip(reports, befores))
+    assert reports[0].after is student and reports[1].concentration is not None
+    out = reports[-1].after
     assert isinstance(out.weights.layers[0].wq, QuantizedTensor)
     forward(out, corpus[:10])
 
 
 def test_compose_rejects_unknown_pass(small_model):
-    with pytest.raises(DomainError):
-        compose(["quantize"])
-    with pytest.raises(DomainError):
-        apply_pass(small_model, object())
+    with pytest.raises(DomainError, match="^unknown compression pass 'quantize'$"):
+        compose(["quantize"], small_model)
+    with pytest.raises(DomainError, match="^unknown compression pass"):
+        compose([Quantize(8), object()], small_model)
 
 
-def test_compose_rejects_distill_after_other_passes(small_model):
-    """A distill pass replaces the model, so passes before it would be lost."""
+def test_compose_rejects_distill_after_other_passes(small_model, monkeypatch):
+    """A distill pass replaces the model, so passes before it would be lost; and it
+    must name a defined student.  The whole list is checked before any pass runs."""
     student = init_model(SMALL, seed=99)
-    with pytest.raises(DomainError, match="first"):
-        compose([Quantize(4), DistillRef("kd")], students={"kd": student})
-    out = compose([DistillRef("kd"), Quantize(4)], students={"kd": student})(small_model)
+    out = compose([DistillRef("kd"), Quantize(4)], small_model,
+                  students={"kd": student})[-1].after
     assert isinstance(out.weights.layers[0].wq, QuantizedTensor)
+    quantized = []
+    monkeypatch.setattr(compress, "quantize_model", lambda *args: quantized.append(args))
+    with pytest.raises(DomainError, match="^distill pass 'kd' must come first: it replaces "
+                                          "the model, discarding the passes before it$"):
+        compose([Quantize(4), DistillRef("kd")], small_model, students={"kd": student})
+    with pytest.raises(DomainError, match="^student 'kd' is not defined in students$"):
+        compose([DistillRef("kd"), Quantize(4)], small_model, students={})
+    assert quantized == []
 
 
 def test_pass_parameter_validation():
@@ -395,11 +402,11 @@ def test_pass_parameter_validation():
         DistillRef("")
 
 
-def test_apply_pass_missing_context(small_model):
-    with pytest.raises(DomainError):
-        apply_pass(small_model, PruneHeads(0.9))  # no calibration given
-    with pytest.raises(DomainError):
-        apply_pass(small_model, DistillRef("kd"), students={})
+def test_compose_missing_context(small_model):
+    with pytest.raises(DomainError, match="^a PruneHeads pass requires calibration sequences$"):
+        compose([PruneHeads(0.9)], small_model)  # no calibration given
+    with pytest.raises(DomainError, match="^student 'kd' is not defined in students$"):
+        compose([DistillRef("kd")], small_model)  # no students given
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +418,7 @@ def _layer_projections(model):
 
 @pytest.mark.parametrize("bits", SUPPORTED_BITS)
 def test_quantize_pass_reports_its_reconstruction_error(small_model, bits):
-    report = apply_pass(small_model, Quantize(bits))
+    report = compose([Quantize(bits)], small_model)[0]
     assert isinstance(report, PassReport) and report.before is small_model
     expected = quantize_model(small_model, bits)
     worst = 0.0
@@ -425,7 +432,7 @@ def test_quantize_pass_reports_its_reconstruction_error(small_model, bits):
 
 
 def test_prune24_pass_reports_half_sparsity(small_model):
-    report = apply_pass(small_model, Prune24())
+    report = compose([Prune24()], small_model)[0]
     for got, want in zip(_layer_projections(report.after),
                          _layer_projections(prune_model_2_4(small_model))):
         assert np.array_equal(got, want)
@@ -438,7 +445,7 @@ def test_prune24_pass_reports_half_sparsity(small_model):
 
 def test_prune_heads_pass_reports_the_heads_it_masked():
     model, probe = concentration_pair_model()
-    report = apply_pass(model, PruneHeads(0.9), calibration=[probe])
+    report = compose([PruneHeads(0.9)], model, calibration=[probe])[0]
     expected = head_concentration(model, [probe])
     assert np.array_equal(report.concentration.scores, expected.scores)
     assert report.concentration.n_positions == expected.n_positions
@@ -446,7 +453,7 @@ def test_prune_heads_pass_reports_the_heads_it_masked():
     assert report.heads_masked == int(model.head_mask.sum() - report.after.head_mask.sum()) == 1
     assert report.max_error == 0.0
     # masking is cumulative, so a second pass masks nothing more
-    again = apply_pass(report.after, PruneHeads(0.9), calibration=[probe])
+    again = compose([PruneHeads(0.9)], report.after, calibration=[probe])[0]
     assert again.heads_masked == 0
 
 
@@ -455,12 +462,12 @@ def test_distill_pass_reports_the_student(small_model):
     report compares the two; for one of another shape it refuses to, where it would
     make up a heads_masked of 1 and could not subtract the weights."""
     student = init_model(SMALL, seed=99)
-    report = apply_pass(small_model, DistillRef("kd"), students={"kd": student})
+    report = compose([DistillRef("kd")], small_model, students={"kd": student})[0]
     assert report.after is student and report.before is small_model
     assert report.concentration is None
     assert report.heads_masked == 0 and report.max_error > 0
     other = init_model(ModelConfig(1, 1, 16, 64), seed=99)
-    report = apply_pass(small_model, DistillRef("kd"), students={"kd": other})
+    report = compose([DistillRef("kd")], small_model, students={"kd": other})[0]
     assert report.after is other and report.sparsity == 0.0
     for name in ("heads_masked", "max_error"):
         with pytest.raises(DomainError, match=f"^{name} does not apply: the pass changed the "
