@@ -8,16 +8,19 @@ students and calibration, and score its profiles and quality_exponent.  run, com
 and perplexity build what their pipelines start from in pipeline_inputs, and run and
 compress run each pipeline's passes in one compress.compose call.  score prints
 each profile's ranking of a metrics table and writes the scored table as JSON (--out)
-and as plot rows (--plot).  Argument parsing and the suite runner live here; the
-metrics CSV and score tables are in tables.py.
+and as plot rows (--plot).  Each command checks every path it writes against the files
+it reads (_check_out) before any work but parsing the config that names them.  Argument
+parsing and the suite runner live here; the metrics CSV and score tables are in tables.py.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import nullcontext
 from dataclasses import replace
+from functools import partial
 from itertools import combinations, product
 from pathlib import Path
 
@@ -30,13 +33,14 @@ from .errors import (DomainError, FormatError, ParseError, SourceError, StateErr
                      check_string, named)
 from .meter import measure
 from .model import TinyLM, perplexity, perplexity_plan, perplexity_window, save_model
-from .scoring import (BUILTIN_PROFILES, QUALITY_EXPONENT, Direction, MetricRecord, OptResult,
-                      ResourceRatios, check_quality_exponent, opt_score, rank_methods)
+from .scoring import (BUILTIN_PROFILES, QUALITY_EXPONENT, OptResult, check_quality_exponent,
+                      opt_score, rank_methods)
 from .suite import (ModelSpec, Report, StudentSpec, SuiteConfig, _load_corpus, _load_json,
                     _parse_model_spec, _parse_perplexity, _parse_profiles, _require_keys,
                     config_digest, parse_compress_config, parse_suite_config)
-from .tables import (BASE_PIPELINE, MethodMeasurements, ScoreTable, _check_unique, _result_fields,
-                     emit_plot_data, ingest_metrics, report_metric_rows, write_metrics_csv)
+from .tables import (BASE_PIPELINE, ScoreTable, _check_unique, _result_fields, emit_plot_data,
+                     ingest_metrics, measurement, report_metric_rows, row_metrics,
+                     write_metrics_csv)
 
 
 # ---------------------------------------------------------------------------
@@ -102,11 +106,10 @@ def pipeline_inputs(model: ModelSpec, corpus_path: str | None, pass_lists, specs
 
 
 def run_suite(config: SuiteConfig) -> Report:
-    """Measure every pipeline, started from pipeline_inputs, against the base model and
-    score every row, base included, in one score_report call, whose ScoreTable the report
-    keeps.  Any failure is a DomainError naming the student or pipeline.  With a synthetic
-    energy source and a seeded model, repeat runs produce byte-identical reports.
-    """
+    """Measure every pipeline, started from pipeline_inputs, against the base model, and
+    score each row's row_metrics measurement, base included, in one score_report call,
+    whose ScoreTable the report keeps.  A failure is a DomainError naming the student or
+    pipeline; with a synthetic energy source and a seeded model, reports are byte-identical."""
     base, corpus, calibration, students, (window, stride) = pipeline_inputs(
         config.model, config.corpus_path, [p.passes for p in config.pipelines],
         config.students, config.calibration, config.perplexity)
@@ -116,25 +119,17 @@ def run_suite(config: SuiteConfig) -> Report:
     for p in config.pipelines:
         with named(f"{p.name} pipeline failed", _RUN_ERRORS):
             reports = compose(p.passes, base, calibration=calibration, students=students)
-            candidate = reports[-1].after if reports else base
-            holder: dict[str, float] = {}
-
-            def work():
-                holder["ppl"] = perplexity(candidate, corpus, window=window, stride=stride)
-
+            work = partial(perplexity, reports[-1].after if reports else base, corpus,
+                           window=window, stride=stride)
             rec = measure(source, work, repetitions=config.repetitions,
                           carbon_intensity=config.carbon_intensity)
-        rows.append({"pipeline": p.name, "perplexity": holder["ppl"], "time_s": rec.wall_time_s,
+        rows.append({"pipeline": p.name, "perplexity": rec.result, "time_s": rec.wall_time_s,
                      "energy_kwh": rec.energy_kwh, "carbon_g": rec.carbon_g})
 
-    base_row = next(r for r in rows if r["pipeline"] == BASE_PIPELINE)
     methods = []
-    for row in rows:
-        with named(f"{row['pipeline']} pipeline cannot be scored"):
-            methods.append(MethodMeasurements(row["pipeline"], [MetricRecord(
-                "perplexity", Direction.LOWER_BETTER, base_row["perplexity"], row["perplexity"])],
-                ResourceRatios.from_measurements(base_row["time_s"], row["time_s"],
-                                                 base_row["energy_kwh"], row["energy_kwh"])))
+    for name, metrics in row_metrics(rows).items():
+        with named(f"{name} pipeline cannot be scored"):
+            methods.append(measurement(name, metrics))
     table = score_report(methods, config.profiles, config.quality_exponent)
     for row in rows:
         row["opt"] = {name: _result_fields(r) for name, r in table.scores[row["pipeline"]].items()}
@@ -172,43 +167,58 @@ def score_report(measurements, profiles=BUILTIN_PROFILES,
 # ---------------------------------------------------------------------------
 # command-line interface
 
-def _check_out(args, *flags: str, directory: bool = False) -> None:
+def _config_reads(model: ModelSpec, corpus_path, students: dict, source=None) -> list:
+    """(key, path) pairs of the files a parsed config names: the model's, the corpus, each
+    saved student's and a counter source's, the path None where the config names none."""
+    return [("model.path", model.path), ("corpus", corpus_path),
+            *((f"students[{sid!r}].path", getattr(s, "path", None)) for sid, s in students.items()),
+            ("energy_source.path", getattr(source, "path", None))]
+
+
+def _check_out(args, *flags: str, files=(), reads=()) -> None:
     """Fail, naming flag and path, unless each path the flags give can be written: as a
-    file, or as a directory to make; and unless no two of them, nor one of them and an
-    input flag (--config, --metrics), name the same file.  Each command checks every path
-    it writes, in one call, before any other work."""
+    file, or as a directory to make that the command writes files into; and unless no
+    two files written, nor one of them and a file read (--config, --metrics, or a
+    (key, path) pair of reads), name the same file.  Each command checks every path it
+    writes, in one call, before any work but parsing the config that names its reads."""
     given = [(flag, path) for flag in flags if (path := getattr(args, flag[2:])) is not None]
+    paths = []
     for flag, path in given:
         out = Path(path)
-        if directory and out.exists() and not out.is_dir():
+        if files and out.exists() and not out.is_dir():
             raise DomainError(f"{flag} {path} exists and is not a directory")
-        if not directory and out.is_dir():
-            raise DomainError(f"{flag} {path} is a directory")
+        for name in [str(out / file) for file in files] or [path]:
+            paths.append((flag, name))
+            if Path(name).is_dir():
+                raise DomainError(f"{flag} {name} is a directory")
         # a file needs its parent; a directory, its nearest existing ancestor
-        nearest = next(p for p in (out, *out.parents) if p.exists()) if directory else out.parent
+        nearest = next(p for p in (out, *out.parents) if p.exists()) if files else out.parent
         if not nearest.is_dir():
             raise DomainError(f"{flag} {path}: {nearest} is not a directory")
-    inputs = [(flag, path) for flag in ("--config", "--metrics")
-              if (path := getattr(args, flag[2:], None)) is not None]
-    for (flag, path), (other, other_path) in [*combinations(given, 2), *product(given, inputs)]:
-        if Path(path).resolve() == Path(other_path).resolve():
+    inputs = [(key, path) for key, path in [("--config", getattr(args, "config", None)),
+                                            ("--metrics", getattr(args, "metrics", None)), *reads]
+              if path is not None and "\0" not in str(path)]  # a NUL names no file
+    for (flag, path), (other, other_path) in [*combinations(paths, 2), *product(paths, inputs)]:
+        # realpath, unlike Path.resolve, does not raise on a symlink loop
+        if os.path.realpath(path) == os.path.realpath(other_path):
             raise DomainError(f"{flag} {path} and {other} {other_path} name the same file")
 
 
 def _cmd_run(args):
-    _check_out(args, "--out", directory=True)
+    config = parse_suite_config(_load_json(args.config))
+    files = ("report.json", "metrics.csv", "plot.csv")
+    _check_out(args, "--out", files=files, reads=_config_reads(
+        config.model, config.corpus_path, config.students, config.energy_source()))
+    report = run_suite(config)
     out_dir = Path(args.out)
-    report = run_suite(parse_suite_config(_load_json(args.config)))
     out_dir.mkdir(parents=True, exist_ok=True)
-    report_path = out_dir / "report.json"
-    report_path.write_text(report.json() + "\n")
+    report_path, metrics_path, plot_path = (out_dir / name for name in files)
+    report_path.write_text(report.json() + "\n", encoding="utf-8")
     print(f"wrote {report_path}")
 
     metric_rows = report_metric_rows(report)
     if metric_rows:
-        metrics_path = out_dir / "metrics.csv"
         write_metrics_csv(metric_rows, metrics_path)
-        plot_path = out_dir / "plot.csv"
         emit_plot_data(replace(report.table, rankings={
             name: [m for m in order if m != BASE_PIPELINE]
             for name, order in report.table.rankings.items()}), plot_path)
@@ -234,7 +244,8 @@ def _cmd_score(args):
     table = score_report(measurements, _parse_profiles(doc.get("profiles", [])),
                          check_quality_exponent(doc.get("quality_exponent", QUALITY_EXPONENT)))
     if args.out:
-        Path(args.out).write_text(json.dumps(table.as_dict(), indent=2, sort_keys=True) + "\n")
+        Path(args.out).write_text(json.dumps(table.as_dict(), indent=2, sort_keys=True) + "\n",
+                                  encoding="utf-8")
         print(f"wrote {args.out}")
     if args.plot:
         emit_plot_data(table, args.plot)
@@ -260,9 +271,9 @@ def _cmd_perplexity(args):
 
 
 def _cmd_compress(args):
-    _check_out(args, "--report", "--out")
     doc = _load_json(args.config)
     spec, corpus_path, specs, passes, calibration = parse_compress_config(doc)
+    _check_out(args, "--report", "--out", reads=_config_reads(spec, corpus_path, specs))
     model, _, probes, students, _ = pipeline_inputs(spec, corpus_path, [passes], specs,
                                                     calibration)
     reports = compose(passes, model, calibration=probes, students=students)
@@ -274,7 +285,8 @@ def _cmd_compress(args):
         if report.concentration is not None:
             rows[-1]["concentration"] = report.concentration.as_dict()
     if args.report:
-        Path(args.report).write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n")
+        Path(args.report).write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n",
+                                     encoding="utf-8")
         print(f"wrote {args.report}")
     if args.out:
         save_model(reports[-1].after if reports else model, args.out)

@@ -3,7 +3,8 @@
 Three interchangeable sources: a scripted synthetic clock for deterministic
 tests, a constant-power model, and a cumulative microjoule counter file of
 the kind exposed by on-chip energy meters.  One measurement may be active
-per process at a time.
+per process at a time.  A measurement's record also keeps what the work's
+last repetition returned, so a caller needs no side channel for its result.
 """
 from __future__ import annotations
 
@@ -23,13 +24,14 @@ JOULES_PER_KWH = 3.6e6
 
 @dataclass(frozen=True)
 class ResourceRecord:
-    """Accumulated cost of a measured workload."""
+    """Accumulated cost of a measured workload, and what its last repetition returned."""
 
     wall_time_s: float
     energy_kwh: float
     carbon_g: float
     repetitions: int
     source: str
+    result: object
 
 
 def _script(deltas, what: str) -> list[float]:
@@ -114,11 +116,11 @@ class CounterFile:
 
     def _read(self) -> int:
         try:
-            text = self.path.read_text()
+            data = self.path.read_bytes()  # int() parses bytes: no decode to fail
         except OSError as exc:
             raise SourceError(f"cannot read counter file {self.path}: {exc}") from exc
         try:
-            value = int(text.strip())
+            value = int(data.strip())
         except ValueError as exc:
             raise SourceError(
                 f"counter file {self.path} does not hold a decimal integer"
@@ -192,7 +194,7 @@ def measure(source: EnergySource, work: Callable[[], object],
         total_j = 0.0
         for _ in range(repetitions):
             source.start()
-            work()
+            result = work()
             dt, dj = source.stop()
             total_t += dt
             total_j += dj
@@ -205,4 +207,5 @@ def measure(source: EnergySource, work: Callable[[], object],
         carbon_g=carbon_estimate(kwh, carbon_intensity),
         repetitions=repetitions,
         source=source.kind,
+        result=result,
     )

@@ -9,6 +9,11 @@ One group per compared method.  direction is "lower" or "higher";
 random_floor stays empty on lower-is-better rows.  Metric names time_s and
 energy_kwh are reserved for the resource measurements every group must
 carry; everything else is a quality metric.
+
+measurement builds one method's records and ratios from such rows, for a
+group ingest_metrics reads and for a suite report row, whose rows against the
+base row row_metrics gives; report_metric_rows writes those as CSV rows, so
+run_suite scores exactly what score reads back.  Every file is UTF-8.
 """
 from __future__ import annotations
 
@@ -112,52 +117,56 @@ def ingest_metrics(path) -> list[MethodMeasurements]:
     if not raw:
         raise ParseError("no data rows", line=2)
 
-    out: list[MethodMeasurements] = []
+    out = []
     for group, rows in raw.items():
-        resources: dict[str, tuple[float, float]] = {}
-        records: list[MetricRecord] = []
         with named(f"group {group!r}"):
-            for metric, direction_s, floor, base_v, model_v in rows:
-                if metric not in RESERVED_METRICS:
-                    records.append(MetricRecord(metric, Direction(direction_s),
-                                                base_v, model_v, floor))
-                elif direction_s != "lower" or floor is not None:
-                    raise DomainError(f"{metric} must be lower-is-better, with no random floor")
-                else:
-                    resources[metric] = (base_v, model_v)
-            for needed in RESERVED_METRICS:
-                if needed not in resources:
-                    raise DomainError(f"missing a {needed} row")
-            if not records:
-                raise DomainError("no quality metric rows")
-            ratios = ResourceRatios.from_measurements(*resources[TIME_METRIC],
-                                                      *resources[ENERGY_METRIC])
-        out.append(MethodMeasurements(label=group, records=records, ratios=ratios))
+            out.append(measurement(group, rows))
     return out
+
+
+def measurement(label: str, rows) -> MethodMeasurements:
+    """A method's records and resource ratios from its (metric, direction, random_floor,
+    base_value, model_value) rows, one per metric, as a metrics CSV group holds them."""
+    resources: dict[str, tuple[float, float]] = {}
+    records: list[MetricRecord] = []
+    for metric, direction_s, floor, base_v, model_v in rows:
+        if metric not in RESERVED_METRICS:
+            records.append(MetricRecord(metric, Direction(direction_s), base_v, model_v, floor))
+        elif direction_s != "lower" or floor is not None:
+            raise DomainError(f"{metric} must be lower-is-better, with no random floor")
+        else:
+            resources[metric] = (base_v, model_v)
+    for needed in RESERVED_METRICS:
+        if needed not in resources:
+            raise DomainError(f"missing a {needed} row")
+    if not records:
+        raise DomainError("no quality metric rows")
+    ratios = ResourceRatios.from_measurements(*resources[TIME_METRIC], *resources[ENERGY_METRIC])
+    return MethodMeasurements(label, records, ratios)
+
+
+def row_metrics(rows: list[dict]) -> dict[str, list[tuple]]:
+    """Each suite report row's measurement rows against the base row, base included, by
+    pipeline: the metrics a row is scored on, each under its CSV name in the row."""
+    base_row = next((r for r in rows if r["pipeline"] == BASE_PIPELINE), None)
+    if base_row is None:
+        raise DomainError("report has no usable base row")
+    return {row["pipeline"]: [(metric, "lower", None, base_row[metric], row[metric])
+                              for metric in ("perplexity", TIME_METRIC, ENERGY_METRIC)]
+            for row in rows}
 
 
 def report_metric_rows(report: Report) -> list[list[str]]:
-    """Metrics CSV rows (without header) derived from a suite report.
-
-    Values keep full repr precision so scores recomputed from the CSV agree
-    with the report to rounding error only.
-    """
-    base_row = next((r for r in report.rows if r["pipeline"] == BASE_PIPELINE), None)
-    if base_row is None:
-        raise DomainError("report has no usable base row")
-    out = []
-    for row in report.rows:
-        if row is base_row:
-            continue
-        # report rows carry the metrics under their CSV names
-        for metric in ("perplexity", TIME_METRIC, ENERGY_METRIC):
-            out.append([row["pipeline"], metric, "lower", "",
-                        repr(base_row[metric]), repr(row[metric])])
-    return out
+    """Metrics CSV rows (without header) of a suite report's row_metrics, base left out;
+    values keep full repr precision, so scores recomputed from the CSV are the report's."""
+    return [[name, metric, direction, "" if floor is None else repr(floor), repr(base_v),
+             repr(model_v)]
+            for name, metrics in row_metrics(report.rows).items() if name != BASE_PIPELINE
+            for metric, direction, floor, base_v, model_v in metrics]
 
 
 def write_metrics_csv(rows: list[list[str]], path) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(METRICS_HEADER)
         writer.writerows(rows)
@@ -210,7 +219,7 @@ def emit_plot_data(table: ScoreTable, path) -> None:
     """
     if not table.methods:
         raise DomainError("nothing to emit: score table has no methods")
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["method", "profile", "opt"])
         for p in table.profiles:

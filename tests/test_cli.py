@@ -479,6 +479,18 @@ def test_cli_run_plot_matches_plot_data_on_its_metrics(tmp_path, capsys):
     assert (out_dir / "plot.csv").read_bytes() == again.read_bytes()
 
 
+def test_cli_run_scores_exactly_what_score_reads_from_its_metrics_csv(tmp_path, capsys):
+    """Each report row's records and ratios are built by measurement from its row_metrics,
+    as ingest_metrics builds each group of run's metrics.csv: field for field the same."""
+    rc, _, _ = run_suite_doc(capsys, tmp_path, small_suite_doc(tmp_path))
+    assert rc == 0
+    rows = json.loads((tmp_path / "o" / "report.json").read_text())["rows"]
+    scored = [tables.measurement(name, metrics)
+              for name, metrics in tables.row_metrics(rows).items() if name != BASE_PIPELINE]
+    assert [m.label for m in scored] == ["8bit", "sparse"]
+    assert ingest_metrics(tmp_path / "o" / "metrics.csv") == scored
+
+
 def test_cli_plot_data_reproduces_a_suites_custom_profile_from_its_scoring_keys(
         tmp_path, capsys):
     """A custom {name, alpha, beta} profile is spelled in a score config as in the suite,
@@ -888,24 +900,52 @@ COMPRESS_HEADS = ["compress", "--config", "prune-heads.json"]
      "--out ./p.json and --config p.json name the same file"),
     (["compress", "--config", "quantize.json"], "--report", "quantize.json",
      "--report quantize.json and --config quantize.json name the same file"),
+    (["compress", "--config", "saved.json"], "--out", "m.lmz",
+     "--out m.lmz and model.path m.lmz name the same file"),
+    (["compress", "--config", "corpus.json"], "--report", "c.txt",
+     "--report c.txt and corpus c.txt name the same file"),
+    (["compress", "--config", "student.json"], "--out", "./m.lmz",
+     "--out ./m.lmz and students['s'].path m.lmz name the same file"),
+    (["run", "--config", "o/report.json"], "--out", "o",
+     "--out o/report.json and --config o/report.json name the same file"),
+    (["run", "--config", "suite.json"], "--out", "r", "--out r/report.json is a directory"),
+    (["run", "--config", "counter.json"], "--out", "e",
+     "--out e/plot.csv and energy_source.path e/plot.csv name the same file"),
 ], ids=["quantize-dir", "quantize-no-parent", "prune-24-dir", "prune-heads-report-dir",
         "prune-heads-file-parent", "compress-report-is-out", "score-dir", "plot-data-dir",
         "score-out-is-plot", "distill-no-parent", "run-file-ancestor", "score-plot-is-metrics",
-        "score-out-is-config", "compress-report-is-config"])
+        "score-out-is-config", "compress-report-is-config", "compress-out-is-model",
+        "compress-report-is-corpus", "compress-out-is-student", "run-out-holds-config",
+        "run-report-is-a-directory", "run-plot-is-counter"])
 def test_cli_checks_each_output_path_before_any_work(tmp_path, capsys, monkeypatch, argv, flag,
                                                      path, named):
-    """A path a command cannot write, an input file among them, ends it with exit 2
-    before it loads, builds, trains or scores anything, and nothing is written: every
+    """A path a command cannot write, an input file among them (a flag's or one its
+    config names), ends it with exit 2 with at most its config parsed, before it loads a
+    model or corpus, builds, trains or scores anything, and nothing is written: every
     file, the command's inputs included, keeps its bytes."""
     def work(*args, **kwargs):
         raise AssertionError("work began before the output path was checked")
 
-    for name in ("_load_json", "ingest_metrics", "build_student", "run_suite"):
+    for name in ("pipeline_inputs", "ingest_metrics", "build_student", "run_suite"):
         monkeypatch.setattr(cli, name, work)
     monkeypatch.setattr(suite.ModelSpec, "build", work)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "d").mkdir()
+    (tmp_path / "r" / "report.json").mkdir(parents=True)
+    (tmp_path / "e").mkdir()
+    (tmp_path / "e" / "plot.csv").write_text("0\n")
     (tmp_path / "f").write_text("kept\n")
+    save_model(_fresh(), tmp_path / "m.lmz")
+    (tmp_path / "c.txt").write_bytes(bundled.path("toy_corpus.txt").read_bytes())
+    for name, keys in (("saved", {"model": {"path": "m.lmz"}, "passes": [Q8]}),
+                       ("corpus", {"model": FRESH, "corpus": "c.txt", "passes": [PRUNE_HEADS_09]}),
+                       ("student", {"model": FRESH, "students": {"s": {"path": "m.lmz"}},
+                                    "passes": [DISTILL_S, Q8]})):
+        (tmp_path / f"{name}.json").write_text(json.dumps(keys))
+    (tmp_path / "o").mkdir()
+    (tmp_path / "o" / "report.json").write_text(json.dumps(small_suite_doc(tmp_path)))
+    (tmp_path / "counter.json").write_text(json.dumps(small_suite_doc(tmp_path, energy_source={
+        "kind": "counter", "path": "e/plot.csv", "wrap_max_microjoules": 1000000})))
     (tmp_path / "m.csv").write_bytes(bundled.path("gpt2_standalone.csv").read_bytes())
     (tmp_path / "p.json").write_text(json.dumps({"profiles": ["balanced"]}))
     (tmp_path / "suite.json").write_text(json.dumps(small_suite_doc(tmp_path)))
@@ -2151,6 +2191,25 @@ def test_non_utf8_inputs_are_parse_errors(tmp_path, capsys):
     assert exc.value.line == 2
     rc, _, err = run_main(capsys, "score", "--metrics", str(metrics))
     assert rc == 2 and err.startswith("error:")
+
+
+def test_cli_writes_its_text_files_as_utf8_whatever_the_locale(tmp_path):
+    """Under an ASCII locale run writes a pipeline name that is not ASCII into metrics.csv
+    and plot.csv as UTF-8, the encoding score reads: its plot.csv is run's, byte for byte."""
+    doc = small_suite_doc(tmp_path)
+    doc["pipelines"][1]["name"] = "q8-\u00fc"
+    cfg_path = tmp_path / "suite.json"
+    cfg_path.write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=str(Path(shrinklab.__file__).parents[1]), LC_ALL="C",
+               PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", PYTHONIOENCODING="utf-8")
+    out_dir, again = tmp_path / "o", tmp_path / "again.csv"
+    for argv in (["run", "--config", str(cfg_path), "--out", str(out_dir)],
+                 ["score", "--metrics", str(out_dir / "metrics.csv"), "--plot", str(again)]):
+        done = subprocess.run([sys.executable, "-m", "shrinklab.cli", *argv], env=env,
+                              capture_output=True)
+        assert done.returncode == 0, done.stderr
+    assert "q8-\u00fc,perplexity".encode() in (out_dir / "metrics.csv").read_bytes()
+    assert again.read_bytes() == (out_dir / "plot.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Meter tests: scripted sources, wrap handling, additivity, nesting guard."""
 import math
+import re
 
 import pytest
 
@@ -69,6 +70,17 @@ def test_measure_runs_work_each_repetition():
     calls = []
     measure(SyntheticClock([1.0]), lambda: calls.append(1), repetitions=7)
     assert len(calls) == 7
+
+
+def test_measure_keeps_what_the_last_repetition_returned():
+    calls = []
+
+    def work():
+        calls.append(1)
+        return len(calls)
+
+    assert measure(SyntheticClock([1.0]), work, repetitions=7).result == 7
+    assert measure(SyntheticClock([1.0]), lambda: None, repetitions=3).result is None
 
 
 def test_measure_rejects_nesting_and_recovers():
@@ -202,6 +214,13 @@ def test_counter_file_source_errors(tmp_path):
     garbled.write_text("12.5 joules")
     with pytest.raises(SourceError):
         CounterFile(garbled, wrap_max_microjoules=1000).start()
+
+    # bytes that are not UTF-8 are not digits either
+    not_utf8 = tmp_path / "ff"
+    not_utf8.write_bytes(b"\xff")
+    with pytest.raises(SourceError, match=re.escape(
+            f"counter file {not_utf8} does not hold a decimal integer")):
+        CounterFile(not_utf8, wrap_max_microjoules=1000).start()
 
     out_of_range = tmp_path / "big"
     out_of_range.write_text("5000")
