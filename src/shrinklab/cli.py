@@ -30,7 +30,7 @@ from .compress import Calibration, DistillRef, PruneHeads, compose, start_studen
 from .distill import (METHOD_SEQKD, check_shared_vocabulary, seqkd_corpus, train_student,
                       training_window)
 from .errors import (DomainError, FormatError, ParseError, SourceError, StateError, check_number,
-                     check_string, named)
+                     check_path, named)
 from .meter import measure
 from .model import TinyLM, perplexity, perplexity_plan, perplexity_window, save_model
 from .scoring import (BUILTIN_PROFILES, QUALITY_EXPONENT, OptResult, check_quality_exponent,
@@ -262,7 +262,7 @@ def _cmd_perplexity(args):
     doc = _load_json(args.config)
     _require_keys(doc, "perplexity config", {"model", "corpus"}, {"perplexity"})
     model, corpus, _, _, (window, stride) = pipeline_inputs(
-        _parse_model_spec(doc["model"], "model"), check_string(doc["corpus"], "corpus"), [], {},
+        _parse_model_spec(doc["model"], "model"), check_path(doc["corpus"], "corpus"), [], {},
         Calibration(), _parse_perplexity(doc.get("perplexity", {})))
     ppl = check_number(perplexity(model, corpus, window=window, stride=stride),
                        "perplexity")  # nan when the float32 forward overflows

@@ -4,6 +4,7 @@ so a wrong-typed value from a config file or a caller raises DomainError.
 import contextlib
 import math
 import numbers
+import os
 
 
 class DomainError(ValueError):
@@ -87,4 +88,18 @@ def check_string(value, what: str) -> str:
     """A non-empty string, such as a file path or a name."""
     if not isinstance(value, str) or not value:
         raise DomainError(f"{what} must be a non-empty string, got {value!r}")
+    return value
+
+
+def check_path(value, what: str) -> str:
+    """A non-empty string that can name a file: it holds no NUL, and the file system
+    encoding can encode it (a lone surrogate it cannot)."""
+    check_string(value, what)
+    try:
+        nameable = b"\0" not in os.fsencode(value)
+    except UnicodeEncodeError:
+        nameable = False
+    if not nameable:
+        raise DomainError(f"{what} must be a path with no NUL or unencodable character, "
+                          f"got {value!r}")
     return value

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from .errors import (DomainError, SourceError, StateError, check_integer, check_number,
-                     check_string)
+                     check_path)
 
 DEFAULT_REPETITIONS = 30
 DEFAULT_CARBON_INTENSITY = 475.0  # g CO2-eq per kWh, world average grid
@@ -108,7 +108,7 @@ class CounterFile:
 
     def __init__(self, path, wrap_max_microjoules: int, *,
                  clock: Callable[[], float] = time.perf_counter):
-        self.path = Path(path if isinstance(path, os.PathLike) else check_string(path, "path"))
+        self.path = Path(path if isinstance(path, os.PathLike) else check_path(path, "path"))
         self.wrap_max = check_integer(wrap_max_microjoules, "wrap_max_microjoules")
         self._clock = clock
         self._t0: float | None = None

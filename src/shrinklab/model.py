@@ -242,12 +242,13 @@ GELU_K = 0.044715
 # Powers are written as products: numpy's float32 power runs a generic
 # pow per element, far slower than two multiplications.
 
-def gelu(x):
+def gelu(x, out=None):
     """tanh approximation of GELU, 0.5 x (1 + tanh(C (x + K x^3))).
 
-    Computed in one buffer, step for step in the order of that expression.
+    Computed in one buffer, out (which must not be x) or a new array, step
+    for step in the order of that expression.
     """
-    t = x * x
+    t = np.multiply(x, x, out=out)
     t *= x
     t *= GELU_K
     t += x
@@ -306,9 +307,33 @@ def log_softmax_rows(x):
 # ---------------------------------------------------------------------------
 # forward pass
 
+class _Workspace:
+    """Arrays one perplexity call lends each forward it runs, and frees with the call.
+
+    buffer holds a block's feed-forward input and GELU output, a forward's
+    largest temporaries, so that the heap does not hand their memory back to
+    the OS after one forward and fault it in again for the next.  head is
+    the tied output head as the C-contiguous copy a row cut multiplies by
+    (see _forward_full), made once per call.
+    """
+
+    def __init__(self, weights: Weights):
+        self.head = np.ascontiguousarray(weights.tok_emb.T)
+        self._buffers: dict = {}
+
+    def buffer(self, name: str, shape: tuple, dtype) -> np.ndarray:
+        """An uninitialised array of shape and dtype in the memory held for name, which
+        grows to the largest array the call asks it for."""
+        size = math.prod(shape)
+        memory = self._buffers.get(name)
+        if memory is None or memory.dtype != dtype or memory.size < size:
+            memory = self._buffers[name] = np.empty(size, dtype)
+        return memory[:size].reshape(shape)
+
+
 @np.errstate(over="ignore", invalid="ignore")  # an overflow's nan is its callers' to report
 def _forward_full(model: TinyLM, tokens: np.ndarray, want_cache: bool, first_row: int = 0,
-                  past: list | None = None):
+                  past: list | None = None, _workspace: _Workspace | None = None):
     """Single forward implementation behind inference, head scoring and backprop.
 
     tokens is one sequence (n,) or a batch of them (B, n), giving logits
@@ -332,9 +357,14 @@ def _forward_full(model: TinyLM, tokens: np.ndarray, want_cache: bool, first_row
     before the first call), places tokens after those positions, attending
     to them too; the second element returned is then past extended by
     tokens' keys and values, for the next call.  generate decodes this way.
+
+    _workspace, perplexity's, receives each block's feed-forward input and
+    GELU output in place of new arrays, and gives the row cut its head; the
+    values are the same.  Nothing returned is a workspace array.
     """
-    if want_cache and (first_row > 0 or past is not None):
-        raise DomainError("the cache covers whole sequences; first_row must be 0, past None")
+    if want_cache and (first_row > 0 or past is not None or _workspace is not None):
+        raise DomainError("the cache covers whole sequences in arrays of its own; "
+                          "first_row must be 0, past and _workspace None")
     cfg = model.config
     W = model.weights
     batch = tokens.shape[:-1]
@@ -346,6 +376,9 @@ def _forward_full(model: TinyLM, tokens: np.ndarray, want_cache: bool, first_row
         if isinstance(w, np.ndarray) or not batch:
             return dense_weight(w, dtype)
         return np.stack([w.dense(dtype) for _ in range(batch[0])])
+
+    def held(name, shape, dtype):  # the workspace's array, or None for a new one
+        return None if _workspace is None else _workspace.buffer(name, shape, dtype)
 
     def split_heads(t):  # (..., rows, d_model) -> (..., heads, rows, d_head)
         return t.reshape(*t.shape[:-1], n_heads, h_dim).swapaxes(-3, -2)
@@ -377,8 +410,10 @@ def _forward_full(model: TinyLM, tokens: np.ndarray, want_cache: bool, first_row
         merged = ctx.swapaxes(-3, -2).reshape(*batch, n - r, cfg.d_model)
         x_mid = x[..., r:, :] + merged @ proj(lw.wo)
         h, xhat2, inv2 = ln_detail(x_mid, lw.ln2_g, lw.ln2_b)
-        u = h @ proj(lw.w_in)
-        act = gelu(u)
+        w_in = proj(lw.w_in)
+        ffn_shape, ffn_dtype = (*h.shape[:-1], w_in.shape[-1]), np.result_type(h, w_in)
+        u = np.matmul(h, w_in, out=held("u", ffn_shape, ffn_dtype))
+        act = gelu(u, out=held("act", ffn_shape, ffn_dtype))
         x = x_mid + act @ proj(lw.w_out)
         if want_cache:
             cache["layers"].append({
@@ -389,7 +424,9 @@ def _forward_full(model: TinyLM, tokens: np.ndarray, want_cache: bool, first_row
 
     xf, xhatf, invf = ln_detail(x, W.ln_f_g, W.ln_f_b)
     head = W.tok_emb.T
-    logits = xf @ (np.ascontiguousarray(head) if first_row > 0 else head)
+    if first_row > 0:
+        head = np.ascontiguousarray(head) if _workspace is None else _workspace.head
+    logits = xf @ head
     if want_cache:
         cache.update(xf=xf, xhatf=xhatf, invf=invf)
     return logits, kv if past is not None else cache
@@ -467,6 +504,7 @@ def perplexity(model: TinyLM, corpus, window: int | None = None,
         raise DomainError("perplexity needs a corpus of at least 2 tokens")
 
     # consecutive windows of one length and row cut share a forward call
+    workspace = _Workspace(model.weights)
     total = 0.0
     count = 0
     for (n, row), run in itertools.groupby(perplexity_plan(toks.size, window, stride),
@@ -476,7 +514,8 @@ def perplexity(model: TinyLM, corpus, window: int | None = None,
         rows = np.arange(k)
         for b in range(0, len(starts), PPL_BATCH):
             chunks = np.stack([toks[s:s + n] for s in starts[b:b + PPL_BATCH]])
-            logits, _ = _forward_full(model, chunks, want_cache=False, first_row=row)
+            logits, _ = _forward_full(model, chunks, want_cache=False, first_row=row,
+                                      _workspace=workspace)
             for chunk, z in zip(chunks, logits):
                 total += float(-log_softmax_rows(z[:-1])[rows, chunk[row + 1:]].mean()) * k
                 count += k

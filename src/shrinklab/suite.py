@@ -18,7 +18,7 @@ import numpy as np
 from .compress import (Calibration, CompressionPass, DistillRef, Prune24, PruneHeads, Quantize,
                        start_student)
 from .distill import METHOD_SEQKD, DistillConfig
-from .errors import DomainError, ParseError, check_integer, check_string, named
+from .errors import DomainError, ParseError, check_integer, check_path, check_string, named
 from .meter import (DEFAULT_CARBON_INTENSITY, DEFAULT_REPETITIONS, CounterFile, EnergySource,
                     PowerModel, SyntheticClock, carbon_estimate)
 from .model import (MIN_PPL_WINDOW, ModelConfig, TinyLM, _check_tokens, init_model, load_model,
@@ -109,7 +109,7 @@ def _parse_model_spec(obj, what: str) -> ModelSpec:
         raise DomainError(f"{what} must carry either 'path' or 'config' (with optional 'seed')")
     if "path" in obj:
         _require_keys(obj, what, {"path"})
-        return ModelSpec(path=check_string(obj["path"], f"{what}.path"))
+        return ModelSpec(path=check_path(obj["path"], f"{what}.path"))
     _require_keys(obj, what, {"config"}, {"seed"})
     return ModelSpec(config=_build(ModelConfig, obj["config"], f"{what}.config"),
                      seed=check_integer(obj.get("seed", 0), f"{what}.seed", minimum=0))
@@ -231,7 +231,7 @@ def parse_suite_config(doc: dict) -> SuiteConfig:
                    "quality_exponent"})
 
     model = _parse_model_spec(doc["model"], "model")
-    corpus_path = check_string(doc["corpus"], "corpus")
+    corpus_path = check_path(doc["corpus"], "corpus")
 
     students = _parse_students(doc.get("students", {}))
     if not isinstance(doc["pipelines"], list) or not doc["pipelines"]:
@@ -281,7 +281,7 @@ def parse_compress_config(doc: dict):
     _require_keys(doc, "compress config", {"model", "passes"},
                   {"corpus", "calibration", "students"})
     spec = _parse_model_spec(doc["model"], "model")
-    corpus_path = check_string(doc["corpus"], "corpus") if "corpus" in doc else None
+    corpus_path = check_path(doc["corpus"], "corpus") if "corpus" in doc else None
     students = _parse_students(doc.get("students", {}))
     passes = _parse_passes(doc["passes"])
     with named("passes"):

@@ -2353,6 +2353,44 @@ def test_run_with_one_value_replaced_exits_zero_or_two(tmp_path, capsys, command
         assert err.startswith("error:")
 
 
+def _set_path(doc, key, path):
+    """doc with the config path under key replaced by path."""
+    if key == "corpus":
+        doc["corpus"] = path
+    elif key == "energy_source":
+        doc["energy_source"] = {"kind": "counter", "path": path, "wrap_max_microjoules": 10}
+    else:  # "model" or a student id
+        (doc if key == "model" else doc["students"])[key] = {"path": path}
+    return doc
+
+
+@pytest.mark.parametrize("path", ["a\0b", "\ud800"], ids=["nul", "lone-surrogate"])
+@pytest.mark.parametrize("command, key, named", [
+    ("run", "corpus", "corpus"),
+    ("run", "model", "model.path"),
+    ("run", "saved", "students['saved'].path"),
+    ("run", "energy_source", "energy_source: path"),
+    ("compress", "corpus", "corpus"),
+    ("compress", "model", "model.path"),
+    ("compress", "saved", "students['saved'].path"),
+    ("perplexity", "corpus", "corpus"),
+    ("perplexity", "model", "model.path"),
+])
+def test_a_config_path_no_file_can_have_exits_two_naming_its_key(tmp_path, capsys, command,
+                                                                 key, named, path):
+    """A path that the OS cannot take is a config error, raised while the config is parsed,
+    not a ValueError or UnicodeEncodeError from where the file is opened."""
+    doc = _set_path(_command_doc(command, tmp_path / "corpus.txt"), key, path)
+    cfg_path = tmp_path / "suite.json"
+    cfg_path.write_text(json.dumps(doc))
+    outputs = [arg for flag, name in _OUTPUTS[command].items() for arg in (flag, tmp_path / name)]
+    rc, printed, err = run_main(capsys, command, "--config", str(cfg_path), *map(str, outputs))
+    assert rc == 2 and printed == ""
+    assert err == f"error: {named} must be a path with no NUL or unencodable character, " \
+                  f"got {path!r}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["suite.json"]
+
+
 # mostly positive numbers, pairs of them 1e300 apart, and a little junk
 _CSV_VALUES = st.sampled_from(["0.5", "1", "2", "1e-200", "1e100", "1e300", "nan", ""])
 

@@ -1,5 +1,6 @@
 """Transformer tests: forward oracle, likelihoods, generation, persistence."""
 import dataclasses
+import itertools
 import json
 import warnings
 
@@ -514,7 +515,7 @@ def test_perplexity_expands_each_quantized_projection_once_per_window(corpus, mo
     real_dense = QuantizedTensor.dense
 
     def counting_dense(self, *args, **kwargs):
-        calls.append(self)
+        calls.append((self, args, kwargs))
         return real_dense(self, *args, **kwargs)
 
     monkeypatch.setattr(QuantizedTensor, "dense", counting_dense)
@@ -522,6 +523,58 @@ def test_perplexity_expands_each_quantized_projection_once_per_window(corpus, mo
         calls.clear()
         perplexity(m, corpus[:500], window=window, stride=stride)
         assert len(calls) == 6 * TOY.n_layers * len(_windows(500, window, stride))
+        # the dtype alone, as perfbench's dequantization span reads dense(q, dtype)
+        assert all(args == (np.dtype(np.float32),) and not kwargs for _, args, kwargs in calls)
+
+
+def test_back_to_back_perplexity_calls_each_equal_the_window_by_window_oracle(corpus):
+    """Each call holds its own feed-forward buffers: calls on a 2,4,64,256 model and then a
+    1,2,32,128 one, and a 500-token corpus whose last batches take other (length, row)
+    groups and batch sizes, give the oracle's bits."""
+    cases = [(kind, m, size, window, stride)
+             for config in (TOY, SMALL) for kind, m in _ppl_models(config).items()
+             for size, window, stride in ((148, 64, 8), (500, 64, 8))]
+    got = [perplexity(m, corpus[:size], window=window, stride=stride)
+           for _, m, size, window, stride in cases]
+    for value, (kind, m, size, window, stride) in zip(got, cases):
+        assert value == _perplexity_by_window(m, corpus[:size], window, stride), \
+            (kind, m.config, size, window, stride)
+    # 500 tokens at 64/8 run batches of 1 window, 4 (13 times) and 2 cut at row 55, then 1
+    plan = perplexity_plan(500, 64, 8)
+    assert [(key, len(list(run))) for key, run in itertools.groupby(plan, lambda w: w[1:])] \
+        == [((64, 0), 1), ((64, 55), 54), ((60, 55), 1)]
+
+
+def _calls_without_workspace(base, q4, corpus) -> dict:
+    """forward's attention maps, head_concentration's scores and generate's tokens on
+    both models, and backward's gradients on the dense one."""
+    from shrinklab.compress import head_concentration
+    from shrinklab.distill import ForwardKLD, backward
+    out = {}
+    for kind, m in (("fp32", base), ("q4", q4)):
+        out[f"{kind} maps"] = forward(m, corpus[:40])[1]
+        out[f"{kind} concentration"] = head_concentration(m, [corpus[:32], corpus[32:64]]).scores
+        out[f"{kind} tokens"] = generate(m, np.stack([corpus[:8], corpus[8:16]]), 12)
+    _, grads = backward(base, corpus[:24], ForwardKLD(forward(q4, corpus[:24])[0], 2.0))
+    out.update((f"gradient {name}", g) for name, g in grads.items())
+    return out
+
+
+def test_perplexity_leaves_nothing_behind_for_the_calls_that_take_no_workspace(corpus):
+    """After perplexity, forward, head_concentration, backward and generate give the bits they
+    gave before it, and a later perplexity call writes into none of their arrays."""
+    from shrinklab.compress import quantize_model
+    base = init_model(TOY, seed=3)
+    q4 = quantize_model(base, 4)
+    fresh = _calls_without_workspace(base, q4, corpus)
+    for m in (base, q4):
+        perplexity(m, corpus[:300], window=64, stride=8)
+    after = _calls_without_workspace(base, q4, corpus)
+    for m in (base, q4):
+        perplexity(m, corpus[:300], window=64, stride=8)
+    assert after.keys() == fresh.keys()
+    for name, want in fresh.items():
+        assert _same_bits(after[name], want), name
 
 
 def test_perplexity_checks_its_corpus_once(small_model, corpus, monkeypatch):
